@@ -30,6 +30,11 @@ class PropertyResult:
     samples: int
     detail: str = ""
 
+    def __post_init__(self):
+        # checks may compute with numpy scalars; the report must be plain JSON
+        object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "worst", float(self.worst))
+
     def as_dict(self):
         return {"name": self.name, "passed": self.passed, "worst": self.worst,
                 "tolerance": self.tolerance, "samples": self.samples,
@@ -195,7 +200,12 @@ def check_b_inverse_bound(rng, count=1000, extra_system=None):
 
 
 def check_flux_zero_sum(rng, count=500, extra_system=None):
-    """edge_flux returns a zero-sum flux when the jumps sum to zero."""
+    """edge_flux sums to -sum(du)/(c* d_sigma), zero when the jumps sum to zero.
+
+    Since 1^T (c* I + Abar) = c* 1^T, the identity is exact; it is checked
+    directly because the jumps of two rounded simplex points need not sum to
+    exactly zero.
+    """
     worst = 0.0
     for system in _systems(rng, count, extra_system):
         uk = _random_simplex(rng, system.n)
@@ -204,7 +214,8 @@ def check_flux_zero_sum(rng, count=500, extra_system=None):
         du = ul - uk
         j = edge_flux(system, edge_fractions(uk, ul), du, d_sigma)
         bound = 1e-12 * float(np.abs(du).max()) / d_sigma
-        excess = abs(float(j.sum())) - bound
+        expected = -float(du.sum()) / (system.c_star * d_sigma)
+        excess = abs(float(j.sum()) - expected) - bound
         worst = max(worst, excess)
     return PropertyResult("flux_zero_sum", worst <= 0.0, worst, 0.0, count,
                           detail="excess over 1e-12*|du|/d_sigma")

@@ -72,9 +72,6 @@ class RunConfig:
     def build_mesh(self) -> Mesh:
         return self.mesh.build()
 
-    def initial_state(self, mesh: Mesh) -> StateField:
-        return preset_initial(self.initial, mesh, self.species.n)
-
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
@@ -146,7 +143,7 @@ def _parse_solver(raw) -> SolverConfig:
     if not isinstance(raw, dict):
         raise ConfigError("solver must be an object")
     allowed = {"newton_tol", "max_newton_iters", "max_damping_halvings",
-               "projection_floor", "log_mean_equality_threshold"}
+               "projection_floor"}
     _check_keys(raw, allowed, "solver")
     try:
         return SolverConfig(**raw)

@@ -91,7 +91,7 @@ def reconstruct_gradient(mesh: Mesh, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (mesh.num_cells,):
         raise ValueError("v must hold one value per cell")
-    total = mesh.num_interior_edges + len(mesh.boundary_edges)
+    total = mesh.num_interior_edges + mesh.num_boundary_edges
     grad = np.zeros((total, mesh.dimension))
     if mesh.num_interior_edges:
         jump = v[mesh.edge_cell_l] - v[mesh.edge_cell_k]
@@ -111,7 +111,7 @@ def reconstruct_flux_field(mesh: Mesh, fluxes: FluxField):
     if fluxes.mesh is not mesh:
         raise ValueError("fluxes do not belong to the given mesh")
     n = fluxes.values.shape[0]
-    total = mesh.num_interior_edges + len(mesh.boundary_edges)
+    total = mesh.num_interior_edges + mesh.num_boundary_edges
     field = np.zeros((n, total, mesh.dimension))
     if mesh.num_interior_edges == 0:
         return field, 0.0

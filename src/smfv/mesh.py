@@ -6,6 +6,21 @@ face.  The uniform constructors below (interval and Cartesian rectangle)
 satisfy that condition exactly; the ``Mesh`` container itself accepts any
 admissible cell/face data, e.g. loaded from file.
 
+A ``Mesh`` is a bundle of flat numpy arrays, built by keyword::
+
+    Mesh(dimension=d, mesh_size=h,
+         cell_centers=(N, d), cell_measures=(N,),
+         edge_cell_k=(E,), edge_cell_l=(E,), edge_measure=(E,),
+         edge_distance=(E,), edge_dist_k=(E,), edge_dist_l=(E,),
+         edge_normals=(E, d),
+         boundary_cell=(B,), boundary_measure=(B,), boundary_distance=(B,),
+         boundary_normals=(B, d),
+         grid_shape=None, cell_lower=None, cell_upper=None)
+
+Interior edges are oriented from cell K to cell L.  The counts, the total
+measure, the transmissibilities, the diamond measures and the regularity
+factor are derived from these arrays.
+
 Geometric quantities carried per interior face sigma = K|L:
 
     m_sigma   (d-1)-dimensional face measure (1.0 when d = 1)
@@ -18,49 +33,21 @@ Geometric quantities carried per interior face sigma = K|L:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 REL_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class Cell:
-    """Control volume with center ``x_K`` and d-dimensional measure ``m_K``."""
-
-    index: int
-    center: np.ndarray
-    measure: float
+_INDEX_ARRAYS = ("edge_cell_k", "edge_cell_l", "boundary_cell")
+_FLOAT_ARRAYS = ("cell_centers", "cell_measures", "edge_measure", "edge_distance",
+                 "edge_dist_k", "edge_dist_l", "edge_normals", "boundary_measure",
+                 "boundary_distance", "boundary_normals")
 
 
-@dataclass(frozen=True)
-class InteriorEdge:
-    """Face shared by cells K and L, oriented from K to L."""
-
-    cell_k: int
-    cell_l: int
-    measure: float
-    distance: float
-    dist_k: float
-    dist_l: float
-    transmissibility: float
-    normal_k_to_l: np.ndarray
-    diamond_measure: float
-
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    """Face on the domain boundary; fluxes through it are identically zero."""
-
-    cell_k: int
-    measure: float
-    distance: float
-    normal: np.ndarray
-
-
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable mesh bundle plus flat numpy views used by the solver.
+    """Immutable array bundle of cells, interior edges and boundary edges.
 
     ``grid_shape`` and the per-cell bounding boxes ``cell_lower`` /
     ``cell_upper`` are only set by the uniform constructors; operations that
@@ -68,48 +55,65 @@ class Mesh:
     restriction) require them.
     """
 
-    def __init__(self, dimension, cells, interior_edges, boundary_edges,
-                 mesh_size, grid_shape=None, cell_lower=None, cell_upper=None):
-        self.dimension = int(dimension)
-        self.cells = list(cells)
-        self.interior_edges = list(interior_edges)
-        self.boundary_edges = list(boundary_edges)
-        self.mesh_size = float(mesh_size)
-        self.grid_shape = tuple(grid_shape) if grid_shape is not None else None
-        self.cell_lower = cell_lower
-        self.cell_upper = cell_upper
+    dimension: int
+    mesh_size: float
+    cell_centers: np.ndarray
+    cell_measures: np.ndarray
+    edge_cell_k: np.ndarray
+    edge_cell_l: np.ndarray
+    edge_measure: np.ndarray
+    edge_distance: np.ndarray
+    edge_dist_k: np.ndarray
+    edge_dist_l: np.ndarray
+    edge_normals: np.ndarray
+    boundary_cell: np.ndarray
+    boundary_measure: np.ndarray
+    boundary_distance: np.ndarray
+    boundary_normals: np.ndarray
+    grid_shape: tuple = None
+    cell_lower: np.ndarray = None
+    cell_upper: np.ndarray = None
+    num_cells: int = field(init=False)
+    total_measure: float = field(init=False)
+    num_interior_edges: int = field(init=False)
+    num_boundary_edges: int = field(init=False)
+    edge_tau: np.ndarray = field(init=False)
+    edge_diamond: np.ndarray = field(init=False)
+    regularity: float = field(init=False)
 
-        self.num_cells = len(self.cells)
-        self.cell_centers = np.array([c.center for c in self.cells], dtype=float)
-        self.cell_measures = np.array([c.measure for c in self.cells], dtype=float)
-        self.total_measure = float(self.cell_measures.sum())
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
 
-        self.num_interior_edges = len(self.interior_edges)
-        self.edge_cell_k = np.array([e.cell_k for e in self.interior_edges], dtype=np.intp)
-        self.edge_cell_l = np.array([e.cell_l for e in self.interior_edges], dtype=np.intp)
-        self.edge_measure = np.array([e.measure for e in self.interior_edges], dtype=float)
-        self.edge_distance = np.array([e.distance for e in self.interior_edges], dtype=float)
-        self.edge_dist_k = np.array([e.dist_k for e in self.interior_edges], dtype=float)
-        self.edge_dist_l = np.array([e.dist_l for e in self.interior_edges], dtype=float)
-        self.edge_tau = np.array([e.transmissibility for e in self.interior_edges], dtype=float)
-        self.edge_diamond = np.array([e.diamond_measure for e in self.interior_edges], dtype=float)
-        if self.num_interior_edges:
-            self.edge_normals = np.array([e.normal_k_to_l for e in self.interior_edges], dtype=float)
-        else:
-            self.edge_normals = np.zeros((0, self.dimension))
+        put("dimension", int(self.dimension))
+        put("mesh_size", float(self.mesh_size))
+        for name in _INDEX_ARRAYS:
+            put(name, np.asarray(getattr(self, name), dtype=np.intp))
+        for name in _FLOAT_ARRAYS:
+            put(name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("edge_normals", "boundary_normals"):
+            put(name, getattr(self, name).reshape(-1, self.dimension))
+        if self.grid_shape is not None:
+            put("grid_shape", tuple(self.grid_shape))
+        put("num_cells", len(self.cell_measures))
+        put("total_measure", float(self.cell_measures.sum()))
+        put("num_interior_edges", len(self.edge_cell_k))
+        put("num_boundary_edges", len(self.boundary_cell))
+        put("edge_tau", self.edge_measure / self.edge_distance)
+        put("edge_diamond", self.edge_measure * self.edge_distance / self.dimension)
+        put("regularity", _regularity(self))
 
-        self.regularity = self._compute_regularity()
 
-    def _compute_regularity(self):
-        # min over cell/face pairs of dist(x_K, sigma)/d_sigma; boundary faces
-        # contribute 1 since d_sigma is defined there as |x_K - x_sigma|.
-        ratios = []
-        if self.num_interior_edges:
-            ratios.append(float(np.min(np.minimum(self.edge_dist_k, self.edge_dist_l)
-                                       / self.edge_distance)))
-        if self.boundary_edges:
-            ratios.append(1.0)
-        return min(ratios) if ratios else 1.0
+def _regularity(mesh):
+    # min over cell/face pairs of dist(x_K, sigma)/d_sigma; boundary faces
+    # contribute 1 since d_sigma is defined there as |x_K - x_sigma|.
+    ratios = []
+    if mesh.num_interior_edges:
+        ratios.append(float(np.min(np.minimum(mesh.edge_dist_k, mesh.edge_dist_l)
+                                   / mesh.edge_distance)))
+    if mesh.num_boundary_edges:
+        ratios.append(1.0)
+    return min(ratios) if ratios else 1.0
 
 
 def uniform_interval(n_cells: int) -> Mesh:
@@ -123,26 +127,19 @@ def uniform_interval(n_cells: int) -> Mesh:
     n_cells = int(n_cells)
     faces = np.arange(n_cells + 1, dtype=float) / n_cells
     centers = (np.arange(n_cells, dtype=float) + 0.5) / n_cells
-
-    cells = [Cell(i, np.array([centers[i]]), float(faces[i + 1] - faces[i]))
-             for i in range(n_cells)]
-    interior = []
-    for i in range(n_cells - 1):
-        dist = float(centers[i + 1] - centers[i])
-        dk = float(faces[i + 1] - centers[i])
-        dl = float(centers[i + 1] - faces[i + 1])
-        interior.append(InteriorEdge(
-            cell_k=i, cell_l=i + 1, measure=1.0, distance=dist,
-            dist_k=dk, dist_l=dl, transmissibility=1.0 / dist,
-            normal_k_to_l=np.array([1.0]), diamond_measure=dist))
-    boundary = [
-        BoundaryEdge(0, 1.0, float(centers[0] - faces[0]), np.array([-1.0])),
-        BoundaryEdge(n_cells - 1, 1.0, float(faces[-1] - centers[-1]), np.array([1.0])),
-    ]
-    lower = faces[:-1, None].copy()
-    upper = faces[1:, None].copy()
-    return Mesh(1, cells, interior, boundary, mesh_size=1.0 / n_cells,
-                grid_shape=(n_cells,), cell_lower=lower, cell_upper=upper)
+    cells = np.arange(n_cells)
+    return Mesh(
+        dimension=1, mesh_size=1.0 / n_cells,
+        cell_centers=centers[:, None], cell_measures=np.diff(faces),
+        edge_cell_k=cells[:-1], edge_cell_l=cells[1:],
+        edge_measure=np.ones(n_cells - 1), edge_distance=np.diff(centers),
+        edge_dist_k=faces[1:-1] - centers[:-1], edge_dist_l=centers[1:] - faces[1:-1],
+        edge_normals=np.ones((n_cells - 1, 1)),
+        boundary_cell=[0, n_cells - 1], boundary_measure=[1.0, 1.0],
+        boundary_distance=[centers[0] - faces[0], faces[-1] - centers[-1]],
+        boundary_normals=[[-1.0], [1.0]],
+        grid_shape=(n_cells,), cell_lower=faces[:-1, None].copy(),
+        cell_upper=faces[1:, None].copy())
 
 
 def uniform_rectangle(nx: int, ny: int) -> Mesh:
@@ -150,7 +147,9 @@ def uniform_rectangle(nx: int, ny: int) -> Mesh:
 
     Cells are indexed row-major, ``k = iy * nx + ix``; interior edges are
     listed x-direction first, then y-direction, each ordered by the index of
-    their K cell.  The orthogonality condition holds exactly.
+    their K cell.  Boundary edges are listed as (left, right) pairs row by
+    row, then (bottom, top) pairs column by column.  The orthogonality
+    condition holds exactly.
     """
     for name, value in (("nx", nx), ("ny", ny)):
         if not isinstance(value, (int, np.integer)) or value < 1:
@@ -160,130 +159,102 @@ def uniform_rectangle(nx: int, ny: int) -> Mesh:
     yf = np.arange(ny + 1, dtype=float) / ny
     xc = (np.arange(nx, dtype=float) + 0.5) / nx
     yc = (np.arange(ny, dtype=float) + 0.5) / ny
-
-    def cell_index(ix, iy):
-        return iy * nx + ix
-
-    cells = []
-    lower = np.zeros((nx * ny, 2))
-    upper = np.zeros((nx * ny, 2))
-    for iy in range(ny):
-        hy = float(yf[iy + 1] - yf[iy])
-        for ix in range(nx):
-            hx = float(xf[ix + 1] - xf[ix])
-            k = cell_index(ix, iy)
-            cells.append(Cell(k, np.array([xc[ix], yc[iy]]), hx * hy))
-            lower[k] = (xf[ix], yf[iy])
-            upper[k] = (xf[ix + 1], yf[iy + 1])
-
-    interior = []
+    hx = np.diff(xf)
+    hy = np.diff(yf)
     ex = np.array([1.0, 0.0])
     ey = np.array([0.0, 1.0])
-    # vertical faces (normal along +x)
-    for iy in range(ny):
-        m_sig = float(yf[iy + 1] - yf[iy])
-        for ix in range(nx - 1):
-            dist = float(xc[ix + 1] - xc[ix])
-            dk = float(xf[ix + 1] - xc[ix])
-            dl = float(xc[ix + 1] - xf[ix + 1])
-            interior.append(InteriorEdge(
-                cell_k=cell_index(ix, iy), cell_l=cell_index(ix + 1, iy),
-                measure=m_sig, distance=dist, dist_k=dk, dist_l=dl,
-                transmissibility=m_sig / dist, normal_k_to_l=ex,
-                diamond_measure=m_sig * dist / 2.0))
-    # horizontal faces (normal along +y)
-    for iy in range(ny - 1):
-        dist = float(yc[iy + 1] - yc[iy])
-        dk = float(yf[iy + 1] - yc[iy])
-        dl = float(yc[iy + 1] - yf[iy + 1])
-        for ix in range(nx):
-            m_sig = float(xf[ix + 1] - xf[ix])
-            interior.append(InteriorEdge(
-                cell_k=cell_index(ix, iy), cell_l=cell_index(ix, iy + 1),
-                measure=m_sig, distance=dist, dist_k=dk, dist_l=dl,
-                transmissibility=m_sig / dist, normal_k_to_l=ey,
-                diamond_measure=m_sig * dist / 2.0))
+    cells = np.arange(nx * ny).reshape(ny, nx)
 
-    boundary = []
-    for iy in range(ny):
-        m_sig = float(yf[iy + 1] - yf[iy])
-        boundary.append(BoundaryEdge(cell_index(0, iy), m_sig,
-                                     float(xc[0] - xf[0]), -ex))
-        boundary.append(BoundaryEdge(cell_index(nx - 1, iy), m_sig,
-                                     float(xf[-1] - xc[-1]), ex))
-    for ix in range(nx):
-        m_sig = float(xf[ix + 1] - xf[ix])
-        boundary.append(BoundaryEdge(cell_index(ix, 0), m_sig,
-                                     float(yc[0] - yf[0]), -ey))
-        boundary.append(BoundaryEdge(cell_index(ix, ny - 1), m_sig,
-                                     float(yf[-1] - yc[-1]), ey))
+    # vertical faces (normal along +x), then horizontal faces (normal along +y)
+    ix = np.tile(np.arange(nx - 1), ny)
+    iy = np.repeat(np.arange(ny), nx - 1)
+    jx = np.tile(np.arange(nx), ny - 1)
+    jy = np.repeat(np.arange(ny - 1), nx)
+    edge_k = np.concatenate([cells[:, :-1].ravel(), cells[:-1, :].ravel()])
+    edge_l = np.concatenate([cells[:, 1:].ravel(), cells[1:, :].ravel()])
+    measure = np.concatenate([hy[iy], hx[jx]])
+    distance = np.concatenate([np.diff(xc)[ix], np.diff(yc)[jy]])
+    dist_k = np.concatenate([(xf[1:-1] - xc[:-1])[ix], (yf[1:-1] - yc[:-1])[jy]])
+    dist_l = np.concatenate([(xc[1:] - xf[1:-1])[ix], (yc[1:] - yf[1:-1])[jy]])
+    normals = np.concatenate([np.tile(ex, (len(ix), 1)), np.tile(ey, (len(jx), 1))])
 
-    h = math.hypot(1.0 / nx, 1.0 / ny)
-    return Mesh(2, cells, interior, boundary, mesh_size=h,
-                grid_shape=(nx, ny), cell_lower=lower, cell_upper=upper)
+    boundary_cell = np.concatenate([
+        np.stack([cells[:, 0], cells[:, -1]], axis=1).ravel(),
+        np.stack([cells[0, :], cells[-1, :]], axis=1).ravel()])
+    boundary_measure = np.concatenate([np.repeat(hy, 2), np.repeat(hx, 2)])
+    boundary_distance = np.concatenate([
+        np.tile([xc[0] - xf[0], xf[-1] - xc[-1]], ny),
+        np.tile([yc[0] - yf[0], yf[-1] - yc[-1]], nx)])
+    boundary_normals = np.concatenate([np.tile(np.stack([-ex, ex]), (ny, 1)),
+                                       np.tile(np.stack([-ey, ey]), (nx, 1))])
+
+    return Mesh(
+        dimension=2, mesh_size=math.hypot(1.0 / nx, 1.0 / ny),
+        cell_centers=np.column_stack([np.tile(xc, ny), np.repeat(yc, nx)]),
+        cell_measures=np.outer(hy, hx).ravel(),
+        edge_cell_k=edge_k, edge_cell_l=edge_l, edge_measure=measure,
+        edge_distance=distance, edge_dist_k=dist_k, edge_dist_l=dist_l,
+        edge_normals=normals, boundary_cell=boundary_cell,
+        boundary_measure=boundary_measure, boundary_distance=boundary_distance,
+        boundary_normals=boundary_normals, grid_shape=(nx, ny),
+        cell_lower=np.column_stack([np.tile(xf[:-1], ny), np.repeat(yf[:-1], nx)]),
+        cell_upper=np.column_stack([np.tile(xf[1:], ny), np.repeat(yf[1:], nx)]))
 
 
 def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
     """Check every stored quantity for consistency; return violation messages.
 
     An empty list means the mesh satisfies all structural invariants within
-    ``rel_tol`` relative tolerance.
+    ``rel_tol`` relative tolerance.  Messages are grouped per entity, in
+    entity order.
     """
     bad = []
     d = mesh.dimension
+    cm = mesh.cell_measures
+    k, l = mesh.edge_cell_k, mesh.edge_cell_l
+    m, dist = mesh.edge_measure, mesh.edge_distance
+    dk, dl = mesh.edge_dist_k, mesh.edge_dist_l
 
-    for c in mesh.cells:
-        if not c.measure > 0.0:
-            bad.append(f"cell {c.index}: nonpositive measure {c.measure}")
-    total = float(mesh.cell_measures.sum())
+    bad += [f"cell {c}: nonpositive measure {cm[c]}" for c in np.flatnonzero(~(cm > 0.0))]
+    total = float(cm.sum())
     if abs(total - mesh.total_measure) > rel_tol * abs(mesh.total_measure):
         bad.append(f"mesh: cell measures sum to {total}, "
                    f"stored total measure is {mesh.total_measure}")
 
-    half_diamond = np.zeros(mesh.num_cells)
-    for i, e in enumerate(mesh.interior_edges):
-        label = f"interior edge {i} ({e.cell_k}|{e.cell_l})"
-        if not (e.measure > 0 and e.distance > 0 and e.dist_k > 0 and e.dist_l > 0):
-            bad.append(f"{label}: nonpositive geometric quantity")
-            continue
-        if abs(e.dist_k + e.dist_l - e.distance) > rel_tol * e.distance:
-            bad.append(f"{label}: center-to-face distances do not sum "
-                       f"to the center distance")
-        nrm = float(np.linalg.norm(e.normal_k_to_l))
-        if abs(nrm - 1.0) > rel_tol:
-            bad.append(f"{label}: normal is not a unit vector (|n| = {nrm})")
-        dx = mesh.cell_centers[e.cell_l] - mesh.cell_centers[e.cell_k]
-        dot = float(np.dot(e.normal_k_to_l, dx))
-        if abs(dot - e.distance) > rel_tol * e.distance:
-            bad.append(f"{label}: orthogonality condition violated "
-                       f"(n.(x_L - x_K) = {dot}, d_sigma = {e.distance})")
-        expected_diamond = e.measure * e.distance / d
-        if abs(e.diamond_measure - expected_diamond) > rel_tol * expected_diamond:
-            bad.append(f"{label}: diamond measure {e.diamond_measure} differs "
-                       f"from m_sigma*d_sigma/d = {expected_diamond}")
-        expected_tau = e.measure / e.distance
-        if abs(e.transmissibility - expected_tau) > rel_tol * expected_tau:
-            bad.append(f"{label}: transmissibility {e.transmissibility} differs "
-                       f"from m_sigma/d_sigma = {expected_tau}")
-        half_diamond[e.cell_k] += e.measure * e.dist_k / d
-        half_diamond[e.cell_l] += e.measure * e.dist_l / d
+    # (edge index, message) pairs; a stable sort by index keeps check order
+    edge_msgs = []
+    ok = (m > 0) & (dist > 0) & (dk > 0) & (dl > 0)
+    edge_msgs += [(i, "nonpositive geometric quantity") for i in np.flatnonzero(~ok)]
+    edge_msgs += [(i, "center-to-face distances do not sum to the center distance")
+                  for i in np.flatnonzero(ok & (np.abs(dk + dl - dist) > rel_tol * dist))]
+    nrm = np.linalg.norm(mesh.edge_normals, axis=1)
+    edge_msgs += [(i, f"normal is not a unit vector (|n| = {float(nrm[i])})")
+                  for i in np.flatnonzero(ok & (np.abs(nrm - 1.0) > rel_tol))]
+    dot = (mesh.edge_normals * (mesh.cell_centers[l] - mesh.cell_centers[k])).sum(axis=1)
+    edge_msgs += [(i, f"orthogonality condition violated "
+                      f"(n.(x_L - x_K) = {float(dot[i])}, d_sigma = {float(dist[i])})")
+                  for i in np.flatnonzero(ok & (np.abs(dot - dist) > rel_tol * dist))]
+    bad += [f"interior edge {i} ({k[i]}|{l[i]}): {msg}"
+            for i, msg in sorted(edge_msgs, key=lambda r: r[0])]
 
-    for i, b in enumerate(mesh.boundary_edges):
-        label = f"boundary edge {i} (cell {b.cell_k})"
-        if not (b.measure > 0 and b.distance > 0):
-            bad.append(f"{label}: nonpositive geometric quantity")
-            continue
-        nrm = float(np.linalg.norm(b.normal))
-        if abs(nrm - 1.0) > rel_tol:
-            bad.append(f"{label}: normal is not a unit vector (|n| = {nrm})")
-        half_diamond[b.cell_k] += b.measure * b.distance / d
+    bc, bm, bdist = mesh.boundary_cell, mesh.boundary_measure, mesh.boundary_distance
+    b_ok = (bm > 0) & (bdist > 0)
+    b_nrm = np.linalg.norm(mesh.boundary_normals, axis=1)
+    b_msgs = [(i, "nonpositive geometric quantity") for i in np.flatnonzero(~b_ok)]
+    b_msgs += [(i, f"normal is not a unit vector (|n| = {float(b_nrm[i])})")
+               for i in np.flatnonzero(b_ok & (np.abs(b_nrm - 1.0) > rel_tol))]
+    bad += [f"boundary edge {i} (cell {bc[i]}): {msg}"
+            for i, msg in sorted(b_msgs, key=lambda r: r[0])]
 
-    for c in mesh.cells:
-        if abs(half_diamond[c.index] - c.measure) > rel_tol * c.measure:
-            bad.append(f"cell {c.index}: half-diamond measures sum to "
-                       f"{half_diamond[c.index]}, cell measure is {c.measure}")
+    n = mesh.num_cells
+    half_diamond = (np.bincount(k, np.where(ok, m * dk / d, 0.0), minlength=n)
+                    + np.bincount(l, np.where(ok, m * dl / d, 0.0), minlength=n)
+                    + np.bincount(bc, np.where(b_ok, bm * bdist / d, 0.0), minlength=n))
+    bad += [f"cell {c}: half-diamond measures sum to {half_diamond[c]}, "
+            f"cell measure is {cm[c]}"
+            for c in np.flatnonzero(np.abs(half_diamond - cm) > rel_tol * cm)]
 
-    zeta = mesh._compute_regularity()
+    zeta = _regularity(mesh)
     if not zeta > 0.0:
         bad.append(f"mesh: regularity factor {zeta} is not positive")
     if abs(zeta - mesh.regularity) > rel_tol * max(abs(zeta), 1e-300):
@@ -299,12 +270,16 @@ def dump_csv(mesh: Mesh, path) -> None:
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("kind,index,cell_k,cell_l,x,y,measure,m_sigma,d_sigma,tau_sigma\n")
-        for c in mesh.cells:
-            y = fmt(c.center[1]) if mesh.dimension == 2 else ""
-            fh.write(f"cell,{c.index},,,{fmt(c.center[0])},{y},{fmt(c.measure)},,,\n")
-        for i, e in enumerate(mesh.interior_edges):
-            fh.write(f"interior_edge,{i},{e.cell_k},{e.cell_l},,,,"
-                     f"{fmt(e.measure)},{fmt(e.distance)},{fmt(e.transmissibility)}\n")
-        for i, b in enumerate(mesh.boundary_edges):
-            fh.write(f"boundary_edge,{i},{b.cell_k},,,,,"
-                     f"{fmt(b.measure)},{fmt(b.distance)},{fmt(b.measure / b.distance)}\n")
+        for c, (center, measure) in enumerate(zip(mesh.cell_centers.tolist(),
+                                                  mesh.cell_measures.tolist())):
+            y = fmt(center[1]) if mesh.dimension == 2 else ""
+            fh.write(f"cell,{c},,,{fmt(center[0])},{y},{fmt(measure)},,,\n")
+        rows = zip(mesh.edge_cell_k.tolist(), mesh.edge_cell_l.tolist(),
+                   mesh.edge_measure.tolist(), mesh.edge_distance.tolist(),
+                   mesh.edge_tau.tolist())
+        for i, (k, l, m, dist, tau) in enumerate(rows):
+            fh.write(f"interior_edge,{i},{k},{l},,,,{fmt(m)},{fmt(dist)},{fmt(tau)}\n")
+        rows = zip(mesh.boundary_cell.tolist(), mesh.boundary_measure.tolist(),
+                   mesh.boundary_distance.tolist())
+        for i, (k, m, dist) in enumerate(rows):
+            fh.write(f"boundary_edge,{i},{k},,,,,{fmt(m)},{fmt(dist)},{fmt(m / dist)}\n")

@@ -33,6 +33,10 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .model import SpeciesSystem
 
+# Relative gap |a - b| <= LOG_MEAN_MIDPOINT_GAP * max(a, b) below which the
+# log mean is taken as the midpoint, avoiding the cancellation of its quotient.
+LOG_MEAN_MIDPOINT_GAP = 1e-14
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -42,10 +46,9 @@ class SolverConfig:
     max_newton_iters: int = 50
     max_damping_halvings: int = 30
     projection_floor: float = 1e-12
-    log_mean_equality_threshold: float = 1e-14  # relative
 
     def __post_init__(self):
-        for name in ("newton_tol", "projection_floor", "log_mean_equality_threshold"):
+        for name in ("newton_tol", "projection_floor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("max_newton_iters", "max_damping_halvings"):
@@ -54,18 +57,26 @@ class SolverConfig:
 
 
 class NonConvergence(RuntimeError):
-    """Newton iteration budget exhausted; the caller should abort the run."""
+    """Newton iteration failed; the caller should abort the run.
 
-    def __init__(self, iterations, residual_norm, step_index=None, time=None):
+    Raised when the iteration budget is exhausted or, with ``reason`` set,
+    when a linear solve inside the iteration fails.
+    """
+
+    def __init__(self, iterations, residual_norm, step_index=None, time=None,
+                 reason=None):
         self.iterations = iterations
         self.residual_norm = residual_norm
         self.step_index = step_index
         self.time = time
+        self.reason = reason
         super().__init__(self._message())
 
     def _message(self):
         msg = (f"Newton did not converge within {self.iterations} iterations "
                f"(residual inf-norm {self.residual_norm:.3e})")
+        if self.reason is not None:
+            msg += f": {self.reason}"
         if self.step_index is not None:
             msg += f" at step {self.step_index} (t = {self.time})"
         return msg
@@ -131,33 +142,20 @@ class StepStats:
     pre_projection_sum_deviation: float
 
 
-def log_mean(a: float, b: float, equality_threshold: float = 1e-14) -> float:
-    """Logarithmic mean (a - b)/(log a - log b), totalised.
-
-    Returns 0 whenever min(a, b) <= 0 and the midpoint when a and b agree to
-    within ``equality_threshold`` relative, which avoids the catastrophic
-    cancellation of the quotient near a = b.  For positive arguments the
-    result lies between min(a, b) and max(a, b).
-    """
-    if min(a, b) <= 0.0:
-        return 0.0
-    if abs(a - b) <= equality_threshold * max(a, b):
-        return 0.5 * (a + b)
-    return (a - b) / (math.log(a) - math.log(b))
-
-
-def _log_mean_with_partials(a, b, threshold):
+def _log_mean_with_partials(a, b):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
-    On the zero branch both partials vanish; on the midpoint branch they are
-    1/2; otherwise d/da = (L - (a-b)/a)/L^2 with L = log a - log b, and
-    symmetrically for b.
+    The log mean (a - b)/(log a - log b) is totalised: 0 whenever
+    min(a, b) <= 0, and the midpoint when a and b agree to within
+    ``LOG_MEAN_MIDPOINT_GAP`` relative.  On the zero branch both partials
+    vanish; on the midpoint branch they are 1/2; otherwise
+    d/da = (L - (a-b)/a)/L^2 with L = log a - log b, and symmetrically for b.
     """
     lam = np.zeros_like(a)
     da = np.zeros_like(a)
     db = np.zeros_like(a)
     pos = (a > 0.0) & (b > 0.0)
-    near = np.abs(a - b) <= threshold * np.maximum(a, b)
+    near = np.abs(a - b) <= LOG_MEAN_MIDPOINT_GAP * np.maximum(a, b)
     eq = pos & near
     gen = pos & ~near
     if eq.any():
@@ -175,28 +173,33 @@ def _log_mean_with_partials(a, b, threshold):
     return lam, da, db
 
 
-def edge_fractions(u_k, u_l, equality_threshold: float = 1e-14) -> np.ndarray:
+def edge_fractions(u_k, u_l) -> np.ndarray:
     """Componentwise logarithmic mean of two composition vectors."""
     a = np.asarray(u_k, dtype=float)
     b = np.asarray(u_l, dtype=float)
-    lam, _, _ = _log_mean_with_partials(a, b, equality_threshold)
+    lam, _, _ = _log_mean_with_partials(a, b)
     return lam
+
+
+def log_mean(a: float, b: float) -> float:
+    """Logarithmic mean of two scalars; see :func:`_log_mean_with_partials`.
+
+    For positive arguments the result lies between min(a, b) and max(a, b).
+    """
+    return float(edge_fractions(a, b))
 
 
 def edge_flux(system: SpeciesSystem, u_sigma, du, d_sigma: float) -> np.ndarray:
     """Solve (c* I + Abar(u_sigma)) J = -du/d_sigma for the edge flux vector.
 
     The matrix is invertible for any u_sigma >= 0 since its eigenvalues are
-    bounded below by c*; when the species jumps sum to zero so does the flux.
+    bounded below by c*; the flux sums to -sum(du)/(c* d_sigma), hence to
+    zero when the species jumps do.
     """
     if not d_sigma > 0.0:
         raise ValueError("d_sigma must be positive")
-    u_sigma = np.asarray(u_sigma, dtype=float)
-    du = np.asarray(du, dtype=float)
-    s = system.c_star * np.eye(system.n) - system.c_bar * u_sigma[:, None]
-    idx = np.arange(system.n)
-    s[idx, idx] += system.c_bar @ u_sigma
-    return np.linalg.solve(s, -du / d_sigma)
+    mats = _edge_systems(system, np.asarray(u_sigma, dtype=float)[:, None])
+    return np.linalg.solve(mats[0], -np.asarray(du, dtype=float) / d_sigma)
 
 
 def _edge_systems(system, lam):
@@ -209,30 +212,29 @@ def _edge_systems(system, lam):
     return mats
 
 
-def _edge_fluxes(system, mesh, values, threshold):
+def _edge_fluxes(system, mesh, values):
     """Fluxes over all interior edges for a given cell state, shape (n, E)."""
     if mesh.num_interior_edges == 0:
         return np.zeros((system.n, 0))
     uk = values[:, mesh.edge_cell_k]
     ul = values[:, mesh.edge_cell_l]
-    lam, _, _ = _log_mean_with_partials(uk, ul, threshold)
+    lam, _, _ = _log_mean_with_partials(uk, ul)
     mats = _edge_systems(system, lam)
     rhs = ((uk - ul) / mesh.edge_distance).T
     return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
 
 
-def compute_fluxes(system: SpeciesSystem, mesh: Mesh, state: StateField,
-                   equality_threshold: float = 1e-14) -> FluxField:
+def compute_fluxes(system: SpeciesSystem, mesh: Mesh, state: StateField) -> FluxField:
     """Flux field induced by a cell state via the per-edge flux solves."""
     if state.mesh is not mesh:
         raise ValueError("state does not belong to the given mesh")
-    return FluxField(mesh, _edge_fluxes(system, mesh, state.values, equality_threshold))
+    return FluxField(mesh, _edge_fluxes(system, mesh, state.values))
 
 
-def _residual_values(system, mesh, values, old_values, dt, threshold):
+def _residual_values(system, mesh, values, old_values, dt):
     res = mesh.cell_measures * (values - old_values) / dt
     if mesh.num_interior_edges:
-        flux = _edge_fluxes(system, mesh, values, threshold)
+        flux = _edge_fluxes(system, mesh, values)
         weighted = mesh.edge_measure * flux
         for i in range(system.n):
             np.add.at(res[i], mesh.edge_cell_k, weighted[i])
@@ -241,8 +243,7 @@ def _residual_values(system, mesh, values, old_values, dt, threshold):
 
 
 def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
-             u_old: StateField, dt: float,
-             equality_threshold: float = 1e-14) -> np.ndarray:
+             u_old: StateField, dt: float) -> np.ndarray:
     """Backward-Euler residual of the implicit step, shape (n, n_cells).
 
     Boundary faces contribute nothing (zero-flux boundary).  Summed over all
@@ -253,7 +254,7 @@ def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
         raise ValueError("states do not belong to the given mesh")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return _residual_values(system, mesh, u_new.values, u_old.values, dt, threshold=equality_threshold)
+    return _residual_values(system, mesh, u_new.values, u_old.values, dt)
 
 
 def _block_indices(cells_row, cells_col, n):
@@ -264,7 +265,7 @@ def _block_indices(cells_row, cells_col, n):
     return rows.ravel(), cols.ravel()
 
 
-def _jacobian_matrix(system, mesh, values, dt, threshold):
+def _jacobian_matrix(system, mesh, values, dt):
     """Exact derivative of the residual w.r.t. the new state, CSR block-sparse.
 
     Unknown ordering is cell-major: flat index K * n + i.  Flux blocks follow
@@ -282,7 +283,7 @@ def _jacobian_matrix(system, mesh, values, dt, threshold):
 
     uk = values[:, mesh.edge_cell_k]
     ul = values[:, mesh.edge_cell_l]
-    lam, da, db = _log_mean_with_partials(uk, ul, threshold)
+    lam, da, db = _log_mean_with_partials(uk, ul)
     mats = _edge_systems(system, lam)
     rhs = ((uk - ul) / mesh.edge_distance).T
     flux = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]  # (E, n)
@@ -314,8 +315,7 @@ def _jacobian_matrix(system, mesh, values, dt, threshold):
 
 
 def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
-             u_old: StateField, dt: float,
-             equality_threshold: float = 1e-14):
+             u_old: StateField, dt: float):
     """Analytic residual Jacobian as a sparse matrix (n|T| x n|T|).
 
     The time-derivative part is diagonal and independent of ``u_old``; the
@@ -325,20 +325,21 @@ def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
         raise ValueError("states do not belong to the given mesh")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return _jacobian_matrix(system, mesh, u_new.values, dt, equality_threshold)
+    return _jacobian_matrix(system, mesh, u_new.values, dt)
 
 
 def project_simplex(u, floor: float) -> np.ndarray:
-    """Floor the components at ``floor`` and renormalise to unit sum.
+    """Floor the components at ``floor`` and renormalise each column to unit sum.
 
-    Returns a strict-interior simplex point.  Note that when the floored sum
+    ``u`` holds one composition per column (a 1D vector is one composition).
+    Returns strict-interior simplex points.  Note that when the floored sum
     exceeds one, a floored component lands one part in 1/floor below the
     floor after normalisation.
     """
     if not floor > 0.0:
         raise ValueError("floor must be positive")
     v = np.maximum(np.asarray(u, dtype=float), floor)
-    return v / v.sum()
+    return v / v.sum(axis=0)
 
 
 def _project_values(values, floor):
@@ -348,10 +349,7 @@ def _project_values(values, floor):
     the floor; the final clamp keeps every entry at or above the floor while
     moving cell sums away from one by at most a few units of n*floor^2.
     """
-    v = np.maximum(values, floor)
-    v = v / v.sum(axis=0)
-    np.maximum(v, floor, out=v)
-    return v
+    return np.maximum(project_simplex(values, floor), floor)
 
 
 def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
@@ -361,7 +359,7 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     Returns ``(state, fluxes, stats)`` where ``stats`` carries the iteration
     count and the largest per-cell deviation of the species sum from one
     measured before the projection.  Raises :class:`NonConvergence` when the
-    iteration budget is exhausted.
+    iteration budget is exhausted or a linear solve fails.
     """
     if config is None:
         config = SolverConfig()
@@ -369,46 +367,51 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
         raise ValueError("state does not belong to the given mesh")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    threshold = config.log_mean_equality_threshold
 
     x = u_old.values.copy()
-    res = _residual_values(system, mesh, x, u_old.values, dt, threshold)
-    res_norm = float(np.abs(res).max())
+    res_norm = math.inf
     converged = False
     iterations = 0
-    for _ in range(config.max_newton_iters):
-        iterations += 1
-        jac = _jacobian_matrix(system, mesh, x, dt, threshold)
-        lu = spla.splu(jac.tocsc())
-        delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
+    try:
+        res = _residual_values(system, mesh, x, u_old.values, dt)
+        res_norm = float(np.abs(res).max())
+        for _ in range(config.max_newton_iters):
+            iterations += 1
+            jac = _jacobian_matrix(system, mesh, x, dt)
+            lu = spla.splu(jac.tocsc())
+            delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
 
-        # Halve the update until the residual norm decreases; if it never
-        # does (typically because the residual is already at rounding level)
-        # fall back to the full step.
-        step = 1.0
-        accepted = None
-        full = None
-        for _h in range(config.max_damping_halvings + 1):
-            cand = x + step * delta
-            cand_res = _residual_values(system, mesh, cand, u_old.values, dt, threshold)
-            cand_norm = float(np.abs(cand_res).max())
-            if full is None:
-                full = (cand, cand_res, cand_norm)
-            if cand_norm < res_norm:
-                accepted = (cand, cand_res, cand_norm, step)
-                break
-            step *= 0.5
-        if accepted is None:
-            cand, cand_res, cand_norm = full
+            # Halve the update until the residual norm decreases; if it never
+            # does (typically because the residual is already at rounding
+            # level) fall back to the full step.
             step = 1.0
-        else:
-            cand, cand_res, cand_norm, step = accepted
+            accepted = None
+            full = None
+            for _h in range(config.max_damping_halvings + 1):
+                cand = x + step * delta
+                cand_res = _residual_values(system, mesh, cand, u_old.values, dt)
+                cand_norm = float(np.abs(cand_res).max())
+                if full is None:
+                    full = (cand, cand_res, cand_norm)
+                if cand_norm < res_norm:
+                    accepted = (cand, cand_res, cand_norm, step)
+                    break
+                step *= 0.5
+            if accepted is None:
+                cand, cand_res, cand_norm = full
+                step = 1.0
+            else:
+                cand, cand_res, cand_norm, step = accepted
 
-        update_norm = step * float(np.abs(delta).max())
-        x, res, res_norm = cand, cand_res, cand_norm
-        if update_norm < config.newton_tol:
-            converged = True
-            break
+            update_norm = step * float(np.abs(delta).max())
+            x, res, res_norm = cand, cand_res, cand_norm
+            if update_norm < config.newton_tol:
+                converged = True
+                break
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # SuperLU reports a failed factorisation or solve as RuntimeError,
+        # numpy's batched edge solves a singular block as LinAlgError.
+        raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     if not converged:
         raise NonConvergence(iterations, res_norm)
@@ -416,18 +419,8 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
     projected = _project_values(x, config.projection_floor)
     state = StateField(mesh, projected)
-    fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected, threshold))
+    fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected))
     return state, fluxes, StepStats(iterations, pre_projection_dev)
-
-
-def newton_solve(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
-                 config: SolverConfig = None):
-    """Convenience wrapper around :func:`newton_step`.
-
-    Returns ``(state, fluxes, iteration_count)``.
-    """
-    state, fluxes, stats = newton_step(system, mesh, u_old, dt, config)
-    return state, fluxes, stats.newton_iterations
 
 
 def num_time_steps(dt: float, t_end: float) -> int:

@@ -22,7 +22,7 @@ from smfv.diagnostics import (SampledRun, dissipation, entropy,
                               relative_entropy)
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
-from smfv.scheme import (SolverConfig, StateField, log_mean, newton_solve,
+from smfv.scheme import (SolverConfig, StateField, log_mean, newton_step,
                          run)
 
 CONV_GRIDS = (16, 32, 64, 128)
@@ -243,7 +243,7 @@ def test_criterion_10_small_instance_oracle():
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    state, _, _ = newton_solve(system, mesh, u_old, dt)
+    state, _, _ = newton_step(system, mesh, u_old, dt)
     err = abs(state.values[0, 0] - oracle)
     check("criterion 10: 2-cell implicit step matches bisection oracle to 1e-10",
           err <= 1e-10, f"|newton - oracle| = {err:.3e}")

@@ -193,6 +193,15 @@ class TestCmdCheck:
         assert report["all_passed"] is True
         assert all(p["passed"] for p in report["properties"])
 
+    def test_numpy_scalar_results_serialise(self, tmp_path, monkeypatch):
+        # seed 48 makes a_kernel_rank's worst value a numpy float
+        monkeypatch.setattr(smfv.checks, "ALL_CHECKS", tuple(
+            c for c in smfv.checks.ALL_CHECKS
+            if c.__name__ != "check_jacobian_fd"))
+        assert cmd_check(seed=48, out_dir=tmp_path) == 0
+        report = json.loads((tmp_path / "check_report.json").read_text())
+        assert report["all_passed"] is True
+
     def test_injected_sign_error_detected(self, tmp_path, monkeypatch):
         import smfv.model
 
@@ -230,6 +239,19 @@ class TestMainEntry:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["run", "--config", str(bad)]) == 2
+
+    def test_lu_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import smfv.scheme
+
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("failed to factorize matrix")
+
+        monkeypatch.setattr(smfv.scheme.spla, "splu", failing_splu)
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted:")
+        assert "failed to factorize matrix" in err
 
     def test_check_subcommand_with_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smfv.checks, "ALL_CHECKS",

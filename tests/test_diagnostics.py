@@ -7,21 +7,20 @@ from smfv.diagnostics import (DiagnosticsRecord, SampledRun, dissipation,
                               entropy, equilibrium_composition,
                               l1_space_time_error, reconstruct_flux_field,
                               reconstruct_gradient, relative_entropy)
-from smfv.mesh import (BoundaryEdge, Cell, InteriorEdge, Mesh,
-                       uniform_interval, uniform_rectangle, validate)
+from smfv.mesh import Mesh, uniform_interval, uniform_rectangle, validate
 from smfv.model import build_system
 from smfv.scheme import FluxField, StateField
 
 
 def two_unit_cells():
     """Hand-built admissible mesh on (0, 2): two unit cells, tau_sigma = 1."""
-    cells = [Cell(0, np.array([0.5]), 1.0), Cell(1, np.array([1.5]), 1.0)]
-    interior = [InteriorEdge(0, 1, measure=1.0, distance=1.0, dist_k=0.5,
-                             dist_l=0.5, transmissibility=1.0,
-                             normal_k_to_l=np.array([1.0]), diamond_measure=1.0)]
-    boundary = [BoundaryEdge(0, 1.0, 0.5, np.array([-1.0])),
-                BoundaryEdge(1, 1.0, 0.5, np.array([1.0]))]
-    return Mesh(1, cells, interior, boundary, mesh_size=1.0)
+    return Mesh(dimension=1, mesh_size=1.0,
+                cell_centers=[[0.5], [1.5]], cell_measures=[1.0, 1.0],
+                edge_cell_k=[0], edge_cell_l=[1], edge_measure=[1.0],
+                edge_distance=[1.0], edge_dist_k=[0.5], edge_dist_l=[0.5],
+                edge_normals=[[1.0]],
+                boundary_cell=[0, 1], boundary_measure=[1.0, 1.0],
+                boundary_distance=[0.5, 0.5], boundary_normals=[[-1.0], [1.0]])
 
 
 class TestEntropy:
@@ -139,7 +138,7 @@ class TestReconstructGradient:
         mesh = uniform_rectangle(nx, ny)
         grads = reconstruct_gradient(mesh, mesh.cell_centers[:, 0])
         m_diamond = np.concatenate([mesh.edge_diamond,
-                                    np.zeros(len(mesh.boundary_edges))])
+                                    np.zeros(mesh.num_boundary_edges)])
         energy = float((m_diamond * (grads**2).sum(axis=1)).sum())
         assert energy == pytest.approx(2.0 * (nx - 1) / nx, rel=1e-12)
 

@@ -12,8 +12,8 @@ from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
 from smfv.scheme import (FluxField, NonConvergence, SolverConfig, StateField,
                          _log_mean_with_partials, compute_fluxes, edge_flux,
-                         edge_fractions, jacobian, log_mean, newton_solve,
-                         newton_step, project_simplex, residual, run)
+                         edge_fractions, jacobian, log_mean, newton_step,
+                         project_simplex, residual, run)
 
 
 class TestLogMean:
@@ -39,7 +39,7 @@ class TestLogMean:
 
     def test_partials_at_equal_arguments(self):
         a = np.array([0.3])
-        _, da, db = _log_mean_with_partials(a, a.copy(), 1e-14)
+        _, da, db = _log_mean_with_partials(a, a.copy())
         assert da[0] == 0.5
         assert db[0] == 0.5
 
@@ -47,7 +47,7 @@ class TestLogMean:
         rng = np.random.default_rng(0)
         a = rng.uniform(0.05, 1.0, size=50)
         b = rng.uniform(0.05, 1.0, size=50)
-        _, da, db = _log_mean_with_partials(a, b, 1e-14)
+        _, da, db = _log_mean_with_partials(a, b)
         h = 1e-7
         fd_a = (edge_fractions(a + h, b) - edge_fractions(a - h, b)) / (2 * h)
         fd_b = (edge_fractions(a, b + h) - edge_fractions(a, b - h)) / (2 * h)
@@ -189,6 +189,13 @@ class TestProjectSimplex:
         assert project_simplex(np.array([-1.0, -1.0]), 1e-12) == pytest.approx(
             np.array([0.5, 0.5]))
 
+    def test_columnwise(self):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-0.5, 1.5, size=(3, 5))
+        out = project_simplex(u, 1e-12)
+        for c in range(5):
+            assert np.array_equal(out[:, c], project_simplex(u[:, c], 1e-12))
+
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([0.5, 0.5]), 0.0)
@@ -206,8 +213,8 @@ class TestNewtonSolve:
         mesh = uniform_interval(6)
         vals = np.repeat(np.array([[0.2], [0.3], [0.5]]), 6, axis=1)
         state = StateField(mesh, vals)
-        out, fluxes, iters = newton_solve(system_1d, mesh, state, 0.1)
-        assert iters <= 2
+        out, fluxes, stats = newton_step(system_1d, mesh, state, 0.1)
+        assert stats.newton_iterations <= 2
         assert out.values == pytest.approx(vals, rel=1e-12)
         assert np.abs(fluxes.values).max() < 1e-12
 
@@ -239,23 +246,35 @@ class TestNewtonSolve:
                 hi = mid
         oracle = 0.5 * (lo + hi)
 
-        state, fluxes, iters = newton_solve(system, mesh, u_old, dt)
+        state, fluxes, stats = newton_step(system, mesh, u_old, dt)
         assert state.values[0, 0] == pytest.approx(oracle, abs=1e-10)
         assert state.values[0, 0] == pytest.approx(3.25 / 9.0, abs=1e-10)
 
     def test_masses_conserved(self, system_1d):
         mesh = uniform_interval(12)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        state, fluxes, _ = newton_solve(system_1d, mesh, u0, 1e-3)
+        state, fluxes, _ = newton_step(system_1d, mesh, u0, 1e-3)
         drift = np.abs(state.mass_vector - u0.mass_vector) / u0.mass_vector
         assert drift.max() < 1e-10
+
+    def test_singular_edge_solve_raises(self, system_1d, monkeypatch):
+        import smfv.scheme
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(smfv.scheme.np.linalg, "solve", singular)
+        mesh = uniform_interval(4)
+        u0 = StateField(mesh, np.full((3, 4), 1.0 / 3.0))
+        with pytest.raises(NonConvergence, match="Singular matrix"):
+            newton_step(system_1d, mesh, u0, 1e-3)
 
     def test_nonconvergence_raises(self, system_1d):
         mesh = uniform_interval(8)
         u0 = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
         config = SolverConfig(max_newton_iters=1, newton_tol=1e-300)
         with pytest.raises(NonConvergence):
-            newton_solve(system_1d, mesh, u0, 1e-3, config)
+            newton_step(system_1d, mesh, u0, 1e-3, config)
 
 
 class TestRun:
@@ -320,11 +339,11 @@ class TestFluxField:
         mesh = uniform_interval(7)
         state = StateField(mesh, rng.dirichlet(np.ones(3), size=7).T)
         fluxes = compute_fluxes(system_1d, mesh, state)
-        for e, edge in enumerate(mesh.interior_edges):
-            uk = state.values[:, edge.cell_k]
-            ul = state.values[:, edge.cell_l]
+        for e in range(mesh.num_interior_edges):
+            uk = state.values[:, mesh.edge_cell_k[e]]
+            ul = state.values[:, mesh.edge_cell_l[e]]
             expected = edge_flux(system_1d, edge_fractions(uk, ul),
-                                 ul - uk, edge.distance)
+                                 ul - uk, mesh.edge_distance[e])
             assert fluxes.values[:, e] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_flux_formula_equivalence(self, system_1d):
