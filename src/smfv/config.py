@@ -142,8 +142,7 @@ def _parse_solver(raw) -> SolverConfig:
         return SolverConfig()
     if not isinstance(raw, dict):
         raise ConfigError("solver must be an object")
-    allowed = {"newton_tol", "max_newton_iters", "max_damping_halvings",
-               "projection_floor"}
+    allowed = {"newton_tol", "max_newton_iters", "projection_floor"}
     _check_keys(raw, allowed, "solver")
     try:
         return SolverConfig(**raw)

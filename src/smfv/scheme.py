@@ -11,9 +11,12 @@ where the per-edge flux vector J_Ksigma is the unique solution of
 
 with edge compositions u_sigma given componentwise by the logarithmic mean
 of the two adjacent cell values.  Boundary faces carry zero flux.  The
-nonlinear system is solved by damped Newton iteration with an analytic
-block-sparse Jacobian; the converged state is projected onto the interior
-of the unit simplex by flooring and renormalising each cell.
+nonlinear system is solved by Newton iteration with an analytic
+block-sparse Jacobian, exact also for nearly equal cell values through the
+log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  The first
+update below the tolerance is taken in full and ends the iteration; others
+are halved until the residual norm decreases.  The converged state is
+projected onto the unit simplex's interior by flooring and renormalising.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, cell sums stay at one without being enforced, species
@@ -33,26 +36,25 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .model import SpeciesSystem
 
-# Relative gap |a - b| <= LOG_MEAN_MIDPOINT_GAP * max(a, b) below which the
-# log mean is taken as the midpoint, avoiding the cancellation of its quotient.
-LOG_MEAN_MIDPOINT_GAP = 1e-14
+MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
+
+# Below _SERIES_MAX_U the log-mean series through u^_SERIES_ORDER is exact to
+# rounding; above it the closed form's partials lose less than 1e-14.
+_SERIES_MAX_U = 1e-2
+_SERIES_ORDER = 7
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton and projection parameters for one implicit step."""
 
-    newton_tol: float = 1e-12           # infinity norm of the accepted update
+    newton_tol: float = 1e-12           # infinity norm of the final update
     max_newton_iters: int = 50
-    max_damping_halvings: int = 30
     projection_floor: float = 1e-12
 
     def __post_init__(self):
-        for name in ("newton_tol", "projection_floor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_newton_iters", "max_damping_halvings"):
-            if getattr(self, name) <= 0:
+        for name in ("newton_tol", "max_newton_iters", "projection_floor"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -60,7 +62,7 @@ class NonConvergence(RuntimeError):
     """Newton iteration failed; the caller should abort the run.
 
     Raised when the iteration budget is exhausted or, with ``reason`` set,
-    when a linear solve inside the iteration fails.
+    when a linear solve fails or no halving of an update helps.
     """
 
     def __init__(self, iterations, residual_norm, step_index=None, time=None,
@@ -145,48 +147,49 @@ class StepStats:
 def _log_mean_with_partials(a, b):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
-    The log mean (a - b)/(log a - log b) is totalised: 0 whenever
-    min(a, b) <= 0, and the midpoint when a and b agree to within
-    ``LOG_MEAN_MIDPOINT_GAP`` relative.  On the zero branch both partials
-    vanish; on the midpoint branch they are 1/2; otherwise
-    d/da = (L - (a-b)/a)/L^2 with L = log a - log b, and symmetrically for b.
+    The log mean (a - b)/log(a/b) is totalised: 0, with both partials 0,
+    whenever min(a, b) <= 0.  With s = a + b, f = (a - b)/s and u = f^2 it
+    equals s/(2 F(u)), F(u) = sum_k u^k/(2k + 1), with partials
+    1/(2F) -/+ (f -/+ u) F'/F^2, exact to rounding as a and b approach each
+    other.  For u >= ``_SERIES_MAX_U`` the closed form is used, with
+    d/da = (L - (a-b)/a)/L^2, symmetrically for b, and L = log(a/b), which
+    unlike log a - log b stays accurate for small a and b.
     """
-    lam = np.zeros_like(a)
-    da = np.zeros_like(a)
-    db = np.zeros_like(a)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    # Both branches are evaluated everywhere; the discarded one may not be finite.
+    with np.errstate(all="ignore"):
+        d = a - b
+        s = a + b
+        f = d / s
+        u = f * f
+        big_f = 1.0 / (2 * _SERIES_ORDER + 1)    # F and F' by Horner's rule
+        big_df = _SERIES_ORDER * big_f
+        for k in range(_SERIES_ORDER - 1, 0, -1):
+            big_f = big_f * u + 1.0 / (2 * k + 1)
+            big_df = big_df * u + k / (2 * k + 1)
+        g = 1.0 / (big_f * u + 1.0)
+        lam = 0.5 * s * g
+        t = big_df * g * g
+        da = 0.5 * g - (f - u) * t
+        db = 0.5 * g + (f + u) * t
+        big_l = np.log(a / b)
+        closed = u >= _SERIES_MAX_U
+        lam = np.where(closed, d / big_l, lam)
+        da = np.where(closed, (big_l - d / a) / (big_l * big_l), da)
+        db = np.where(closed, (d / b - big_l) / (big_l * big_l), db)
     pos = (a > 0.0) & (b > 0.0)
-    near = np.abs(a - b) <= LOG_MEAN_MIDPOINT_GAP * np.maximum(a, b)
-    eq = pos & near
-    gen = pos & ~near
-    if eq.any():
-        lam[eq] = 0.5 * (a[eq] + b[eq])
-        da[eq] = 0.5
-        db[eq] = 0.5
-    if gen.any():
-        ag = a[gen]
-        bg = b[gen]
-        big_l = np.log(ag) - np.log(bg)
-        diff = ag - bg
-        lam[gen] = diff / big_l
-        da[gen] = (big_l - diff / ag) / big_l**2
-        db[gen] = (diff / bg - big_l) / big_l**2
-    return lam, da, db
+    return np.where(pos, lam, 0.0), np.where(pos, da, 0.0), np.where(pos, db, 0.0)
 
 
-def edge_fractions(u_k, u_l) -> np.ndarray:
-    """Componentwise logarithmic mean of two composition vectors."""
-    a = np.asarray(u_k, dtype=float)
-    b = np.asarray(u_l, dtype=float)
-    lam, _, _ = _log_mean_with_partials(a, b)
-    return lam
+def log_mean(a, b):
+    """Componentwise log mean of scalars or equally shaped arrays, e.g. u_sigma.
 
-
-def log_mean(a: float, b: float) -> float:
-    """Logarithmic mean of two scalars; see :func:`_log_mean_with_partials`.
-
-    For positive arguments the result lies between min(a, b) and max(a, b).
+    Zero where either argument is non-positive; otherwise it lies between
+    min(a, b) and max(a, b).
     """
-    return float(edge_fractions(a, b))
+    lam, _, _ = _log_mean_with_partials(a, b)
+    return lam[()]
 
 
 def edge_flux(system: SpeciesSystem, u_sigma, du, d_sigma: float) -> np.ndarray:
@@ -354,12 +357,14 @@ def _project_values(values, floor):
 
 def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
                 config: SolverConfig = None):
-    """One implicit step: damped Newton solve, projection, flux recomputation.
+    """One implicit step: Newton solve, projection, flux recomputation.
 
+    An update with infinity norm below ``newton_tol`` is taken in full and
+    ends the iteration; any other is halved until the residual norm drops.
     Returns ``(state, fluxes, stats)`` where ``stats`` carries the iteration
     count and the largest per-cell deviation of the species sum from one
     measured before the projection.  Raises :class:`NonConvergence` when the
-    iteration budget is exhausted or a linear solve fails.
+    iteration budget or the halvings run out, or a linear solve fails.
     """
     if config is None:
         config = SolverConfig()
@@ -370,51 +375,38 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
 
     x = u_old.values.copy()
     res_norm = math.inf
-    converged = False
     iterations = 0
     try:
         res = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
-        for _ in range(config.max_newton_iters):
-            iterations += 1
+        for iterations in range(1, config.max_newton_iters + 1):
             jac = _jacobian_matrix(system, mesh, x, dt)
             lu = spla.splu(jac.tocsc())
             delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
+            if float(np.abs(delta).max()) < config.newton_tol:
+                x = x + delta
+                break
 
-            # Halve the update until the residual norm decreases; if it never
-            # does (typically because the residual is already at rounding
-            # level) fall back to the full step.
             step = 1.0
-            accepted = None
-            full = None
-            for _h in range(config.max_damping_halvings + 1):
+            for _h in range(MAX_DAMPING_HALVINGS + 1):
                 cand = x + step * delta
                 cand_res = _residual_values(system, mesh, cand, u_old.values, dt)
                 cand_norm = float(np.abs(cand_res).max())
-                if full is None:
-                    full = (cand, cand_res, cand_norm)
                 if cand_norm < res_norm:
-                    accepted = (cand, cand_res, cand_norm, step)
                     break
                 step *= 0.5
-            if accepted is None:
-                cand, cand_res, cand_norm = full
-                step = 1.0
             else:
-                cand, cand_res, cand_norm, step = accepted
-
-            update_norm = step * float(np.abs(delta).max())
+                raise NonConvergence(iterations, res_norm, reason="no residual "
+                                     f"decrease in {MAX_DAMPING_HALVINGS} halvings")
             x, res, res_norm = cand, cand_res, cand_norm
-            if update_norm < config.newton_tol:
-                converged = True
-                break
+        else:
+            raise NonConvergence(iterations, res_norm)
+    except NonConvergence:
+        raise
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         # SuperLU reports a failed factorisation or solve as RuntimeError,
         # numpy's batched edge solves a singular block as LinAlgError.
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
-
-    if not converged:
-        raise NonConvergence(iterations, res_norm)
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
     projected = _project_values(x, config.projection_floor)

@@ -253,6 +253,19 @@ class TestMainEntry:
         assert err.startswith("aborted:")
         assert "failed to factorize matrix" in err
 
+    def test_stalled_damping_exit_code(self, tmp_path, monkeypatch, capsys):
+        import smfv.scheme
+
+        def flat_residual(system, mesh, values, old_values, dt):
+            return np.ones_like(values)
+
+        monkeypatch.setattr(smfv.scheme, "_residual_values", flat_residual)
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted:")
+        assert "no residual decrease in 30 halvings" in err
+
     def test_check_subcommand_with_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smfv.checks, "ALL_CHECKS",
                             (smfv.checks.check_simplex_identity,))

@@ -65,7 +65,12 @@ class TestLoadConfig:
         config = load_config(doc)
         assert config.solver.newton_tol == 1e-10
         assert config.solver.max_newton_iters == 7
-        assert config.solver.max_damping_halvings == 30
+        assert config.solver.projection_floor == 1e-12
+
+    def test_damping_halvings_key_rejected(self):
+        doc = base_config(solver={"max_damping_halvings": 30})
+        with pytest.raises(ConfigError, match=r"solver\.max_damping_halvings is not"):
+            load_config(doc)
 
     def test_preset_dimension_mismatch(self):
         doc = base_config(mesh={"dimension": 2, "Nx": 4, "Ny": 4})

@@ -126,10 +126,10 @@ class TestMatB:
 
     @staticmethod
     def _edge_composition(rng, n=3):
-        from smfv.scheme import edge_fractions
+        from smfv.scheme import log_mean
         a = rng.dirichlet(np.ones(n)) + 1e-3
         b = rng.dirichlet(np.ones(n)) + 1e-3
-        return edge_fractions(a / a.sum(), b / b.sum())
+        return log_mean(a / a.sum(), b / b.sum())
 
     def test_est_upper_bound_at_edge_compositions(self, system_1d):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
-from smfv.scheme import (FluxField, NonConvergence, SolverConfig, StateField,
+from smfv.scheme import (NonConvergence, SolverConfig, StateField,
                          _log_mean_with_partials, compute_fluxes, edge_flux,
-                         edge_fractions, jacobian, log_mean, newton_step,
-                         project_simplex, residual, run)
+                         jacobian, log_mean, newton_step, project_simplex,
+                         residual, run)
 
 
 class TestLogMean:
@@ -49,31 +50,55 @@ class TestLogMean:
         b = rng.uniform(0.05, 1.0, size=50)
         _, da, db = _log_mean_with_partials(a, b)
         h = 1e-7
-        fd_a = (edge_fractions(a + h, b) - edge_fractions(a - h, b)) / (2 * h)
-        fd_b = (edge_fractions(a, b + h) - edge_fractions(a, b - h)) / (2 * h)
+        fd_a = (log_mean(a + h, b) - log_mean(a - h, b)) / (2 * h)
+        fd_b = (log_mean(a, b + h) - log_mean(a, b - h)) / (2 * h)
         assert da == pytest.approx(fd_a, rel=1e-6, abs=1e-8)
         assert db == pytest.approx(fd_b, rel=1e-6, abs=1e-8)
 
+    def test_matches_mpmath_reference(self):
+        # relative gaps 0 and 1e-16..1 at magnitudes 1e-12..1, both orders
+        gaps = np.concatenate([[0.0], np.logspace(-16, 0, 65)])
+        mags = np.logspace(-12, 0, 13)
+        a = np.repeat(mags, len(gaps))
+        b = a * (1.0 + np.tile(gaps, len(mags)))
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])
+        lam, da, db = _log_mean_with_partials(a, b)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for i in range(len(a)):
+                x, y = mpmath.mpf(a[i]), mpmath.mpf(b[i])
+                if x == y:
+                    ref = (x, mpmath.mpf(0.5), mpmath.mpf(0.5))
+                else:
+                    big_l = mpmath.log(x) - mpmath.log(y)
+                    ref = ((x - y) / big_l, (big_l - (x - y) / x) / big_l**2,
+                           ((x - y) / y - big_l) / big_l**2)
+                for got, want in zip((lam[i], da[i], db[i]), ref):
+                    worst = max(worst, float(abs(mpmath.mpf(got) - want) / want))
+        assert worst <= 1e-14
+
 
 class TestEdgeFractions:
+    """log_mean on composition vectors, the edge compositions u_sigma."""
+
     def test_equal_states(self):
         u = np.array([0.2, 0.3, 0.5])
-        assert edge_fractions(u, u.copy()) == pytest.approx(u)
+        assert log_mean(u, u.copy()) == pytest.approx(u)
 
     def test_zero_component(self):
-        out = edge_fractions(np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.25, 0.25]))
+        out = log_mean(np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.25, 0.25]))
         assert out[0] == 0.0
         assert np.all(out[1:] > 0.0)
 
     def test_componentwise_formula(self):
-        out = edge_fractions(np.array([1.0, 0.0, 0.0]), np.array([math.e, 0.0, 0.0]))
+        out = log_mean(np.array([1.0, 0.0, 0.0]), np.array([math.e, 0.0, 0.0]))
         assert out == pytest.approx(np.array([math.e - 1.0, 0.0, 0.0]), rel=1e-15)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         a = rng.uniform(0.0, 1.0, size=10)
         b = rng.uniform(0.0, 1.0, size=10)
-        assert edge_fractions(a, b) == pytest.approx(edge_fractions(b, a), rel=1e-15)
+        assert log_mean(a, b) == pytest.approx(log_mean(b, a), rel=1e-15)
 
 
 class TestEdgeFlux:
@@ -90,7 +115,7 @@ class TestEdgeFlux:
         uk = np.array([0.2, 0.3, 0.5])
         ul = np.array([0.4, 0.1, 0.5])
         du = ul - uk
-        j = edge_flux(system_1d, edge_fractions(uk, ul), du, 0.25)
+        j = edge_flux(system_1d, log_mean(uk, ul), du, 0.25)
         assert abs(float(j.sum())) <= 1e-12 * float(np.abs(du).max()) / 0.25
 
     def test_rejects_nonpositive_distance(self, system_1d):
@@ -159,6 +184,22 @@ class TestJacobian:
         analytic = jacobian(system_2d, mesh, new, old, 0.2).toarray()
         fd = finite_difference_jacobian(system_2d, mesh, new, old, 0.2)
         assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-5
+
+    @pytest.mark.parametrize("dt", [0.1, 1e-4])
+    @pytest.mark.parametrize("shape", [(6,), (3, 3)], ids=["interval", "rectangle"])
+    def test_matches_finite_differences_near_constant(self, system_1d, shape, dt):
+        # cell gaps far below the FD step, where the log mean's series applies
+        rng = np.random.default_rng(8)
+        mesh = (uniform_interval if len(shape) == 1 else uniform_rectangle)(*shape)
+        base = np.array([[0.2], [0.3], [0.5]])
+        worst = 0.0
+        for gap in np.logspace(-6, -12, 7):
+            vals = base * (1.0 + gap * rng.uniform(-1.0, 1.0, size=(3, mesh.num_cells)))
+            state = StateField(mesh, vals)
+            analytic = jacobian(system_1d, mesh, state, state, dt).toarray()
+            fd = finite_difference_jacobian(system_1d, mesh, state, state, dt)
+            worst = max(worst, float(np.abs(analytic - fd).max() / np.abs(fd).max()))
+        assert worst < 1e-5
 
     def test_constant_state_structure(self, system_1d):
         # flux blocks cancel on spatially constant directions, leaving m_K/dt
@@ -269,6 +310,43 @@ class TestNewtonSolve:
         with pytest.raises(NonConvergence, match="Singular matrix"):
             newton_step(system_1d, mesh, u0, 1e-3)
 
+    def test_no_residual_decrease_raises(self, system_1d, monkeypatch):
+        import smfv.scheme
+
+        def flat_residual(system, mesh, values, old_values, dt):
+            return np.ones_like(values)
+
+        monkeypatch.setattr(smfv.scheme, "_residual_values", flat_residual)
+        mesh = uniform_interval(4)
+        u0 = StateField(mesh, np.full((3, 4), 1.0 / 3.0))
+        with pytest.raises(NonConvergence, match="no residual decrease") as info:
+            newton_step(system_1d, mesh, u0, 1e-3)
+        assert info.value.reason is not None
+        assert info.value.iterations == 1
+
+    @pytest.mark.parametrize("n_cells, t_end", [(128, 0.05), (16, 0.006)])
+    def test_one_residual_evaluation_per_iteration(self, system_1d, monkeypatch,
+                                                   n_cells, t_end):
+        # the smooth1d run at N=128 through t = 0.05 (500 steps) and the first
+        # grid of the convergence study (60 steps at N=16)
+        import smfv.scheme
+
+        calls = [0]
+        original = smfv.scheme._residual_values
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(smfv.scheme, "_residual_values", counted)
+        mesh = uniform_interval(n_cells)
+        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        iterations = []
+        run(system_1d, mesh, u0, 1e-4, t_end,
+            sink=lambda t, s, f, stats: iterations.append(stats.newton_iterations))
+        assert calls[0] == sum(iterations)
+        assert max(iterations) <= 3
+
     def test_nonconvergence_raises(self, system_1d):
         mesh = uniform_interval(8)
         u0 = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
@@ -342,7 +420,7 @@ class TestFluxField:
         for e in range(mesh.num_interior_edges):
             uk = state.values[:, mesh.edge_cell_k[e]]
             ul = state.values[:, mesh.edge_cell_l[e]]
-            expected = edge_flux(system_1d, edge_fractions(uk, ul),
+            expected = edge_flux(system_1d, log_mean(uk, ul),
                                  ul - uk, mesh.edge_distance[e])
             assert fluxes.values[:, e] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -357,7 +435,7 @@ class TestFluxField:
             ul = rng.dirichlet(np.ones(3)) + 0.01
             ul /= ul.sum()
             d_sigma = rng.uniform(0.1, 1.0)
-            u_sigma = edge_fractions(uk, ul)
+            u_sigma = log_mean(uk, ul)
             j = edge_flux(system_1d, u_sigma, ul - uk, d_sigma)
             j_ref = -np.linalg.solve(mat_B(system_1d, u_sigma),
                                      np.log(ul) - np.log(uk)) / d_sigma
