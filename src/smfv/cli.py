@@ -138,6 +138,8 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
         ref_n = config.convergence.ref_n if config.convergence else DEFAULT_REF
     grids = tuple(sorted(int(g) for g in grids))
     ref_n = int(ref_n)
+    if ref_n < 1:
+        raise ConfigError(f"--ref must be a positive integer (got {ref_n})")
     for g in grids:
         if g < 1 or ref_n % g != 0:
             raise ConfigError(f"reference grid {ref_n} must be an integer "
@@ -226,6 +228,8 @@ def cmd_entropy_decay(config: RunConfig, out_dir=None) -> int:
 
 def cmd_check(seed: int = 0, out_dir=None, config: RunConfig = None) -> int:
     """Structural property suite; returns 1 when any property fails."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer (got {seed})")
     extra = config.species if config is not None else None
     results = run_property_suite(seed=seed, extra_system=extra)
     for res in results:

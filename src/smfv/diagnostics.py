@@ -42,8 +42,6 @@ def dissipation(system: SpeciesSystem, mesh: Mesh, state: StateField,
     """
     if state.mesh is not mesh or fluxes.mesh is not mesh:
         raise ValueError("fields do not belong to the given mesh")
-    if mesh.num_interior_edges == 0:
-        return 0.0
     j2 = (fluxes.values ** 2).sum(axis=0)
     flux_part = 0.5 * system.c_star * float(
         (mesh.edge_measure * mesh.edge_distance * j2).sum())
@@ -93,10 +91,9 @@ def reconstruct_gradient(mesh: Mesh, v) -> np.ndarray:
         raise ValueError("v must hold one value per cell")
     total = mesh.num_interior_edges + mesh.num_boundary_edges
     grad = np.zeros((total, mesh.dimension))
-    if mesh.num_interior_edges:
-        jump = v[mesh.edge_cell_l] - v[mesh.edge_cell_k]
-        grad[:mesh.num_interior_edges] = (
-            mesh.dimension * jump / mesh.edge_distance)[:, None] * mesh.edge_normals
+    jump = v[mesh.edge_cell_l] - v[mesh.edge_cell_k]
+    grad[:mesh.num_interior_edges] = (
+        mesh.dimension * jump / mesh.edge_distance)[:, None] * mesh.edge_normals
     return grad
 
 
@@ -113,8 +110,6 @@ def reconstruct_flux_field(mesh: Mesh, fluxes: FluxField):
     n = fluxes.values.shape[0]
     total = mesh.num_interior_edges + mesh.num_boundary_edges
     field = np.zeros((n, total, mesh.dimension))
-    if mesh.num_interior_edges == 0:
-        return field, 0.0
     field[:, :mesh.num_interior_edges, :] = (
         mesh.dimension * fluxes.values[:, :, None] * mesh.edge_normals[None, :, :])
     j2 = (fluxes.values ** 2).sum(axis=0)

@@ -13,10 +13,13 @@ with edge compositions u_sigma given componentwise by the logarithmic mean
 of the two adjacent cell values.  Boundary faces carry zero flux.  The
 nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
-log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  The first
-update below the tolerance is taken in full and ends the iteration; others
-are halved until the residual norm decreases.  The converged state is
-projected onto the unit simplex's interior by flooring and renormalising.
+log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
+Newton state's log means, edge matrices and fluxes are computed once and
+shared by the residual and the Jacobian, whose CSC pattern is built once
+per step.  The first update below the tolerance is taken in full and ends
+the iteration; others are halved until the residual norm decreases.  The
+converged state is projected onto the unit simplex's interior by flooring
+and renormalising.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, cell sums stay at one without being enforced, species
@@ -131,9 +134,7 @@ class FluxField:
 
     def max_species_sum(self) -> float:
         """Largest |sum_i J_i| over edges; zero for converged states."""
-        if self.values.shape[1] == 0:
-            return 0.0
-        return float(np.abs(self.values.sum(axis=0)).max())
+        return float(np.abs(self.values.sum(axis=0)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -216,33 +217,44 @@ def _edge_systems(system, lam):
 
 
 def _edge_fluxes(system, mesh, values):
-    """Fluxes over all interior edges for a given cell state, shape (n, E)."""
-    if mesh.num_interior_edges == 0:
-        return np.zeros((system.n, 0))
+    """Edge terms of a cell state from one log mean and one batched solve.
+
+    Returns ``(flux, mats, da, db)``: the fluxes, shape (n, E), the matrices
+    c* I + Abar(u_sigma), shape (E, n, n), and the log-mean partials
+    w.r.t. u_K and u_L, shape (n, E).
+    """
     uk = values[:, mesh.edge_cell_k]
     ul = values[:, mesh.edge_cell_l]
-    lam, _, _ = _log_mean_with_partials(uk, ul)
+    lam, da, db = _log_mean_with_partials(uk, ul)
     mats = _edge_systems(system, lam)
     rhs = ((uk - ul) / mesh.edge_distance).T
-    return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
+    flux = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
+    return flux, mats, da, db
 
 
 def compute_fluxes(system: SpeciesSystem, mesh: Mesh, state: StateField) -> FluxField:
     """Flux field induced by a cell state via the per-edge flux solves."""
     if state.mesh is not mesh:
         raise ValueError("state does not belong to the given mesh")
-    return FluxField(mesh, _edge_fluxes(system, mesh, state.values))
+    return FluxField(mesh, _edge_fluxes(system, mesh, state.values)[0])
 
 
 def _residual_values(system, mesh, values, old_values, dt):
+    """Residual of ``values`` and its edge terms, which the Jacobian reuses."""
+    edges = _edge_fluxes(system, mesh, values)
     res = mesh.cell_measures * (values - old_values) / dt
-    if mesh.num_interior_edges:
-        flux = _edge_fluxes(system, mesh, values)
-        weighted = mesh.edge_measure * flux
-        for i in range(system.n):
-            np.add.at(res[i], mesh.edge_cell_k, weighted[i])
-            np.subtract.at(res[i], mesh.edge_cell_l, weighted[i])
-    return res
+    weighted = mesh.edge_measure * edges[0]
+    for i in range(system.n):
+        np.add.at(res[i], mesh.edge_cell_k, weighted[i])
+        np.subtract.at(res[i], mesh.edge_cell_l, weighted[i])
+    return res, edges
+
+
+def _check_step_args(mesh, dt, *states):
+    if any(state.mesh is not mesh for state in states):
+        raise ValueError("state does not belong to the given mesh")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
 
 
 def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
@@ -253,44 +265,42 @@ def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
     cells the flux contributions telescope, so the residual total equals the
     mass-change total for every species.
     """
-    if u_new.mesh is not mesh or u_old.mesh is not mesh:
-        raise ValueError("states do not belong to the given mesh")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    return _residual_values(system, mesh, u_new.values, u_old.values, dt)
+    _check_step_args(mesh, dt, u_new, u_old)
+    return _residual_values(system, mesh, u_new.values, u_old.values, dt)[0]
 
 
-def _block_indices(cells_row, cells_col, n):
-    i = np.arange(n)
-    shape = (len(cells_row), n, n)
-    rows = np.broadcast_to((cells_row[:, None, None] * n) + i[None, :, None], shape)
-    cols = np.broadcast_to((cells_col[:, None, None] * n) + i[None, None, :], shape)
-    return rows.ravel(), cols.ravel()
+def _jacobian_pattern(mesh, n):
+    """CSC structure of the Jacobian and the slot of every raw entry in it.
 
-
-def _jacobian_matrix(system, mesh, values, dt):
-    """Exact derivative of the residual w.r.t. the new state, CSR block-sparse.
-
-    Unknown ordering is cell-major: flat index K * n + i.  Flux blocks follow
-    from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both the jump
-    and the edge compositions inside S = c* I + Abar(u_sigma).
+    Unknown ordering is cell-major: flat index K * n + i.  The raw entries
+    are the n x n blocks at (K, K), (K, L), (L, K) and (L, L) of every
+    interior edge, in that order, followed by the n diagonal entries of
+    every cell.  Returns ``(indices, indptr, slot)``; summing the raw
+    entries by ``slot`` gives the CSC ``data``.
     """
+    size = mesh.num_cells * n
+    k, l = mesh.edge_cell_k, mesh.edge_cell_l
+    i = np.arange(n)
+    rows = np.concatenate([k, k, l, l])[:, None, None] * n + i[:, None]
+    cols = np.concatenate([k, l, k, l])[:, None, None] * n + i
+    # column-major keys: sorting them gives the CSC order
+    keys = np.concatenate([(cols * size + rows).ravel(), np.arange(size) * (size + 1)])
+    unique, slot = np.unique(keys, return_inverse=True)
+    indptr = np.searchsorted(unique // size, np.arange(size + 1))
+    return unique % size, indptr, slot
+
+
+def _jacobian_matrix(system, mesh, edges, dt, pattern):
+    """Exact derivative of the residual w.r.t. the new state, CSC block-sparse.
+
+    ``edges`` are the state's terms from :func:`_edge_fluxes` and
+    ``pattern`` the structure from :func:`_jacobian_pattern`.  Flux blocks
+    follow from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both
+    the jump and the edge compositions inside S = c* I + Abar(u_sigma).
+    """
+    flux, mats, da, db = edges
     n = system.n
-    n_cells = mesh.num_cells
-    size = n_cells * n
-    diag_rows = np.arange(size)
-    diag_data = np.repeat(mesh.cell_measures / dt, n)
-    if mesh.num_interior_edges == 0:
-        return sp.coo_matrix((diag_data, (diag_rows, diag_rows)),
-                             shape=(size, size)).tocsr()
-
-    uk = values[:, mesh.edge_cell_k]
-    ul = values[:, mesh.edge_cell_l]
-    lam, da, db = _log_mean_with_partials(uk, ul)
-    mats = _edge_systems(system, lam)
-    rhs = ((uk - ul) / mesh.edge_distance).T
-    flux = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]  # (E, n)
-
+    flux = flux.T  # (E, n)
     # G[e, i, m] = d(Abar(s) J)_i / d s_m at fixed J
     gmat = system.c_bar[None, :, :] * flux[:, :, None]
     idx = np.arange(n)
@@ -304,17 +314,12 @@ def _jacobian_matrix(system, mesh, values, dt):
     dk = scale * blocks[:, :, :n]  # m_sigma * dJ/du_K
     dl = scale * blocks[:, :, n:]  # m_sigma * dJ/du_L
 
-    k = mesh.edge_cell_k
-    l = mesh.edge_cell_l
-    rows_kk, cols_kk = _block_indices(k, k, n)
-    rows_kl, cols_kl = _block_indices(k, l, n)
-    rows_lk, cols_lk = _block_indices(l, k, n)
-    rows_ll, cols_ll = _block_indices(l, l, n)
-    rows = np.concatenate([rows_kk, rows_kl, rows_lk, rows_ll, diag_rows])
-    cols = np.concatenate([cols_kk, cols_kl, cols_lk, cols_ll, diag_rows])
-    data = np.concatenate([dk.ravel(), dl.ravel(),
-                           (-dk).ravel(), (-dl).ravel(), diag_data])
-    return sp.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+    indices, indptr, slot = pattern
+    raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
+                          np.repeat(mesh.cell_measures / dt, n)])
+    data = np.bincount(slot, weights=raw, minlength=len(indices))
+    size = mesh.num_cells * n
+    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
 
 def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
@@ -324,11 +329,9 @@ def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
     The time-derivative part is diagonal and independent of ``u_old``; the
     argument is kept for signature symmetry with :func:`residual`.
     """
-    if u_new.mesh is not mesh or u_old.mesh is not mesh:
-        raise ValueError("states do not belong to the given mesh")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    return _jacobian_matrix(system, mesh, u_new.values, dt)
+    _check_step_args(mesh, dt, u_new, u_old)
+    return _jacobian_matrix(system, mesh, _edge_fluxes(system, mesh, u_new.values),
+                            dt, _jacobian_pattern(mesh, system.n))
 
 
 def project_simplex(u, floor: float) -> np.ndarray:
@@ -368,20 +371,17 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     """
     if config is None:
         config = SolverConfig()
-    if u_old.mesh is not mesh:
-        raise ValueError("state does not belong to the given mesh")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_step_args(mesh, dt, u_old)
 
+    pattern = _jacobian_pattern(mesh, system.n)
     x = u_old.values.copy()
     res_norm = math.inf
     iterations = 0
     try:
-        res = _residual_values(system, mesh, x, u_old.values, dt)
+        res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
         for iterations in range(1, config.max_newton_iters + 1):
-            jac = _jacobian_matrix(system, mesh, x, dt)
-            lu = spla.splu(jac.tocsc())
+            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, pattern))
             delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
             if float(np.abs(delta).max()) < config.newton_tol:
                 x = x + delta
@@ -390,15 +390,15 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
                 cand = x + step * delta
-                cand_res = _residual_values(system, mesh, cand, u_old.values, dt)
-                cand_norm = float(np.abs(cand_res).max())
+                trial = _residual_values(system, mesh, cand, u_old.values, dt)
+                cand_norm = float(np.abs(trial[0]).max())
                 if cand_norm < res_norm:
                     break
                 step *= 0.5
             else:
                 raise NonConvergence(iterations, res_norm, reason="no residual "
                                      f"decrease in {MAX_DAMPING_HALVINGS} halvings")
-            x, res, res_norm = cand, cand_res, cand_norm
+            x, (res, edges), res_norm = cand, trial, cand_norm
         else:
             raise NonConvergence(iterations, res_norm)
     except NonConvergence:
@@ -411,7 +411,7 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
     projected = _project_values(x, config.projection_floor)
     state = StateField(mesh, projected)
-    fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected))
+    fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected)[0])
     return state, fluxes, StepStats(iterations, pre_projection_dev)
 
 

@@ -257,7 +257,8 @@ class TestMainEntry:
         import smfv.scheme
 
         def flat_residual(system, mesh, values, old_values, dt):
-            return np.ones_like(values)
+            edges = smfv.scheme._edge_fluxes(system, mesh, values)
+            return np.ones_like(values), edges
 
         monkeypatch.setattr(smfv.scheme, "_residual_values", flat_residual)
         cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
@@ -274,6 +275,21 @@ class TestMainEntry:
         assert main(["check", "--config", cfg, "--seed", "3", "--out", str(chk)]) == 0
         report = json.loads((chk / "check_report.json").read_text())
         assert report["seed"] == 3
+
+    @pytest.mark.parametrize("ref", ["0", "-16"])
+    def test_nonpositive_ref_exit_code(self, tmp_path, capsys, ref):
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
+        assert main(["convergence", "--config", cfg, "--grids", "16", "--ref", ref]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "--ref" in err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["check", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "--seed" in err
+        assert not (tmp_path / "check_report.json").exists()
 
     def test_convergence_flags(self, tmp_path):
         out = tmp_path / "out"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from smfv.checks import finite_difference_jacobian
 from smfv.config import InitialConfig, preset_initial
-from smfv.diagnostics import dissipation, entropy
+from smfv.diagnostics import (dissipation, entropy, reconstruct_flux_field,
+                              reconstruct_gradient)
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
 from smfv.scheme import (NonConvergence, SolverConfig, StateField,
@@ -214,6 +215,51 @@ class TestJacobian:
         expected = np.repeat(mesh.cell_measures / dt, 3) * x
         assert product == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
+    def test_csc_pattern(self):
+        # one full n x n block per cell and two per interior edge
+        rng = np.random.default_rng(5)
+        coeffs = rng.uniform(0.1, 2.0, size=(4, 4))
+        coeffs = coeffs + coeffs.T
+        np.fill_diagonal(coeffs, 0.0)
+        system = build_system(coeffs)
+        mesh = uniform_rectangle(3, 4)
+        new = StateField(mesh, rng.uniform(0.05, 1.0, size=(4, mesh.num_cells)))
+        old = StateField(mesh, rng.dirichlet(np.ones(4), size=mesh.num_cells).T)
+        jac = jacobian(system, mesh, new, old, 0.1)
+        assert jac.format == "csc"
+        assert jac.has_canonical_format
+        assert jac.nnz == 16 * (mesh.num_cells + 2 * mesh.num_interior_edges)
+        fd = finite_difference_jacobian(system, mesh, new, old, 0.1)
+        assert np.abs(jac.toarray() - fd).max() / np.abs(fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("mesh", [uniform_interval(1), uniform_rectangle(1, 1)],
+                         ids=["interval", "rectangle"])
+class TestEdgelessMesh:
+    def test_jacobian_is_time_derivative(self, system_1d, mesh):
+        state = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
+        jac = jacobian(system_1d, mesh, state, state, 0.1)
+        expected = np.diag(np.repeat(mesh.cell_measures / 0.1, 3))
+        assert np.array_equal(jac.toarray(), expected)
+
+    def test_newton_step_keeps_state(self, system_1d, mesh):
+        vals = np.array([[0.25], [0.25], [0.5]])
+        state, fluxes, stats = newton_step(system_1d, mesh, StateField(mesh, vals), 0.1)
+        assert np.array_equal(state.values, vals)
+        assert fluxes.values.shape == (3, 0)
+        assert stats.newton_iterations == 1
+
+    def test_diagnostics_vanish(self, system_1d, mesh):
+        state = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
+        fluxes = compute_fluxes(system_1d, mesh, state)
+        assert dissipation(system_1d, mesh, state, fluxes) == 0.0
+        assert fluxes.max_species_sum() == 0.0
+        field, sq_norm = reconstruct_flux_field(mesh, fluxes)
+        assert sq_norm == 0.0
+        assert field.shape == (3, mesh.num_boundary_edges, mesh.dimension)
+        assert not field.any()
+        assert not reconstruct_gradient(mesh, np.ones(1)).any()
+
 
 class TestProjectSimplex:
     def test_identity_inside(self):
@@ -314,7 +360,8 @@ class TestNewtonSolve:
         import smfv.scheme
 
         def flat_residual(system, mesh, values, old_values, dt):
-            return np.ones_like(values)
+            edges = smfv.scheme._edge_fluxes(system, mesh, values)
+            return np.ones_like(values), edges
 
         monkeypatch.setattr(smfv.scheme, "_residual_values", flat_residual)
         mesh = uniform_interval(4)
@@ -346,6 +393,31 @@ class TestNewtonSolve:
             sink=lambda t, s, f, stats: iterations.append(stats.newton_iterations))
         assert calls[0] == sum(iterations)
         assert max(iterations) <= 3
+
+    def test_one_edge_evaluation_per_newton_state(self, system_1d, monkeypatch):
+        # the Jacobian reuses the edge terms of the residual's state; the one
+        # extra log mean is the flux of the projected state
+        import smfv.scheme
+
+        calls = {"_log_mean_with_partials": 0, "_residual_values": 0}
+
+        def counted(name):
+            original = getattr(smfv.scheme, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(smfv.scheme, name, counted(name))
+        mesh = uniform_interval(16)
+        state = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        for _ in range(5):
+            calls.update(dict.fromkeys(calls, 0))
+            state, _, _ = newton_step(system_1d, mesh, state, 1e-4)
+            assert calls["_residual_values"] >= 2
+            assert calls["_log_mean_with_partials"] == calls["_residual_values"] + 1
 
     def test_nonconvergence_raises(self, system_1d):
         mesh = uniform_interval(8)
