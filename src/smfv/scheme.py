@@ -15,11 +15,14 @@ nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
 log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
 Newton state's log means, edge matrices and fluxes are computed once and
-shared by the residual and the Jacobian, whose CSC pattern is built once
-per step.  The first update below the tolerance is taken in full and ends
-the iteration; others are halved until the residual norm decreases.  The
-converged state is projected onto the unit simplex's interior by flooring
-and renormalising.
+shared by the residual and the Jacobian.  One CSC Jacobian matrix is
+built per step and refilled in place at every Newton iteration; SuperLU
+factors it with the symmetric minimum-degree ordering on A^T + A, which
+suits the structurally symmetric two-point-flux Jacobian.  The first
+update below the tolerance is taken in full and ends the iteration;
+others are halved until the residual norm decreases.  The converged state
+is projected onto the unit simplex's interior by flooring and
+renormalising.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, cell sums stay at one without being enforced, species
@@ -270,13 +273,14 @@ def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
 
 
 def _jacobian_pattern(mesh, n):
-    """CSC structure of the Jacobian and the slot of every raw entry in it.
+    """The Jacobian's CSC matrix, with zero data, and the slot of every raw entry.
 
     Unknown ordering is cell-major: flat index K * n + i.  The raw entries
     are the n x n blocks at (K, K), (K, L), (L, K) and (L, L) of every
     interior edge, in that order, followed by the n diagonal entries of
-    every cell.  Returns ``(indices, indptr, slot)``; summing the raw
-    entries by ``slot`` gives the CSC ``data``.
+    every cell.  Returns ``(matrix, slot)``: ``matrix`` is canonical with
+    ``np.intc`` index arrays, as SuperLU takes them, and summing the raw
+    entries by ``slot`` gives its ``data``.
     """
     size = mesh.num_cells * n
     k, l = mesh.edge_cell_k, mesh.edge_cell_l
@@ -286,17 +290,21 @@ def _jacobian_pattern(mesh, n):
     # column-major keys: sorting them gives the CSC order
     keys = np.concatenate([(cols * size + rows).ravel(), np.arange(size) * (size + 1)])
     unique, slot = np.unique(keys, return_inverse=True)
-    indptr = np.searchsorted(unique // size, np.arange(size + 1))
-    return unique % size, indptr, slot
+    indptr = np.searchsorted(unique // size, np.arange(size + 1)).astype(np.intc)
+    matrix = sp.csc_matrix((np.zeros(len(unique)), (unique % size).astype(np.intc),
+                            indptr), shape=(size, size))
+    matrix.has_canonical_format = True
+    return matrix, slot
 
 
 def _jacobian_matrix(system, mesh, edges, dt, pattern):
     """Exact derivative of the residual w.r.t. the new state, CSC block-sparse.
 
     ``edges`` are the state's terms from :func:`_edge_fluxes` and
-    ``pattern`` the structure from :func:`_jacobian_pattern`.  Flux blocks
-    follow from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both
-    the jump and the edge compositions inside S = c* I + Abar(u_sigma).
+    ``pattern`` the ``(matrix, slot)`` pair from :func:`_jacobian_pattern`,
+    whose matrix is refilled in place and returned.  Flux blocks follow
+    from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both the
+    jump and the edge compositions inside S = c* I + Abar(u_sigma).
     """
     flux, mats, da, db = edges
     n = system.n
@@ -314,12 +322,11 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     dk = scale * blocks[:, :, :n]  # m_sigma * dJ/du_K
     dl = scale * blocks[:, :, n:]  # m_sigma * dJ/du_L
 
-    indices, indptr, slot = pattern
+    matrix, slot = pattern
     raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
                           np.repeat(mesh.cell_measures / dt, n)])
-    data = np.bincount(slot, weights=raw, minlength=len(indices))
-    size = mesh.num_cells * n
-    return sp.csc_matrix((data, indices, indptr), shape=(size, size))
+    matrix.data = np.bincount(slot, weights=raw, minlength=matrix.nnz)
+    return matrix
 
 
 def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
@@ -381,7 +388,8 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
         for iterations in range(1, config.max_newton_iters + 1):
-            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, pattern))
+            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, pattern),
+                           permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
             if float(np.abs(delta).max()) < config.newton_tol:
                 x = x + delta
