@@ -13,12 +13,13 @@ import numpy as np
 
 from . import model
 from .mesh import uniform_interval, uniform_rectangle, validate
-from .scheme import (StateField, _log_mean_with_partials, edge_flux,
+from .scheme import (StateField, _edge_systems, _log_mean_with_partials,
                      jacobian, log_mean, project_simplex, residual)
 from . import diagnostics
 
 PSD_TOL = -1e-10
 IDENTITY_TOL = 1e-14
+_FD_STEP = 1e-6   # central-difference step of the finite-difference Jacobian
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,13 @@ def check_b_inverse_bound(rng, count=1000, extra_system=None):
                           PSD_TOL, count)
 
 
+def _edge_flux(system, u_sigma, du, d_sigma):
+    """One edge's flux J from the scheme's (c* I + Abar(u_sigma)) J = -du/d_sigma."""
+    return np.linalg.solve(_edge_systems(system, u_sigma[:, None])[0], -du / d_sigma)
+
+
 def check_flux_zero_sum(rng, count=500, extra_system=None):
-    """edge_flux sums to -sum(du)/(c* d_sigma), zero when the jumps sum to zero.
+    """The edge flux sums to -sum(du)/(c* d_sigma), zero when the jumps sum to zero.
 
     Since 1^T (c* I + Abar) = c* 1^T, the identity is exact; it is checked
     directly because the jumps of two rounded simplex points need not sum to
@@ -212,7 +218,7 @@ def check_flux_zero_sum(rng, count=500, extra_system=None):
         ul = _random_simplex(rng, system.n)
         d_sigma = rng.uniform(0.1, 1.0)
         du = ul - uk
-        j = edge_flux(system, log_mean(uk, ul), du, d_sigma)
+        j = _edge_flux(system, log_mean(uk, ul), du, d_sigma)
         bound = 1e-12 * float(np.abs(du).max()) / d_sigma
         expected = -float(du.sum()) / (system.c_star * d_sigma)
         excess = abs(float(j.sum()) - expected) - bound
@@ -222,14 +228,14 @@ def check_flux_zero_sum(rng, count=500, extra_system=None):
 
 
 def check_flux_formula_equivalence(rng, count=500, extra_system=None):
-    """edge_flux equals -B(u_sigma)^-1 (log u_L - log u_K)/d_sigma."""
+    """The edge flux equals -B(u_sigma)^-1 (log u_L - log u_K)/d_sigma."""
     worst = 0.0
     for system in _systems(rng, count, extra_system):
         uk = _random_simplex(rng, system.n)
         ul = _random_simplex(rng, system.n)
         d_sigma = rng.uniform(0.1, 1.0)
         u_sigma = log_mean(uk, ul)
-        j = edge_flux(system, u_sigma, ul - uk, d_sigma)
+        j = _edge_flux(system, u_sigma, ul - uk, d_sigma)
         dlog = np.log(ul) - np.log(uk)
         j_ref = -np.linalg.solve(model.mat_B(system, u_sigma), dlog) / d_sigma
         worst = max(worst, float(np.abs(j - j_ref).max()))
@@ -238,7 +244,7 @@ def check_flux_formula_equivalence(rng, count=500, extra_system=None):
 
 
 def finite_difference_jacobian(system, mesh, u_new: StateField, u_old: StateField,
-                               dt: float, step: float = 1e-6) -> np.ndarray:
+                               dt: float) -> np.ndarray:
     """Dense central-difference Jacobian of the residual, the FD oracle."""
     n = system.n
     size = mesh.num_cells * n
@@ -249,11 +255,11 @@ def finite_difference_jacobian(system, mesh, u_new: StateField, u_old: StateFiel
             col = cell * n + i
             plus = base.copy()
             minus = base.copy()
-            plus[i, cell] += step
-            minus[i, cell] -= step
+            plus[i, cell] += _FD_STEP
+            minus[i, cell] -= _FD_STEP
             r_plus = residual(system, mesh, StateField(mesh, plus), u_old, dt)
             r_minus = residual(system, mesh, StateField(mesh, minus), u_old, dt)
-            out[:, col] = (r_plus - r_minus).T.ravel() / (2.0 * step)
+            out[:, col] = (r_plus - r_minus).T.ravel() / (2.0 * _FD_STEP)
     return out
 
 

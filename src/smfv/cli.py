@@ -24,6 +24,7 @@ from .scheme import NonConvergence, num_time_steps, run
 
 DEFAULT_GRIDS = (16, 32, 64, 128)
 DEFAULT_REF = 1024
+_FIT_FLOOR = 1e-15   # relative entropies at or below this are left out of the fit
 
 
 def _fmt(x) -> str:
@@ -35,7 +36,7 @@ def _open_out(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_snapshot(out_dir: Path, mesh, values, t: float) -> Path:
+def _write_snapshot(out_dir: Path, mesh, values, t: float) -> None:
     path = out_dir / f"u_t{t!r}.csv"
     n = values.shape[0]
     coords = ["x", "y"][: mesh.dimension]
@@ -47,7 +48,6 @@ def _write_snapshot(out_dir: Path, mesh, values, t: float) -> Path:
             cols += [_fmt(c) for c in mesh.cell_centers[k]]
             cols += [_fmt(values[i, k]) for i in range(n)]
             fh.write(",".join(cols) + "\n")
-    return path
 
 
 class _SnapshotSchedule:
@@ -57,14 +57,11 @@ class _SnapshotSchedule:
         self.out_dir = out_dir
         self.mesh = mesh
         self.pending = sorted(times)
-        self.written = []
 
     def offer(self, t, values):
         while self.pending and t >= self.pending[0] - 1e-12 * max(1.0, abs(self.pending[0])):
             self.pending.pop(0)
-            path = _write_snapshot(self.out_dir, self.mesh, values, t)
-            if not self.written or self.written[-1] != path:
-                self.written.append(path)
+            _write_snapshot(self.out_dir, self.mesh, values, t)
 
 
 def _diag_header(n: int) -> str:
@@ -83,7 +80,7 @@ def _diag_row(rec: DiagnosticsRecord) -> str:
 
 def cmd_run(config: RunConfig, out_dir=None) -> int:
     """Single simulation: diagnostics.csv plus the requested field snapshots."""
-    mesh = config.build_mesh()
+    mesh = config.mesh.build()
     system = config.species
     u0 = preset_initial(config.initial, mesh, system.n)
     equilibrium = equilibrium_composition(u0)
@@ -109,8 +106,7 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
                 fh.write(_diag_row(rec))
             snapshots.offer(t, state.values)
 
-        run(system, mesh, u0, config.time.dt, config.time.t_end,
-            config.solver, sink)
+        run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
     return 0
 
 
@@ -123,7 +119,7 @@ def _collect_sampled_run(config: RunConfig, n_cells: int) -> SampledRun:
     def sink(t, state, fluxes, stats):
         states.append(state.values)
 
-    run(system, mesh, u0, config.time.dt, config.time.t_end, config.solver, sink)
+    run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
     dts = np.full(len(states), config.time.dt)
     return SampledRun(mesh, dts, states)
 
@@ -138,6 +134,8 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
         ref_n = config.convergence.ref_n if config.convergence else DEFAULT_REF
     grids = tuple(sorted(int(g) for g in grids))
     ref_n = int(ref_n)
+    if not grids:
+        raise ConfigError("--grids must be a nonempty list")
     if ref_n < 1:
         raise ConfigError(f"--ref must be a positive integer (got {ref_n})")
     for g in grids:
@@ -166,18 +164,18 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
     return 0
 
 
-def fit_decay_rate(times, values, window_start, tiny: float = 1e-15):
+def fit_decay_rate(times, values, window_start):
     """Least-squares slope of log(values) vs time over t >= window_start.
 
-    Returns (status, slope, r_squared, n_points); rows with values <= tiny
-    are excluded.  When no row anywhere exceeds ``tiny`` the data is already
+    Returns (status, slope, r_squared, n_points); rows with values at or
+    below 1e-15 are excluded.  When no row exceeds 1e-15 the data is already
     at equilibrium and the fit is skipped.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if not np.any(values > tiny):
+    if not np.any(values > _FIT_FLOOR):
         return "already at equilibrium", None, None, 0
-    keep = (times >= window_start) & (values > tiny)
+    keep = (times >= window_start) & (values > _FIT_FLOOR)
     if keep.sum() < 2:
         return "insufficient data in fit window", None, None, int(keep.sum())
     t = times[keep]
@@ -192,7 +190,7 @@ def fit_decay_rate(times, values, window_start, tiny: float = 1e-15):
 
 def cmd_entropy_decay(config: RunConfig, out_dir=None) -> int:
     """Relative-entropy trace plus a log-linear fit over the second half."""
-    mesh = config.build_mesh()
+    mesh = config.mesh.build()
     system = config.species
     u0 = preset_initial(config.initial, mesh, system.n)
     equilibrium = equilibrium_composition(u0)
@@ -203,7 +201,7 @@ def cmd_entropy_decay(config: RunConfig, out_dir=None) -> int:
         times.append(t)
         h_values.append(relative_entropy(mesh, state, equilibrium))
 
-    run(system, mesh, u0, config.time.dt, config.time.t_end, config.solver, sink)
+    run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
 
     out = Path(out_dir or config.output.directory)
     with _open_out(out / "entropy.csv") as fh:
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(load_config_file(args.config), out_dir=args.out)
         if args.command == "convergence":
-            grids = _parse_grids(args.grids) if args.grids else None
+            grids = _parse_grids(args.grids) if args.grids is not None else None
             return cmd_convergence(load_config_file(args.config),
                                    grids=grids, ref_n=args.ref, out_dir=args.out)
         if args.command == "entropy-decay":

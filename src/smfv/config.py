@@ -1,22 +1,25 @@
 """Run configuration: JSON ingestion, validation, and initial-state presets.
 
 A configuration document is a single JSON object with sections ``mesh``,
-``species``, ``initial``, ``time``, and optionally ``solver``, ``output``
-and ``convergence``.  Validation errors name the offending field.
+``species``, ``initial``, ``time``, and optionally ``output`` and
+``convergence``.  Numbers must be finite.  Validation errors name the
+offending field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mesh import Mesh, uniform_interval, uniform_rectangle
 from .model import SpeciesSystem, build_system, is_simplex_point
-from .scheme import SolverConfig, StateField
+from .scheme import StateField
 
 PRESETS = ("smooth1d", "nonsmooth1d", "blocks2d", "uniform", "table")
+_PROFILE_TOL = 1e-12   # initial profiles: least value and cell-sum deviation
 
 
 class ConfigError(ValueError):
@@ -65,12 +68,8 @@ class RunConfig:
     species: SpeciesSystem
     initial: InitialConfig
     time: TimeConfig
-    solver: SolverConfig
     output: OutputConfig
     convergence: ConvergenceConfig = None
-
-    def build_mesh(self) -> Mesh:
-        return self.mesh.build()
 
 
 def _require(section: dict, key: str, where: str):
@@ -89,6 +88,18 @@ def _as_positive_float(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
         raise ConfigError(f"{where} must be a positive number")
     return float(value)
+
+
+def _check_finite(value, where: str):
+    """Reject NaN and infinite numbers anywhere in a parsed document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -137,19 +148,6 @@ def _parse_time(raw) -> TimeConfig:
     return TimeConfig(dt, t_end)
 
 
-def _parse_solver(raw) -> SolverConfig:
-    if raw is None:
-        return SolverConfig()
-    if not isinstance(raw, dict):
-        raise ConfigError("solver must be an object")
-    allowed = {"newton_tol", "max_newton_iters", "projection_floor"}
-    _check_keys(raw, allowed, "solver")
-    try:
-        return SolverConfig(**raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-
 def _parse_output(raw, t_end: float) -> OutputConfig:
     if raw is None:
         return OutputConfig()
@@ -193,7 +191,7 @@ def load_config(document) -> RunConfig:
     if isinstance(document, (str, bytes)):
         try:
             raw = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed configuration document: {exc}") from exc
     elif isinstance(document, dict):
         raw = document
@@ -201,24 +199,29 @@ def load_config(document) -> RunConfig:
         raise ConfigError("configuration must be a JSON object document")
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be an object")
-    allowed = {"mesh", "species", "initial", "time", "solver", "output", "convergence"}
+    allowed = {"mesh", "species", "initial", "time", "output", "convergence"}
     _check_keys(raw, allowed, "config")
+    _check_finite(raw, "config")
 
     mesh_cfg = _parse_mesh(_require(raw, "mesh", "config"))
     species = _parse_species(_require(raw, "species", "config"))
     time_cfg = _parse_time(_require(raw, "time", "config"))
     initial = _parse_initial(_require(raw, "initial", "config"), mesh_cfg, species.n)
-    solver = _parse_solver(raw.get("solver"))
     output = _parse_output(raw.get("output"), time_cfg.t_end)
     convergence = _parse_convergence(raw.get("convergence"))
     return RunConfig(mesh=mesh_cfg, species=species, initial=initial,
-                     time=time_cfg, solver=solver, output=output,
+                     time=time_cfg, output=output,
                      convergence=convergence)
 
 
 def load_config_file(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
+    """Parse and validate a UTF-8 JSON configuration file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return load_config(text)
 
 
 # ----------------------------------------------------------------------
@@ -395,11 +398,11 @@ def _build_blocks2d(mesh: Mesh, blocks, n: int) -> np.ndarray:
     return values
 
 
-def _validate_state_values(values, tol: float = 1e-12):
-    if np.any(values < -tol):
+def _validate_state_values(values):
+    if np.any(values < -_PROFILE_TOL):
         raise ConfigError("initial profile takes negative values")
     sums = values.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > _PROFILE_TOL):
         raise ConfigError("initial profile cell values must sum to one")
     # every species must be present: positive initial mass
     if np.any(values.max(axis=1) <= 0.0):

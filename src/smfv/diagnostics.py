@@ -1,4 +1,4 @@
-"""Scalar and field diagnostics: entropy, dissipation, reconstructions, errors.
+"""Scalar diagnostics of a run: entropy, dissipation, relative entropy, errors.
 
 The discrete entropy E(u) = sum_K m_K sum_i u_iK log u_iK (with 0 log 0 = 0)
 is a Lyapunov functional of the scheme: along any run
@@ -12,7 +12,6 @@ with the same species masses decays exponentially in time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,45 +75,6 @@ def relative_entropy(mesh: Mesh, state: StateField, m) -> float:
     logs = np.log(np.where(u > 0.0, u, 1.0)) - np.log(m)[:, None]
     terms = np.where(u > 0.0, u * logs, 0.0)
     return float((mesh.cell_measures * terms).sum())
-
-
-def reconstruct_gradient(mesh: Mesh, v) -> np.ndarray:
-    """Piecewise-constant diamond-cell gradient of a scalar cell field.
-
-    On the diamond of an interior edge the value is
-    d * (v_L - v_K)/d_sigma * n_KL; boundary diamonds use the mirror-value
-    convention (zero jump), hence vanish.  Rows are ordered interior edges
-    first, then boundary edges.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mesh.num_cells,):
-        raise ValueError("v must hold one value per cell")
-    total = mesh.num_interior_edges + mesh.num_boundary_edges
-    grad = np.zeros((total, mesh.dimension))
-    jump = v[mesh.edge_cell_l] - v[mesh.edge_cell_k]
-    grad[:mesh.num_interior_edges] = (
-        mesh.dimension * jump / mesh.edge_distance)[:, None] * mesh.edge_normals
-    return grad
-
-
-def reconstruct_flux_field(mesh: Mesh, fluxes: FluxField):
-    """Diamond-cell vector reconstruction of a flux field and its squared norm.
-
-    On the diamond of an interior edge species i takes the vector value
-    d * J_iKsigma * n_KL; the squared space norm is
-    sum_sigma m_diamond * d^2 * |J_Ksigma|^2 (note d * m_diamond =
-    m_sigma * d_sigma).  Boundary diamonds carry zero flux.
-    """
-    if fluxes.mesh is not mesh:
-        raise ValueError("fluxes do not belong to the given mesh")
-    n = fluxes.values.shape[0]
-    total = mesh.num_interior_edges + mesh.num_boundary_edges
-    field = np.zeros((n, total, mesh.dimension))
-    field[:, :mesh.num_interior_edges, :] = (
-        mesh.dimension * fluxes.values[:, :, None] * mesh.edge_normals[None, :, :])
-    j2 = (fluxes.values ** 2).sum(axis=0)
-    sq_norm = float((mesh.edge_diamond * (mesh.dimension ** 2) * j2).sum())
-    return field, sq_norm
 
 
 @dataclass(frozen=True)
@@ -214,15 +174,3 @@ class DiagnosticsRecord:
             max_flux_sum_deviation=fdev,
             newton_iterations=iters,
         )
-
-    def violations(self, mesh: Mesh, n_species: int, tol: float = 1e-10) -> list:
-        """Check the structural bounds this record must satisfy."""
-        bad = []
-        lower = -mesh.total_measure * math.log(n_species)
-        if not (lower - tol <= self.entropy <= tol):
-            bad.append(f"entropy {self.entropy} outside [{lower}, 0]")
-        if self.relative_entropy < -1e-12:
-            bad.append(f"negative relative entropy {self.relative_entropy}")
-        if self.dissipation < 0.0:
-            bad.append(f"negative dissipation {self.dissipation}")
-        return bad

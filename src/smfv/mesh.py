@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-REL_TOL = 1e-12
+_REL_TOL = 1e-12   # relative tolerance of validate
 
 _INDEX_ARRAYS = ("edge_cell_k", "edge_cell_l", "boundary_cell")
 _FLOAT_ARRAYS = ("cell_centers", "cell_measures", "edge_measure", "edge_distance",
@@ -201,11 +201,11 @@ def uniform_rectangle(nx: int, ny: int) -> Mesh:
         cell_upper=np.column_stack([np.tile(xf[1:], ny), np.repeat(yf[1:], nx)]))
 
 
-def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
+def validate(mesh: Mesh) -> list:
     """Check every stored quantity for consistency; return violation messages.
 
     An empty list means the mesh satisfies all structural invariants within
-    ``rel_tol`` relative tolerance.  Messages are grouped per entity, in
+    a relative tolerance of 1e-12.  Messages are grouped per entity, in
     entity order.
     """
     bad = []
@@ -217,7 +217,7 @@ def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
 
     bad += [f"cell {c}: nonpositive measure {cm[c]}" for c in np.flatnonzero(~(cm > 0.0))]
     total = float(cm.sum())
-    if abs(total - mesh.total_measure) > rel_tol * abs(mesh.total_measure):
+    if abs(total - mesh.total_measure) > _REL_TOL * abs(mesh.total_measure):
         bad.append(f"mesh: cell measures sum to {total}, "
                    f"stored total measure is {mesh.total_measure}")
 
@@ -226,14 +226,14 @@ def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
     ok = (m > 0) & (dist > 0) & (dk > 0) & (dl > 0)
     edge_msgs += [(i, "nonpositive geometric quantity") for i in np.flatnonzero(~ok)]
     edge_msgs += [(i, "center-to-face distances do not sum to the center distance")
-                  for i in np.flatnonzero(ok & (np.abs(dk + dl - dist) > rel_tol * dist))]
+                  for i in np.flatnonzero(ok & (np.abs(dk + dl - dist) > _REL_TOL * dist))]
     nrm = np.linalg.norm(mesh.edge_normals, axis=1)
     edge_msgs += [(i, f"normal is not a unit vector (|n| = {float(nrm[i])})")
-                  for i in np.flatnonzero(ok & (np.abs(nrm - 1.0) > rel_tol))]
+                  for i in np.flatnonzero(ok & (np.abs(nrm - 1.0) > _REL_TOL))]
     dot = (mesh.edge_normals * (mesh.cell_centers[l] - mesh.cell_centers[k])).sum(axis=1)
     edge_msgs += [(i, f"orthogonality condition violated "
                       f"(n.(x_L - x_K) = {float(dot[i])}, d_sigma = {float(dist[i])})")
-                  for i in np.flatnonzero(ok & (np.abs(dot - dist) > rel_tol * dist))]
+                  for i in np.flatnonzero(ok & (np.abs(dot - dist) > _REL_TOL * dist))]
     bad += [f"interior edge {i} ({k[i]}|{l[i]}): {msg}"
             for i, msg in sorted(edge_msgs, key=lambda r: r[0])]
 
@@ -242,7 +242,7 @@ def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
     b_nrm = np.linalg.norm(mesh.boundary_normals, axis=1)
     b_msgs = [(i, "nonpositive geometric quantity") for i in np.flatnonzero(~b_ok)]
     b_msgs += [(i, f"normal is not a unit vector (|n| = {float(b_nrm[i])})")
-               for i in np.flatnonzero(b_ok & (np.abs(b_nrm - 1.0) > rel_tol))]
+               for i in np.flatnonzero(b_ok & (np.abs(b_nrm - 1.0) > _REL_TOL))]
     bad += [f"boundary edge {i} (cell {bc[i]}): {msg}"
             for i, msg in sorted(b_msgs, key=lambda r: r[0])]
 
@@ -252,34 +252,12 @@ def validate(mesh: Mesh, rel_tol: float = REL_TOL) -> list:
                     + np.bincount(bc, np.where(b_ok, bm * bdist / d, 0.0), minlength=n))
     bad += [f"cell {c}: half-diamond measures sum to {half_diamond[c]}, "
             f"cell measure is {cm[c]}"
-            for c in np.flatnonzero(np.abs(half_diamond - cm) > rel_tol * cm)]
+            for c in np.flatnonzero(np.abs(half_diamond - cm) > _REL_TOL * cm)]
 
     zeta = _regularity(mesh)
     if not zeta > 0.0:
         bad.append(f"mesh: regularity factor {zeta} is not positive")
-    if abs(zeta - mesh.regularity) > rel_tol * max(abs(zeta), 1e-300):
+    if abs(zeta - mesh.regularity) > _REL_TOL * max(abs(zeta), 1e-300):
         bad.append(f"mesh: stored regularity {mesh.regularity} differs "
                    f"from recomputed {zeta}")
     return bad
-
-
-def dump_csv(mesh: Mesh, path) -> None:
-    """Write one row per cell and per edge, spreadsheet-ready."""
-    def fmt(x):
-        return f"{x:.17g}"
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,index,cell_k,cell_l,x,y,measure,m_sigma,d_sigma,tau_sigma\n")
-        for c, (center, measure) in enumerate(zip(mesh.cell_centers.tolist(),
-                                                  mesh.cell_measures.tolist())):
-            y = fmt(center[1]) if mesh.dimension == 2 else ""
-            fh.write(f"cell,{c},,,{fmt(center[0])},{y},{fmt(measure)},,,\n")
-        rows = zip(mesh.edge_cell_k.tolist(), mesh.edge_cell_l.tolist(),
-                   mesh.edge_measure.tolist(), mesh.edge_distance.tolist(),
-                   mesh.edge_tau.tolist())
-        for i, (k, l, m, dist, tau) in enumerate(rows):
-            fh.write(f"interior_edge,{i},{k},{l},,,,{fmt(m)},{fmt(dist)},{fmt(tau)}\n")
-        rows = zip(mesh.boundary_cell.tolist(), mesh.boundary_measure.tolist(),
-                   mesh.boundary_distance.tolist())
-        for i, (k, m, dist) in enumerate(rows):
-            fh.write(f"boundary_edge,{i},{k},,,,,{fmt(m)},{fmt(dist)},{fmt(m / dist)}\n")

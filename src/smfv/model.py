@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SIMPLEX_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpeciesSystem:
@@ -89,11 +91,6 @@ def mat_C(v) -> np.ndarray:
     return np.broadcast_to(v[:, None], (v.size, v.size)).copy()
 
 
-def mat_M(v) -> np.ndarray:
-    """Diagonal composition matrix M(v) = diag(v)."""
-    return np.diag(np.asarray(v, dtype=float))
-
-
 def mat_B(system: SpeciesSystem, v) -> np.ndarray:
     """Edge-flux resistance matrix B(v) = M(v)^-1 (c* I + Abar(v)).
 
@@ -107,7 +104,7 @@ def mat_B(system: SpeciesSystem, v) -> np.ndarray:
     return s / v[:, None]
 
 
-def is_simplex_point(v, tol: float = 1e-12) -> bool:
-    """Membership test for the closed unit simplex, up to ``tol``."""
+def is_simplex_point(v) -> bool:
+    """Membership test for the closed unit simplex, up to 1e-12."""
     v = np.asarray(v, dtype=float)
-    return bool(np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol)
+    return bool(np.all(v >= -_SIMPLEX_TOL) and abs(float(v.sum()) - 1.0) <= _SIMPLEX_TOL)

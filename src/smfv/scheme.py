@@ -19,10 +19,10 @@ shared by the residual and the Jacobian.  One CSC Jacobian matrix is
 built per step and refilled in place at every Newton iteration; SuperLU
 factors it with the symmetric minimum-degree ordering on A^T + A, which
 suits the structurally symmetric two-point-flux Jacobian.  The first
-update below the tolerance is taken in full and ends the iteration;
+update below ``NEWTON_TOL`` is taken in full and ends the iteration;
 others are halved until the residual norm decreases.  The converged state
-is projected onto the unit simplex's interior by flooring and
-renormalising.
+is projected onto the unit simplex's interior by flooring at
+``PROJECTION_FLOOR`` and renormalising.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, cell sums stay at one without being enforced, species
@@ -33,7 +33,7 @@ dissipation rate computed in :mod:`smfv.diagnostics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,26 +42,15 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .model import SpeciesSystem
 
+NEWTON_TOL = 1e-12          # infinity norm of the final Newton update
+MAX_NEWTON_ITERS = 50
 MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
+PROJECTION_FLOOR = 1e-12    # smallest volume fraction after a step
 
 # Below _SERIES_MAX_U the log-mean series through u^_SERIES_ORDER is exact to
 # rounding; above it the closed form's partials lose less than 1e-14.
 _SERIES_MAX_U = 1e-2
 _SERIES_ORDER = 7
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton and projection parameters for one implicit step."""
-
-    newton_tol: float = 1e-12           # infinity norm of the final update
-    max_newton_iters: int = 50
-    projection_floor: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("newton_tol", "max_newton_iters", "projection_floor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 class NonConvergence(RuntimeError):
@@ -95,19 +84,18 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class StateField:
-    """Per-cell volume fractions, shape (n_species, n_cells)."""
+    """Per-cell volume fractions, shape (n_species, n_cells), and species masses."""
 
     mesh: Mesh
     values: np.ndarray
-    mass_vector: np.ndarray = None
+    mass_vector: np.ndarray = field(init=False)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.ndim != 2 or vals.shape[1] != self.mesh.num_cells:
             raise ValueError("state values must have shape (n_species, n_cells)")
         object.__setattr__(self, "values", vals)
-        if self.mass_vector is None:
-            object.__setattr__(self, "mass_vector", vals @ self.mesh.cell_measures)
+        object.__setattr__(self, "mass_vector", vals @ self.mesh.cell_measures)
 
     def min_fraction(self) -> float:
         return float(self.values.min())
@@ -196,19 +184,6 @@ def log_mean(a, b):
     return lam[()]
 
 
-def edge_flux(system: SpeciesSystem, u_sigma, du, d_sigma: float) -> np.ndarray:
-    """Solve (c* I + Abar(u_sigma)) J = -du/d_sigma for the edge flux vector.
-
-    The matrix is invertible for any u_sigma >= 0 since its eigenvalues are
-    bounded below by c*; the flux sums to -sum(du)/(c* d_sigma), hence to
-    zero when the species jumps do.
-    """
-    if not d_sigma > 0.0:
-        raise ValueError("d_sigma must be positive")
-    mats = _edge_systems(system, np.asarray(u_sigma, dtype=float)[:, None])
-    return np.linalg.solve(mats[0], -np.asarray(du, dtype=float) / d_sigma)
-
-
 def _edge_systems(system, lam):
     """Stack of matrices c* I + Abar(u_sigma) over all edges, shape (E, n, n)."""
     st = lam.T  # (E, n)
@@ -233,13 +208,6 @@ def _edge_fluxes(system, mesh, values):
     rhs = ((uk - ul) / mesh.edge_distance).T
     flux = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
     return flux, mats, da, db
-
-
-def compute_fluxes(system: SpeciesSystem, mesh: Mesh, state: StateField) -> FluxField:
-    """Flux field induced by a cell state via the per-edge flux solves."""
-    if state.mesh is not mesh:
-        raise ValueError("state does not belong to the given mesh")
-    return FluxField(mesh, _edge_fluxes(system, mesh, state.values)[0])
 
 
 def _residual_values(system, mesh, values, old_values, dt):
@@ -365,19 +333,16 @@ def _project_values(values, floor):
     return np.maximum(project_simplex(values, floor), floor)
 
 
-def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
-                config: SolverConfig = None):
+def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float):
     """One implicit step: Newton solve, projection, flux recomputation.
 
-    An update with infinity norm below ``newton_tol`` is taken in full and
+    An update with infinity norm below ``NEWTON_TOL`` is taken in full and
     ends the iteration; any other is halved until the residual norm drops.
     Returns ``(state, fluxes, stats)`` where ``stats`` carries the iteration
     count and the largest per-cell deviation of the species sum from one
     measured before the projection.  Raises :class:`NonConvergence` when the
     iteration budget or the halvings run out, or a linear solve fails.
     """
-    if config is None:
-        config = SolverConfig()
     _check_step_args(mesh, dt, u_old)
 
     pattern = _jacobian_pattern(mesh, system.n)
@@ -387,11 +352,11 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     try:
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
-        for iterations in range(1, config.max_newton_iters + 1):
+        for iterations in range(1, MAX_NEWTON_ITERS + 1):
             lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, pattern),
                            permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
-            if float(np.abs(delta).max()) < config.newton_tol:
+            if float(np.abs(delta).max()) < NEWTON_TOL:
                 x = x + delta
                 break
 
@@ -417,7 +382,7 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
-    projected = _project_values(x, config.projection_floor)
+    projected = _project_values(x, PROJECTION_FLOOR)
     state = StateField(mesh, projected)
     fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected)[0])
     return state, fluxes, StepStats(iterations, pre_projection_dev)
@@ -429,7 +394,7 @@ def num_time_steps(dt: float, t_end: float) -> int:
 
 
 def run(system: SpeciesSystem, mesh: Mesh, u0: StateField, dt: float,
-        t_end: float, config: SolverConfig = None, sink=None) -> StateField:
+        t_end: float, sink=None) -> StateField:
     """Advance the implicit scheme from ``u0`` over ceil(T/dt) steps of size dt.
 
     After each step the optional ``sink`` callback receives
@@ -437,8 +402,6 @@ def run(system: SpeciesSystem, mesh: Mesh, u0: StateField, dt: float,
     adaptive stepping); the raised :class:`NonConvergence` carries the
     failing step index and time.
     """
-    if config is None:
-        config = SolverConfig()
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if t_end < dt:
@@ -446,7 +409,7 @@ def run(system: SpeciesSystem, mesh: Mesh, u0: StateField, dt: float,
     state = u0
     for p in range(1, num_time_steps(dt, t_end) + 1):
         try:
-            state, fluxes, stats = newton_step(system, mesh, state, dt, config)
+            state, fluxes, stats = newton_step(system, mesh, state, dt)
         except NonConvergence as exc:
             exc.step_index = p
             exc.time = p * dt

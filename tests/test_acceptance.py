@@ -14,7 +14,7 @@ import _report
 from smfv.checks import (check_abar_kernel_range, check_b_inverse_bound,
                          check_b_lower_bound, check_flux_formula_equivalence,
                          check_jacobian_fd, check_m_inv_abar_psd,
-                         check_simplex_identity, finite_difference_jacobian)
+                         check_simplex_identity)
 from smfv.cli import fit_decay_rate
 from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import (SampledRun, dissipation, entropy,
@@ -22,8 +22,7 @@ from smfv.diagnostics import (SampledRun, dissipation, entropy,
                               relative_entropy)
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
-from smfv.scheme import (SolverConfig, StateField, log_mean, newton_step,
-                         run)
+from smfv.scheme import StateField, log_mean, newton_step, run
 
 CONV_GRIDS = (16, 32, 64, 128)
 CONV_REF = 1024
@@ -46,6 +45,8 @@ class RunTrace:
     label: str
     dt: float
     initial_masses: np.ndarray
+    times: list = field(default_factory=list)
+    relative_entropies: list = field(default_factory=list)
     entropies: list = field(default_factory=list)
     dissipations: list = field(default_factory=list)
     mass_drifts: list = field(default_factory=list)
@@ -58,10 +59,15 @@ class RunTrace:
 
 def trace_run(system, mesh, u0, dt, t_end, label, sample=False):
     trace = RunTrace(label=label, dt=dt, initial_masses=u0.mass_vector.copy())
+    equilibrium = equilibrium_composition(u0)
+    trace.times.append(0.0)
+    trace.relative_entropies.append(relative_entropy(mesh, u0, equilibrium))
     trace.entropies.append(entropy(mesh, u0))
     states = []
 
     def sink(t, state, fluxes, stats):
+        trace.times.append(t)
+        trace.relative_entropies.append(relative_entropy(mesh, state, equilibrium))
         trace.entropies.append(entropy(mesh, state))
         trace.dissipations.append(dissipation(system, mesh, state, fluxes))
         drift = np.abs(state.mass_vector - trace.initial_masses) / trace.initial_masses
@@ -73,7 +79,7 @@ def trace_run(system, mesh, u0, dt, t_end, label, sample=False):
         if sample:
             states.append(state.values)
 
-    run(system, mesh, u0, dt, t_end, SolverConfig(), sink)
+    run(system, mesh, u0, dt, t_end, sink)
     if sample:
         trace.sampled = SampledRun(mesh, np.full(len(states), dt), states)
     return trace
@@ -103,33 +109,13 @@ def run_2d(system_2d):
 def decay_run(system_1d):
     mesh = uniform_interval(64)
     u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-    equilibrium = equilibrium_composition(u0)
-    times = [0.0]
-    h_values = [relative_entropy(mesh, u0, equilibrium)]
-    trace = RunTrace(label="decay smooth1d N=64", dt=1e-4,
-                     initial_masses=u0.mass_vector.copy())
-    trace.entropies.append(entropy(mesh, u0))
-
-    def sink(t, state, fluxes, stats):
-        times.append(t)
-        h_values.append(relative_entropy(mesh, state, equilibrium))
-        trace.entropies.append(entropy(mesh, state))
-        trace.dissipations.append(dissipation(system_1d, mesh, state, fluxes))
-        drift = np.abs(state.mass_vector - trace.initial_masses) / trace.initial_masses
-        trace.mass_drifts.append(float(drift.max()))
-        trace.min_fractions.append(state.min_fraction())
-        trace.pre_devs.append(stats.pre_projection_sum_deviation)
-        trace.post_devs.append(state.sum_deviation())
-        trace.flux_devs.append(fluxes.max_species_sum())
-
-    run(system_1d, mesh, u0, 1e-4, 0.5, SolverConfig(), sink)
-    return trace, np.array(times), np.array(h_values)
+    return trace_run(system_1d, mesh, u0, 1e-4, 0.5, label="decay smooth1d N=64")
 
 
 def all_traces(convergence_bundle, run_2d, decay_run):
     traces = list(convergence_bundle[0].values())
     traces.append(run_2d)
-    traces.append(decay_run[0])
+    traces.append(decay_run)
     return traces
 
 
@@ -191,7 +177,8 @@ def test_criterion_6_zero_total_flux(convergence_bundle, run_2d, decay_run):
 
 
 def test_criterion_7_exponential_decay(decay_run):
-    _, times, h_values = decay_run
+    times = np.array(decay_run.times)
+    h_values = np.array(decay_run.relative_entropies)
     monotone = bool(np.all(np.diff(h_values) <= 0.0))
     status, slope, r2, points = fit_decay_rate(times, h_values, 0.25)
     ok = monotone and status == "ok" and slope < 0.0 and r2 >= 0.99

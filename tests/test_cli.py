@@ -291,6 +291,40 @@ class TestMainEntry:
         assert "--seed" in err
         assert not (tmp_path / "check_report.json").exists()
 
+    @pytest.mark.parametrize("grids", [",", ""])
+    def test_empty_grids_exit_code(self, tmp_path, capsys, grids):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(out, n_cells=4))
+        assert main(["convergence", "--config", cfg, "--grids", grids, "--ref", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "--grids must be a nonempty list" in err
+        assert not (out / "convergence.csv").exists()
+
+    def test_solver_section_exit_code(self, tmp_path, capsys):
+        doc = uniform_doc(tmp_path / "out")
+        doc["solver"] = {"max_newton_iters": 2.5}
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("configuration error: "
+                                           "config.solver is not a recognised field\n")
+
+    def test_infinite_time_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(uniform_doc(tmp_path / "out"))
+                       .replace('"T": 0.005', '"T": Infinity'))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(json.dumps(uniform_doc("caf\u00e9"), ensure_ascii=False)
+                        .encode("latin-1"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "not UTF-8 text" in err
+
     def test_convergence_flags(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json",

@@ -1,12 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smfv.config import (ConfigError, InitialConfig, load_config,
-                         preset_initial)
+                         load_config_file, preset_initial)
 from smfv.mesh import uniform_interval, uniform_rectangle
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def base_config(**overrides):
@@ -26,9 +29,6 @@ class TestLoadConfig:
         assert config.species.c_star == pytest.approx(0.1)
         assert config.time.dt == 1e-5
         assert config.time.t_end == 0.5
-        assert config.solver.newton_tol == 1e-12
-        assert config.solver.projection_floor == 1e-12
-        assert config.solver.max_newton_iters == 50
         assert config.output.directory == "out"
 
     def test_missing_species_matrix(self):
@@ -60,17 +60,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not a recognised field"):
             load_config(base_config(extra={"x": 1}))
 
-    def test_solver_overrides(self):
-        doc = base_config(solver={"newton_tol": 1e-10, "max_newton_iters": 7})
-        config = load_config(doc)
-        assert config.solver.newton_tol == 1e-10
-        assert config.solver.max_newton_iters == 7
-        assert config.solver.projection_floor == 1e-12
-
     def test_damping_halvings_key_rejected(self):
         doc = base_config(solver={"max_damping_halvings": 30})
-        with pytest.raises(ConfigError, match=r"solver\.max_damping_halvings is not"):
+        with pytest.raises(ConfigError, match=r"config\.solver is not a recognised field"):
             load_config(doc)
+
+    def test_solver_overrides(self):
+        # the Newton and projection parameters are constants of smfv.scheme
+        for solver in ({}, {"newton_tol": 1e-10}, {"max_newton_iters": 2.5},
+                       {"projection_floor": 0.5}):
+            with pytest.raises(ConfigError,
+                               match=r"config\.solver is not a recognised field"):
+                load_config(base_config(solver=solver))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, literal):
+        text = json.dumps(base_config()).replace('"T": 0.5', f'"T": {literal}')
+        with pytest.raises(ConfigError, match=r"config\.time\.T must be a finite number"):
+            load_config(text)
+        text = json.dumps(base_config()).replace("[0, 0.2, 1.0]", f"[0, {literal}, 1.0]")
+        with pytest.raises(ConfigError, match=r"config\.species\.c\[0\]\[1\] must be"):
+            load_config(text)
+
+    def test_non_finite_number_in_dict_rejected(self):
+        doc = base_config(species={"c": [[0, math.inf, 1.0], [math.inf, 0, 0.1],
+                                         [1.0, 0.1, 0]]})
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(doc)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        config = load_config_file(path)
+        mesh = config.mesh.build()
+        preset_initial(config.initial, mesh, config.species.n)
 
     def test_preset_dimension_mismatch(self):
         doc = base_config(mesh={"dimension": 2, "Nx": 4, "Ny": 4})

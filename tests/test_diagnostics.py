@@ -5,8 +5,7 @@ import pytest
 
 from smfv.diagnostics import (DiagnosticsRecord, SampledRun, dissipation,
                               entropy, equilibrium_composition,
-                              l1_space_time_error, reconstruct_flux_field,
-                              reconstruct_gradient, relative_entropy)
+                              l1_space_time_error, relative_entropy)
 from smfv.mesh import Mesh, uniform_interval, uniform_rectangle, validate
 from smfv.model import build_system
 from smfv.scheme import FluxField, StateField
@@ -118,57 +117,6 @@ class TestRelativeEntropy:
             relative_entropy(mesh, state, np.array([1.0, 0.0]))
 
 
-class TestReconstructGradient:
-    def test_constant_field_is_zero(self):
-        mesh = uniform_rectangle(3, 3)
-        grads = reconstruct_gradient(mesh, np.full(9, 0.7))
-        assert np.abs(grads).max() == 0.0
-
-    def test_linear_field_1d(self):
-        mesh = uniform_interval(8)
-        grads = reconstruct_gradient(mesh, mesh.cell_centers[:, 0])
-        interior = grads[:mesh.num_interior_edges]
-        assert interior == pytest.approx(np.ones((7, 1)), rel=1e-12)
-        # boundary diamonds carry the mirror-value convention: zero jump
-        assert np.abs(grads[mesh.num_interior_edges:]).max() == 0.0
-
-    def test_linear_field_2d_energy(self):
-        # sum_sigma m_diamond |grad|^2 = 2 (Nx - 1)/Nx for v = x on the unit square
-        nx = ny = 4
-        mesh = uniform_rectangle(nx, ny)
-        grads = reconstruct_gradient(mesh, mesh.cell_centers[:, 0])
-        m_diamond = np.concatenate([mesh.edge_diamond,
-                                    np.zeros(mesh.num_boundary_edges)])
-        energy = float((m_diamond * (grads**2).sum(axis=1)).sum())
-        assert energy == pytest.approx(2.0 * (nx - 1) / nx, rel=1e-12)
-
-
-class TestReconstructFluxField:
-    def test_zero_fluxes(self):
-        mesh = uniform_interval(5)
-        field, norm = reconstruct_flux_field(mesh, FluxField(mesh, np.zeros((3, 4))))
-        assert norm == 0.0
-        assert np.abs(field).max() == 0.0
-
-    def test_single_edge_norm(self):
-        mesh = uniform_interval(4)  # every edge has m_sigma * d_sigma = 0.25
-        values = np.zeros((1, 3))
-        values[0, 1] = 1.0
-        field, norm = reconstruct_flux_field(mesh, FluxField(mesh, values))
-        assert norm == pytest.approx(0.25, rel=1e-14)
-        assert field[0, 1, 0] == pytest.approx(1.0, rel=1e-14)
-
-    def test_flux_part_of_dissipation_1d(self, system_1d):
-        # in 1D: (c*/2) * squared norm equals the flux part of the dissipation
-        rng = np.random.default_rng(4)
-        mesh = uniform_interval(6)
-        fluxes = FluxField(mesh, rng.normal(size=(3, 5)))
-        state = StateField(mesh, np.full((3, 6), 1.0 / 3.0))  # zero jump part
-        _, norm = reconstruct_flux_field(mesh, fluxes)
-        assert 0.5 * system_1d.c_star * norm == pytest.approx(
-            dissipation(system_1d, mesh, state, fluxes), rel=1e-12)
-
-
 class TestL1SpaceTimeError:
     def test_identical_runs(self):
         mesh = uniform_interval(4)
@@ -222,15 +170,8 @@ class TestDiagnosticsRecord:
         fluxes = FluxField(mesh, np.zeros((3, 3)))
         m = equilibrium_composition(state)
         rec = DiagnosticsRecord.from_step(system_1d, mesh, state, fluxes, m, 0.5)
-        assert rec.violations(mesh, 3) == []
+        # the bounds of every record: entropy in [-m log n, 0], H >= 0, D >= 0
+        assert -math.log(3.0) - 1e-10 <= rec.entropy <= 1e-10
         assert rec.dissipation == 0.0
         assert rec.relative_entropy == pytest.approx(0.0, abs=1e-14)
         assert rec.masses == pytest.approx(state.mass_vector)
-
-    def test_violations_detected(self):
-        mesh = uniform_interval(2)
-        rec = DiagnosticsRecord(time=0.0, entropy=1.0, dissipation=-1.0,
-                                relative_entropy=-1.0, masses=np.ones(2),
-                                min_fraction=0.5, max_sum_deviation=0.0,
-                                max_flux_sum_deviation=0.0, newton_iterations=1)
-        assert len(rec.violations(mesh, 2)) == 3

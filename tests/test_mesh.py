@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfv.mesh import dump_csv, uniform_interval, uniform_rectangle, validate
+from smfv.mesh import uniform_interval, uniform_rectangle, validate
 
 
 class TestUniformInterval:
@@ -124,17 +124,6 @@ def test_edge_ordering_is_deterministic():
     assert x_dir == [(1.0, 0.0)] * 4
     assert ks[:4] == sorted(ks[:4])
     assert ks[4:] == sorted(ks[4:])
-
-
-def test_dump_csv(tmp_path):
-    mesh = uniform_rectangle(2, 2)
-    path = tmp_path / "mesh.csv"
-    dump_csv(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("kind,")
-    n_rows = len(lines) - 1
-    assert n_rows == mesh.num_cells + mesh.num_interior_edges + mesh.num_boundary_edges
-    assert lines[1].startswith("cell,0,")
 
 
 def _rectangle_reference(nx, ny):

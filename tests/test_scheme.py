@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from smfv.checks import finite_difference_jacobian
 from smfv.config import InitialConfig, preset_initial
-from smfv.diagnostics import (dissipation, entropy, reconstruct_flux_field,
-                              reconstruct_gradient)
+from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import uniform_interval, uniform_rectangle
-from smfv.model import build_system, mat_Abar
-from smfv.scheme import (NonConvergence, SolverConfig, StateField,
-                         _log_mean_with_partials, compute_fluxes, edge_flux,
+from smfv.model import build_system, mat_Abar, mat_B
+from smfv.scheme import (PROJECTION_FLOOR, NonConvergence, StateField,
+                         _edge_fluxes, _edge_systems, _log_mean_with_partials,
                          jacobian, log_mean, newton_step, project_simplex,
                          residual, run)
 
@@ -103,26 +102,28 @@ class TestEdgeFractions:
         assert log_mean(a, b) == pytest.approx(log_mean(b, a), rel=1e-15)
 
 
+def _two_cell_flux(system, uk, ul):
+    """Flux of the one edge of the two-cell interval, d_sigma = 0.5."""
+    mesh = uniform_interval(2)
+    return _edge_fluxes(system, mesh, np.column_stack([uk, ul]))[0][:, 0]
+
+
 class TestEdgeFlux:
     def test_zero_jump(self, system_1d):
-        j = edge_flux(system_1d, np.array([0.2, 0.3, 0.5]), np.zeros(3), 0.25)
+        u = np.array([0.2, 0.3, 0.5])
+        j = _two_cell_flux(system_1d, u, u.copy())
         assert j == pytest.approx(np.zeros(3))
 
     def test_two_species_diagonal_solve(self):
         system = build_system([[0.0, 1.0], [1.0, 0.0]])  # cbar = 0
-        j = edge_flux(system, np.array([0.5, 0.5]), np.array([0.1, -0.1]), 0.5)
+        j = _two_cell_flux(system, np.array([0.45, 0.55]), np.array([0.55, 0.45]))
         assert j == pytest.approx(np.array([-0.2, 0.2]), rel=1e-14)
 
     def test_zero_species_sum(self, system_1d):
         uk = np.array([0.2, 0.3, 0.5])
         ul = np.array([0.4, 0.1, 0.5])
-        du = ul - uk
-        j = edge_flux(system_1d, log_mean(uk, ul), du, 0.25)
-        assert abs(float(j.sum())) <= 1e-12 * float(np.abs(du).max()) / 0.25
-
-    def test_rejects_nonpositive_distance(self, system_1d):
-        with pytest.raises(ValueError):
-            edge_flux(system_1d, np.ones(3) / 3, np.zeros(3), 0.0)
+        j = _two_cell_flux(system_1d, uk, ul)
+        assert abs(float(j.sum())) <= 1e-12 * float(np.abs(ul - uk).max()) / 0.5
 
 
 class TestResidual:
@@ -340,15 +341,10 @@ class TestEdgelessMesh:
         assert stats.newton_iterations == 1
 
     def test_diagnostics_vanish(self, system_1d, mesh):
-        state = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
-        fluxes = compute_fluxes(system_1d, mesh, state)
+        u_old = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
+        state, fluxes, _ = newton_step(system_1d, mesh, u_old, 0.1)
         assert dissipation(system_1d, mesh, state, fluxes) == 0.0
         assert fluxes.max_species_sum() == 0.0
-        field, sq_norm = reconstruct_flux_field(mesh, fluxes)
-        assert sq_norm == 0.0
-        assert field.shape == (3, mesh.num_boundary_edges, mesh.dimension)
-        assert not field.any()
-        assert not reconstruct_gradient(mesh, np.ones(1)).any()
 
 
 class TestProjectSimplex:
@@ -509,12 +505,15 @@ class TestNewtonSolve:
             assert calls["_residual_values"] >= 2
             assert calls["_log_mean_with_partials"] == calls["_residual_values"] + 1
 
-    def test_nonconvergence_raises(self, system_1d):
+    def test_nonconvergence_raises(self, system_1d, monkeypatch):
+        import smfv.scheme
+
+        monkeypatch.setattr(smfv.scheme, "MAX_NEWTON_ITERS", 1)
+        monkeypatch.setattr(smfv.scheme, "NEWTON_TOL", 1e-300)
         mesh = uniform_interval(8)
         u0 = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
-        config = SolverConfig(max_newton_iters=1, newton_tol=1e-300)
         with pytest.raises(NonConvergence):
-            newton_step(system_1d, mesh, u0, 1e-3, config)
+            newton_step(system_1d, mesh, u0, 1e-3)
 
 
 class TestRun:
@@ -547,14 +546,13 @@ class TestRun:
     def test_nonsmooth_profile_stays_positive(self, system_1d):
         mesh = uniform_interval(16)
         u0 = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
-        floor = SolverConfig().projection_floor
         min_seen = [np.inf]
 
         def sink(t, state, fluxes, stats):
             min_seen[0] = min(min_seen[0], state.min_fraction())
 
         run(system_1d, mesh, u0, 1e-4, 0.003, sink=sink)
-        assert min_seen[0] >= floor
+        assert min_seen[0] >= PROJECTION_FLOOR
 
     def test_step_count_and_times(self, system_1d):
         mesh = uniform_interval(4)
@@ -574,21 +572,8 @@ class TestRun:
 
 
 class TestFluxField:
-    def test_compute_fluxes_matches_edge_flux(self, system_1d):
-        rng = np.random.default_rng(5)
-        mesh = uniform_interval(7)
-        state = StateField(mesh, rng.dirichlet(np.ones(3), size=7).T)
-        fluxes = compute_fluxes(system_1d, mesh, state)
-        for e in range(mesh.num_interior_edges):
-            uk = state.values[:, mesh.edge_cell_k[e]]
-            ul = state.values[:, mesh.edge_cell_l[e]]
-            expected = edge_flux(system_1d, log_mean(uk, ul),
-                                 ul - uk, mesh.edge_distance[e])
-            assert fluxes.values[:, e] == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
     def test_flux_formula_equivalence(self, system_1d):
         # against the symmetric-positive-definite resistance form
-        from smfv.model import mat_B
         rng = np.random.default_rng(6)
         worst = 0.0
         for _ in range(200):
@@ -598,7 +583,8 @@ class TestFluxField:
             ul /= ul.sum()
             d_sigma = rng.uniform(0.1, 1.0)
             u_sigma = log_mean(uk, ul)
-            j = edge_flux(system_1d, u_sigma, ul - uk, d_sigma)
+            j = np.linalg.solve(_edge_systems(system_1d, u_sigma[:, None])[0],
+                                -(ul - uk) / d_sigma)
             j_ref = -np.linalg.solve(mat_B(system_1d, u_sigma),
                                      np.log(ul) - np.log(uk)) / d_sigma
             worst = max(worst, float(np.abs(j - j_ref).max()))
