@@ -276,7 +276,7 @@ def check_jacobian_fd(rng, count=100, extra_system=None):
         u_new = StateField(mesh, vals)
         u_old = StateField(mesh, old)
         dt = 0.1
-        analytic = jacobian(system, mesh, u_new, u_old, dt).toarray()
+        analytic = jacobian(system, mesh, u_new, dt).toarray()
         fd = finite_difference_jacobian(system, mesh, u_new, u_old, dt)
         err = float(np.abs(analytic - fd).max() / np.abs(fd).max())
         worst = max(worst, err)

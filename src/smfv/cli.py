@@ -136,6 +136,9 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
     ref_n = int(ref_n)
     if not grids:
         raise ConfigError("--grids must be a nonempty list")
+    for prev, g in zip(grids, grids[1:]):
+        if g == prev:
+            raise ConfigError(f"study grids must be distinct (N = {g} is repeated)")
     if ref_n < 1:
         raise ConfigError(f"--ref must be a positive integer (got {ref_n})")
     for g in grids:

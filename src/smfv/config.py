@@ -113,7 +113,7 @@ def _parse_mesh(raw) -> MeshConfig:
         raise ConfigError("mesh must be an object")
     _check_keys(raw, {"dimension", "N", "Nx", "Ny"}, "mesh")
     dim = _require(raw, "dimension", "mesh")
-    if dim not in (1, 2):
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
         raise ConfigError("mesh.dimension must be 1 or 2")
     if dim == 1:
         n = _as_positive_int(_require(raw, "N", "mesh"), "mesh.N")
@@ -145,6 +145,8 @@ def _parse_time(raw) -> TimeConfig:
     t_end = _as_positive_float(_require(raw, "T", "time"), "time.T")
     if t_end < dt:
         raise ConfigError("time.T must be at least time.dt")
+    if not math.isfinite(t_end / dt):
+        raise ConfigError("time.T / time.dt must be a finite number of steps")
     return TimeConfig(dt, t_end)
 
 
@@ -231,14 +233,6 @@ def load_config_file(path) -> RunConfig:
 def _smooth1d_point(x):
     u1 = 0.25 + 0.25 * np.cos(np.pi * x)
     return np.stack([u1, u1, 1.0 - 2.0 * u1])
-
-
-def _nonsmooth1d_point(x):
-    x = np.asarray(x, dtype=float)
-    u1 = ((x >= 3.0 / 8.0) & (x <= 5.0 / 8.0)).astype(float)
-    u2 = (((x > 1.0 / 8.0) & (x < 3.0 / 8.0))
-          | ((x > 5.0 / 8.0) & (x < 7.0 / 8.0))).astype(float)
-    return np.stack([u1, u2, 1.0 - u1 - u2])
 
 
 def _interval_overlap(lo, hi, a, b):
@@ -331,8 +325,7 @@ def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
     """Cell-averaged initial state for a preset on a given mesh.
 
     Smooth data is averaged by the midpoint rule (cell-center evaluation);
-    indicator data by exact overlap integration, which needs the structured
-    cell boxes of the uniform constructors.
+    indicator data by exact overlap integration over the cell boxes.
     """
     preset = initial.preset
     if preset == "smooth1d":
@@ -356,12 +349,6 @@ def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
     return StateField(mesh, values)
 
 
-def _require_boxes(mesh, preset):
-    if mesh.cell_lower is None or mesh.cell_upper is None:
-        raise ConfigError(f"initial.preset {preset} requires a structured mesh "
-                          "with cell bounding boxes")
-
-
 def _build_smooth1d(mesh: Mesh) -> np.ndarray:
     if mesh.dimension != 1:
         raise ConfigError("initial.preset smooth1d requires a 1D mesh")
@@ -371,7 +358,6 @@ def _build_smooth1d(mesh: Mesh) -> np.ndarray:
 def _build_nonsmooth1d(mesh: Mesh) -> np.ndarray:
     if mesh.dimension != 1:
         raise ConfigError("initial.preset nonsmooth1d requires a 1D mesh")
-    _require_boxes(mesh, "nonsmooth1d")
     lo = mesh.cell_lower[:, 0]
     hi = mesh.cell_upper[:, 0]
     width = hi - lo
@@ -384,7 +370,6 @@ def _build_nonsmooth1d(mesh: Mesh) -> np.ndarray:
 def _build_blocks2d(mesh: Mesh, blocks, n: int) -> np.ndarray:
     if mesh.dimension != 2:
         raise ConfigError("initial.preset blocks2d requires a 2D mesh")
-    _require_boxes(mesh, "blocks2d")
     lo = mesh.cell_lower
     hi = mesh.cell_upper
     area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])

@@ -123,8 +123,6 @@ def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
     """
     if coarse.mesh.dimension != ref.mesh.dimension:
         raise ValueError("runs live on meshes of different dimension")
-    if coarse.mesh.grid_shape is None or ref.mesh.grid_shape is None:
-        raise ValueError("the error norm requires uniform structured meshes")
     if len(coarse.dts) != len(ref.dts) or not np.array_equal(coarse.dts, ref.dts):
         raise ValueError("runs must share identical time grids")
     factors = _restriction_factors(coarse.mesh.grid_shape, ref.mesh.grid_shape)

@@ -297,14 +297,12 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     return matrix
 
 
-def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
-             u_old: StateField, dt: float):
+def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField, dt: float):
     """Analytic residual Jacobian as a sparse matrix (n|T| x n|T|).
 
-    The time-derivative part is diagonal and independent of ``u_old``; the
-    argument is kept for signature symmetry with :func:`residual`.
+    The time-derivative part is diagonal, so the old state does not enter.
     """
-    _check_step_args(mesh, dt, u_new, u_old)
+    _check_step_args(mesh, dt, u_new)
     return _jacobian_matrix(system, mesh, _edge_fluxes(system, mesh, u_new.values),
                             dt, _jacobian_pattern(mesh, system.n))
 

@@ -17,9 +17,8 @@ from smfv.checks import (check_abar_kernel_range, check_b_inverse_bound,
                          check_simplex_identity)
 from smfv.cli import fit_decay_rate
 from smfv.config import InitialConfig, preset_initial
-from smfv.diagnostics import (SampledRun, dissipation, entropy,
-                              equilibrium_composition, l1_space_time_error,
-                              relative_entropy)
+from smfv.diagnostics import (DiagnosticsRecord, SampledRun,
+                              equilibrium_composition, l1_space_time_error)
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
 from smfv.scheme import StateField, log_mean, newton_step, run
@@ -42,40 +41,33 @@ def check(criterion, ok, detail):
 
 @dataclass
 class RunTrace:
-    label: str
+    """The diagnostics records of one run, at t = 0 and after every step."""
+
     dt: float
-    initial_masses: np.ndarray
-    times: list = field(default_factory=list)
-    relative_entropies: list = field(default_factory=list)
-    entropies: list = field(default_factory=list)
-    dissipations: list = field(default_factory=list)
-    mass_drifts: list = field(default_factory=list)
-    min_fractions: list = field(default_factory=list)
-    pre_devs: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     post_devs: list = field(default_factory=list)
-    flux_devs: list = field(default_factory=list)
     sampled: SampledRun = None
 
+    def series(self, name, include_initial=False):
+        return [getattr(rec, name) for rec in self.records[0 if include_initial else 1:]]
 
-def trace_run(system, mesh, u0, dt, t_end, label, sample=False):
-    trace = RunTrace(label=label, dt=dt, initial_masses=u0.mass_vector.copy())
+    def mass_drifts(self):
+        initial = self.records[0].masses
+        return [float((np.abs(rec.masses - initial) / initial).max())
+                for rec in self.records[1:]]
+
+
+def trace_run(system, mesh, u0, dt, t_end, sample=False):
     equilibrium = equilibrium_composition(u0)
-    trace.times.append(0.0)
-    trace.relative_entropies.append(relative_entropy(mesh, u0, equilibrium))
-    trace.entropies.append(entropy(mesh, u0))
+    trace = RunTrace(dt=dt)
+    trace.records.append(DiagnosticsRecord.from_step(system, mesh, u0, None,
+                                                     equilibrium, 0.0))
     states = []
 
     def sink(t, state, fluxes, stats):
-        trace.times.append(t)
-        trace.relative_entropies.append(relative_entropy(mesh, state, equilibrium))
-        trace.entropies.append(entropy(mesh, state))
-        trace.dissipations.append(dissipation(system, mesh, state, fluxes))
-        drift = np.abs(state.mass_vector - trace.initial_masses) / trace.initial_masses
-        trace.mass_drifts.append(float(drift.max()))
-        trace.min_fractions.append(state.min_fraction())
-        trace.pre_devs.append(stats.pre_projection_sum_deviation)
+        trace.records.append(DiagnosticsRecord.from_step(system, mesh, state, fluxes,
+                                                         equilibrium, t, stats))
         trace.post_devs.append(state.sum_deviation())
-        trace.flux_devs.append(fluxes.max_species_sum())
         if sample:
             states.append(state.values)
 
@@ -91,8 +83,7 @@ def convergence_bundle(system_1d):
     for n in CONV_GRIDS + (CONV_REF,):
         mesh = uniform_interval(n)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        traces[n] = trace_run(system_1d, mesh, u0, CONV_DT, CONV_T,
-                              label=f"smooth1d N={n}", sample=True)
+        traces[n] = trace_run(system_1d, mesh, u0, CONV_DT, CONV_T, sample=True)
     errors = {n: l1_space_time_error(traces[n].sampled, traces[CONV_REF].sampled)
               for n in CONV_GRIDS}
     return traces, errors
@@ -102,14 +93,14 @@ def convergence_bundle(system_1d):
 def run_2d(system_2d):
     mesh = uniform_rectangle(35, 35)
     u0 = preset_initial(InitialConfig("blocks2d", {"blocks": BLOCKS_2D}), mesh, 3)
-    return trace_run(system_2d, mesh, u0, 1e-5, 200 * 1e-5, label="blocks2d 35x35")
+    return trace_run(system_2d, mesh, u0, 1e-5, 200 * 1e-5)
 
 
 @pytest.fixture(scope="module")
 def decay_run(system_1d):
     mesh = uniform_interval(64)
     u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-    return trace_run(system_1d, mesh, u0, 1e-4, 0.5, label="decay smooth1d N=64")
+    return trace_run(system_1d, mesh, u0, 1e-4, 0.5)
 
 
 def all_traces(convergence_bundle, run_2d, decay_run):
@@ -133,8 +124,8 @@ def test_criterion_2_entropy_dissipation(convergence_bundle, run_2d):
     worst = -np.inf
     total = 0
     for trace in list(convergence_bundle[0].values()) + [run_2d]:
-        e = trace.entropies
-        for p, d in enumerate(trace.dissipations, start=1):
+        e = trace.series("entropy", include_initial=True)
+        for p, d in enumerate(trace.series("dissipation"), start=1):
             slack = 1e-10 * (1.0 + abs(e[p - 1]))
             gap = e[p] + trace.dt * d - e[p - 1]
             worst = max(worst, gap - slack)
@@ -147,7 +138,7 @@ def test_criterion_2_entropy_dissipation(convergence_bundle, run_2d):
 
 
 def test_criterion_3_mass_conservation(convergence_bundle, run_2d, decay_run):
-    worst = max(max(t.mass_drifts) for t in
+    worst = max(max(t.mass_drifts()) for t in
                 all_traces(convergence_bundle, run_2d, decay_run))
     check("criterion 3: species mass conservation <= 1e-8 relative",
           worst <= 1e-8, f"worst relative drift {worst:.3e}")
@@ -155,7 +146,7 @@ def test_criterion_3_mass_conservation(convergence_bundle, run_2d, decay_run):
 
 def test_criterion_4_volume_filling(convergence_bundle, run_2d, decay_run):
     traces = all_traces(convergence_bundle, run_2d, decay_run)
-    pre = max(max(t.pre_devs) for t in traces)
+    pre = max(max(t.series("max_sum_deviation")) for t in traces)
     post = max(max(t.post_devs) for t in traces)
     ok = pre <= 1e-10 and post <= 1e-15
     check("criterion 4: volume filling (pre <= 1e-10, post <= 1e-15)",
@@ -163,22 +154,22 @@ def test_criterion_4_volume_filling(convergence_bundle, run_2d, decay_run):
 
 
 def test_criterion_5_positivity(convergence_bundle, run_2d, decay_run):
-    worst = min(min(t.min_fractions) for t in
+    worst = min(min(t.series("min_fraction")) for t in
                 all_traces(convergence_bundle, run_2d, decay_run))
     check("criterion 5: positivity min u >= 1e-12",
           worst >= 1e-12, f"smallest fraction seen {worst:.3e}")
 
 
 def test_criterion_6_zero_total_flux(convergence_bundle, run_2d, decay_run):
-    worst = max(max(t.flux_devs) for t in
+    worst = max(max(t.series("max_flux_sum_deviation")) for t in
                 all_traces(convergence_bundle, run_2d, decay_run))
     check("criterion 6: zero total flux <= 1e-10",
           worst <= 1e-10, f"worst |sum_i J_i| {worst:.3e}")
 
 
 def test_criterion_7_exponential_decay(decay_run):
-    times = np.array(decay_run.times)
-    h_values = np.array(decay_run.relative_entropies)
+    times = np.array(decay_run.series("time", include_initial=True))
+    h_values = np.array(decay_run.series("relative_entropy", include_initial=True))
     monotone = bool(np.all(np.diff(h_values) <= 0.0))
     status, slope, r2, points = fit_decay_rate(times, h_values, 0.25)
     ok = monotone and status == "ok" and slope < 0.0 and r2 >= 0.99

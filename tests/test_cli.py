@@ -301,6 +301,21 @@ class TestMainEntry:
         assert "--grids must be a nonempty list" in err
         assert not (out / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_grids_exit_code(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        doc = smooth_doc(out, n_cells=4)
+        argv = ["convergence", "--ref", "8"]
+        if source == "flag":
+            argv += ["--grids", "2,4,2"]
+        else:
+            doc["convergence"] = {"grids": [4, 2, 2], "ref": 8}
+        argv += ["--config", write_config(tmp_path / "cfg.json", doc)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("configuration error: study grids must "
+                                           "be distinct (N = 2 is repeated)\n")
+        assert not (out / "convergence.csv").exists()
+
     def test_solver_section_exit_code(self, tmp_path, capsys):
         doc = uniform_doc(tmp_path / "out")
         doc["solver"] = {"max_newton_iters": 2.5}

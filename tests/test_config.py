@@ -51,6 +51,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"time\.T"):
             load_config(base_config(time={"dt": 0.5, "T": 0.1}))
 
+    def test_step_count_overflow_rejected(self):
+        with pytest.raises(ConfigError, match=r"time\.T / time\.dt must be a finite"):
+            load_config(base_config(time={"dt": 1e-308, "T": 1e308}))
+
+    @pytest.mark.parametrize("dimension", [True, 1.0])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(ConfigError, match=r"mesh\.dimension must be 1 or 2"):
+            load_config(base_config(mesh={"dimension": dimension, "N": 32}))
+
     def test_snapshot_times_must_lie_in_range(self):
         doc = base_config(output={"snapshot_times": [0.0, 0.7]})
         with pytest.raises(ConfigError, match="snapshot_times"):

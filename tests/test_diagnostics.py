@@ -13,13 +13,10 @@ from smfv.scheme import FluxField, StateField
 
 def two_unit_cells():
     """Hand-built admissible mesh on (0, 2): two unit cells, tau_sigma = 1."""
-    return Mesh(dimension=1, mesh_size=1.0,
-                cell_centers=[[0.5], [1.5]], cell_measures=[1.0, 1.0],
+    return Mesh(dimension=1, cell_centers=[[0.5], [1.5]], cell_measures=[1.0, 1.0],
                 edge_cell_k=[0], edge_cell_l=[1], edge_measure=[1.0],
-                edge_distance=[1.0], edge_dist_k=[0.5], edge_dist_l=[0.5],
-                edge_normals=[[1.0]],
-                boundary_cell=[0, 1], boundary_measure=[1.0, 1.0],
-                boundary_distance=[0.5, 0.5], boundary_normals=[[-1.0], [1.0]])
+                edge_distance=[1.0], grid_shape=(2,),
+                cell_lower=[[0.0], [1.0]], cell_upper=[[1.0], [2.0]])
 
 
 class TestEntropy:

@@ -1,0 +1,48 @@
+"""Every module-level private name of the package is used inside the package.
+
+A ``_private`` function, class or constant is not part of the public API, so
+nothing outside ``src/smfv`` may keep it alive; one that no module of the
+package references is dead code.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "smfv"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.startswith("_")
+                        and not name.id.startswith("__")):
+                    yield name.id
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "scheme.py" in trees
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in used]
+    assert unused == []
