@@ -13,8 +13,9 @@ import numpy as np
 
 from . import model
 from .mesh import uniform_interval, uniform_rectangle, validate
-from .scheme import (StateField, _edge_systems, _log_mean_with_partials,
-                     jacobian, log_mean, project_simplex, residual)
+from .scheme import (PROJECTION_FLOOR, StateField, _edge_systems,
+                     _log_mean_with_partials, jacobian, log_mean, project_simplex,
+                     residual)
 from . import diagnostics
 
 PSD_TOL = -1e-10
@@ -313,15 +314,14 @@ def check_log_mean(rng, count=2000, extra_system=None):
 
 def check_projection(rng, count=1000, extra_system=None):
     """project_simplex output sums to one and respects the floor scale."""
-    floor = 1e-12
     worst = 0.0
     ok = True
     for _ in range(count):
         n = int(rng.integers(2, 6))
         u = rng.uniform(-0.5, 1.5, size=n)
-        p = project_simplex(u, floor)
+        p = project_simplex(u)
         worst = max(worst, abs(float(p.sum()) - 1.0))
-        if p.min() < floor / (1.0 + 2.0 * n * max(1.0, np.abs(u).sum())):
+        if p.min() < PROJECTION_FLOOR / (1.0 + 2.0 * n * max(1.0, np.abs(u).sum())):
             ok = False
     passed = ok and worst <= 1e-15
     return PropertyResult("simplex_projection", passed, worst, 1e-15, count)

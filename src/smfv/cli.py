@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_property_suite
-from .config import ConfigError, RunConfig, load_config_file, preset_initial
+from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_study,
+                     load_config_file, preset_initial)
 from .diagnostics import (DiagnosticsRecord, SampledRun, equilibrium_composition,
                           l1_space_time_error, relative_entropy)
 from .mesh import uniform_interval
 from .scheme import NonConvergence, num_time_steps, run
 
-DEFAULT_GRIDS = (16, 32, 64, 128)
-DEFAULT_REF = 1024
 _FIT_FLOOR = 1e-15   # relative entropies at or below this are left out of the fit
 
 
@@ -128,24 +127,13 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
     """Grid-refinement study against a nested reference run, same dt."""
     if config.mesh.dimension != 1:
         raise ConfigError("the convergence study requires a 1D mesh configuration")
-    if grids is None:
-        grids = config.convergence.grids if config.convergence else DEFAULT_GRIDS
-    if ref_n is None:
-        ref_n = config.convergence.ref_n if config.convergence else DEFAULT_REF
-    grids = tuple(sorted(int(g) for g in grids))
-    ref_n = int(ref_n)
-    if not grids:
-        raise ConfigError("--grids must be a nonempty list")
-    for prev, g in zip(grids, grids[1:]):
-        if g == prev:
-            raise ConfigError(f"study grids must be distinct (N = {g} is repeated)")
-    if ref_n < 1:
-        raise ConfigError(f"--ref must be a positive integer (got {ref_n})")
-    for g in grids:
-        if g < 1 or ref_n % g != 0:
-            raise ConfigError(f"reference grid {ref_n} must be an integer "
-                              f"multiple of every study grid (offending N = {g})")
-
+    default = config.convergence or ConvergenceConfig()
+    study = convergence_study(
+        default.grids if grids is None else grids,
+        default.ref_n if ref_n is None else ref_n,
+        grids_field="convergence.grids" if grids is None else "--grids",
+        ref_field="convergence.ref" if ref_n is None else "--ref")
+    grids, ref_n = study.grids, study.ref_n
     ref_run = _collect_sampled_run(config, ref_n)
     errors = []
     for g in grids:

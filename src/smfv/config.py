@@ -16,9 +16,10 @@ import numpy as np
 
 from .mesh import Mesh, uniform_interval, uniform_rectangle
 from .model import SpeciesSystem, build_system, is_simplex_point
-from .scheme import StateField
+from .scheme import MAX_STEP_RATIO, StateField
 
 PRESETS = ("smooth1d", "nonsmooth1d", "blocks2d", "uniform", "table")
+_PRESET_DIMENSION = {"smooth1d": 1, "nonsmooth1d": 1, "blocks2d": 2}
 _PROFILE_TOL = 1e-12   # initial profiles: least value and cell-sum deviation
 
 
@@ -28,13 +29,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MeshConfig:
-    dimension: int
     shape: tuple
 
+    @property
+    def dimension(self) -> int:
+        return len(self.shape)
+
     def build(self) -> Mesh:
-        if self.dimension == 1:
-            return uniform_interval(self.shape[0])
-        return uniform_rectangle(*self.shape)
+        return (uniform_interval if self.dimension == 1 else uniform_rectangle)(*self.shape)
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    grids: tuple
-    ref_n: int
+    grids: tuple = (16, 32, 64, 128)
+    ref_n: int = 1024
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,9 @@ def _parse_mesh(raw) -> MeshConfig:
     dim = _require(raw, "dimension", "mesh")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
         raise ConfigError("mesh.dimension must be 1 or 2")
-    if dim == 1:
-        n = _as_positive_int(_require(raw, "N", "mesh"), "mesh.N")
-        return MeshConfig(1, (n,))
-    nx = _as_positive_int(_require(raw, "Nx", "mesh"), "mesh.Nx")
-    ny = _as_positive_int(_require(raw, "Ny", "mesh"), "mesh.Ny")
-    return MeshConfig(2, (nx, ny))
+    keys = ("N",) if dim == 1 else ("Nx", "Ny")
+    return MeshConfig(tuple(_as_positive_int(_require(raw, key, "mesh"), f"mesh.{key}")
+                            for key in keys))
 
 
 def _parse_species(raw) -> SpeciesSystem:
@@ -145,8 +144,9 @@ def _parse_time(raw) -> TimeConfig:
     t_end = _as_positive_float(_require(raw, "T", "time"), "time.T")
     if t_end < dt:
         raise ConfigError("time.T must be at least time.dt")
-    if not math.isfinite(t_end / dt):
-        raise ConfigError("time.T / time.dt must be a finite number of steps")
+    if not t_end / dt < MAX_STEP_RATIO:
+        raise ConfigError("time.T / time.dt must be a finite number of steps, "
+                          f"below {MAX_STEP_RATIO:g}")
     return TimeConfig(dt, t_end)
 
 
@@ -176,15 +176,27 @@ def _parse_convergence(raw) -> ConvergenceConfig:
     if not isinstance(raw, dict):
         raise ConfigError("convergence must be an object")
     _check_keys(raw, {"grids", "ref"}, "convergence")
-    grids = _require(raw, "grids", "convergence")
-    if not isinstance(grids, list) or not grids:
-        raise ConfigError("convergence.grids must be a nonempty list")
-    grids = tuple(sorted(_as_positive_int(g, "convergence.grids") for g in grids))
-    ref = _as_positive_int(_require(raw, "ref", "convergence"), "convergence.ref")
+    return convergence_study(_require(raw, "grids", "convergence"),
+                             _require(raw, "ref", "convergence"))
+
+
+def convergence_study(grids, ref, grids_field="convergence.grids",
+                      ref_field="convergence.ref") -> ConvergenceConfig:
+    """Distinct positive study grids, each dividing the positive reference grid.
+
+    The one rule for a config's ``convergence`` section and the CLI flags.
+    """
+    if not isinstance(grids, (list, tuple)) or not grids:
+        raise ConfigError(f"{grids_field} must be a nonempty list")
+    grids = tuple(sorted(_as_positive_int(g, grids_field) for g in grids))
+    ref = _as_positive_int(ref, ref_field)
+    for prev, g in zip(grids, grids[1:]):
+        if g == prev:
+            raise ConfigError(f"study grids must be distinct (N = {g} is repeated)")
     for g in grids:
         if ref % g != 0:
-            raise ConfigError(f"convergence.ref must be a multiple of every grid "
-                              f"(ref = {ref} is not divisible by N = {g})")
+            raise ConfigError(f"{ref_field} must be a multiple of every study grid "
+                              f"({ref} is not divisible by N = {g})")
     return ConvergenceConfig(grids, ref)
 
 
@@ -235,6 +247,12 @@ def _smooth1d_point(x):
     return np.stack([u1, u1, 1.0 - 2.0 * u1])
 
 
+# species 1 on (3/8, 5/8), species 2 on (1/8, 3/8) and (5/8, 7/8), species 3 elsewhere
+_NONSMOOTH1D_BLOCKS = ({"species": 0, "box": (3 / 8, 5 / 8)},
+                       {"species": 1, "box": (1 / 8, 3 / 8)},
+                       {"species": 1, "box": (5 / 8, 7 / 8)})
+
+
 def _interval_overlap(lo, hi, a, b):
     return np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
 
@@ -248,10 +266,9 @@ def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
                           f"(expected one of {', '.join(PRESETS)})")
     params = {k: v for k, v in raw.items() if k != "preset"}
 
+    _check_preset_dimension(preset, mesh_cfg.dimension)
     if preset in ("smooth1d", "nonsmooth1d"):
         _check_keys(params, set(), "initial")
-        if mesh_cfg.dimension != 1:
-            raise ConfigError(f"initial.preset {preset} requires a 1D mesh")
         if n != 3:
             raise ConfigError(f"initial.preset {preset} requires exactly 3 species")
     elif preset == "uniform":
@@ -263,8 +280,6 @@ def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
             raise ConfigError("initial.value must be a point of the unit simplex")
     elif preset == "blocks2d":
         _check_keys(params, {"blocks"}, "initial")
-        if mesh_cfg.dimension != 2:
-            raise ConfigError("initial.preset blocks2d requires a 2D mesh")
         blocks = _require(params, "blocks", "initial")
         if not isinstance(blocks, list) or not blocks:
             raise ConfigError("initial.blocks must be a nonempty list")
@@ -285,7 +300,7 @@ def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
             if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
                 raise ConfigError("initial.blocks box must be a nondegenerate "
                                   "axis-aligned box inside the unit square")
-        _probe_blocks(blocks, n)
+        _probe_blocks(blocks)
     elif preset == "table":
         _check_keys(params, {"values"}, "initial")
         values = _require(params, "values", "initial")
@@ -301,7 +316,13 @@ def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
     return InitialConfig(preset, params)
 
 
-def _probe_blocks(blocks, n):
+def _check_preset_dimension(preset, dimension):
+    need = _PRESET_DIMENSION.get(preset)
+    if need is not None and need != dimension:
+        raise ConfigError(f"initial.preset {preset} requires a {need}D mesh")
+
+
+def _probe_blocks(blocks):
     """Reject blocks whose pairwise intersections have positive area.
 
     Touching boundaries are fine (measure zero); positive-area overlap of any
@@ -328,12 +349,13 @@ def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
     indicator data by exact overlap integration over the cell boxes.
     """
     preset = initial.preset
+    _check_preset_dimension(preset, mesh.dimension)
     if preset == "smooth1d":
-        values = _build_smooth1d(mesh)
+        values = _smooth1d_point(mesh.cell_centers[:, 0])
     elif preset == "nonsmooth1d":
-        values = _build_nonsmooth1d(mesh)
+        values = _box_average(mesh, _NONSMOOTH1D_BLOCKS, n)
     elif preset == "blocks2d":
-        values = _build_blocks2d(mesh, initial.params["blocks"], n)
+        values = _box_average(mesh, initial.params["blocks"], n)
     elif preset == "uniform":
         value = np.array(initial.params["value"], dtype=float)
         if value.shape != (n,):
@@ -349,36 +371,17 @@ def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
     return StateField(mesh, values)
 
 
-def _build_smooth1d(mesh: Mesh) -> np.ndarray:
-    if mesh.dimension != 1:
-        raise ConfigError("initial.preset smooth1d requires a 1D mesh")
-    return _smooth1d_point(mesh.cell_centers[:, 0])
-
-
-def _build_nonsmooth1d(mesh: Mesh) -> np.ndarray:
-    if mesh.dimension != 1:
-        raise ConfigError("initial.preset nonsmooth1d requires a 1D mesh")
-    lo = mesh.cell_lower[:, 0]
-    hi = mesh.cell_upper[:, 0]
-    width = hi - lo
-    u1 = _interval_overlap(lo, hi, 3.0 / 8.0, 5.0 / 8.0) / width
-    u2 = (_interval_overlap(lo, hi, 1.0 / 8.0, 3.0 / 8.0)
-          + _interval_overlap(lo, hi, 5.0 / 8.0, 7.0 / 8.0)) / width
-    return np.stack([u1, u2, 1.0 - u1 - u2])
-
-
-def _build_blocks2d(mesh: Mesh, blocks, n: int) -> np.ndarray:
-    if mesh.dimension != 2:
-        raise ConfigError("initial.preset blocks2d requires a 2D mesh")
+def _box_average(mesh: Mesh, blocks, n: int) -> np.ndarray:
+    """Exact cell averages of indicators of boxes [lo_0, hi_0, lo_1, hi_1, ...]."""
     lo = mesh.cell_lower
     hi = mesh.cell_upper
-    area = (hi[:, 0] - lo[:, 0]) * (hi[:, 1] - lo[:, 1])
+    volume = np.prod(hi - lo, axis=1)
     values = np.zeros((n, mesh.num_cells))
     for blk in blocks:
-        x0, x1, y0, y1 = (float(v) for v in blk["box"])
-        overlap = (_interval_overlap(lo[:, 0], hi[:, 0], x0, x1)
-                   * _interval_overlap(lo[:, 1], hi[:, 1], y0, y1))
-        values[blk["species"]] += overlap / area
+        overlap = np.ones(mesh.num_cells)
+        for a in range(mesh.dimension):
+            overlap *= _interval_overlap(lo[:, a], hi[:, a], *blk["box"][2 * a:2 * a + 2])
+        values[blk["species"]] += overlap / volume
     values[n - 1] = 1.0 - values[:n - 1].sum(axis=0)
     return values
 

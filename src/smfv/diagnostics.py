@@ -92,24 +92,20 @@ class SampledRun:
 
 
 def _restriction_factors(coarse_shape, fine_shape):
-    factors = []
     for nc, nf in zip(coarse_shape, fine_shape):
         if nf % nc != 0:
             raise ValueError("reference grid must be an integer refinement "
                              f"of the coarse grid (got {nc} vs {nf})")
-        factors.append(nf // nc)
-    return factors
+    return tuple(nf // nc for nc, nf in zip(coarse_shape, fine_shape))
 
 
-def _restrict(values, fine_shape, coarse_shape, factors):
+def _restrict(values, coarse_shape, factors):
+    """Mean of the fine-cell values over the nested subcells of each coarse cell."""
+    # cells run with axis 0 fastest, so the array axes hold the grid axes reversed
     n = values.shape[0]
-    if len(fine_shape) == 1:
-        return values.reshape(n, coarse_shape[0], factors[0]).mean(axis=2)
-    nxc, nyc = coarse_shape
-    rx, ry = factors
-    # row-major cell index iy * nx + ix
-    blocks = values.reshape(n, nyc, ry, nxc, rx)
-    return blocks.mean(axis=(2, 4)).reshape(n, nxc * nyc)
+    split = [m for nc, r in zip(coarse_shape[::-1], factors[::-1]) for m in (nc, r)]
+    blocks = values.reshape(n, *split)
+    return blocks.mean(axis=tuple(range(2, len(split) + 1, 2))).reshape(n, -1)
 
 
 def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
@@ -129,7 +125,7 @@ def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
     measures = coarse.mesh.cell_measures
     acc = 0.0
     for dt_p, uc, uf in zip(coarse.dts, coarse.states, ref.states):
-        restricted = _restrict(uf, ref.mesh.grid_shape, coarse.mesh.grid_shape, factors)
+        restricted = _restrict(uf, coarse.mesh.grid_shape, factors)
         acc += float(dt_p) * float((np.abs(uc - restricted) * measures).sum())
     return acc
 

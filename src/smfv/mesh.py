@@ -3,19 +3,21 @@
 A mesh is admissible for two-point flux approximation when the segment
 joining the centers of two neighbouring cells is orthogonal to their shared
 face.  The uniform constructors below (interval and Cartesian rectangle)
-satisfy that condition exactly.  Boundary faces carry zero flux, so a mesh
-stores only its cells and interior faces.
+are the one- and two-axis cases of one tensor-product grid and satisfy that
+condition exactly.  Boundary faces carry zero flux, so a mesh stores only
+its cells and interior faces.
 
 A ``Mesh`` is a bundle of flat numpy arrays, built by keyword::
 
-    Mesh(dimension=d, cell_centers=(N, d), cell_measures=(N,),
+    Mesh(cell_centers=(N, d), cell_measures=(N,),
          edge_cell_k=(E,), edge_cell_l=(E,), edge_measure=(E,),
          edge_distance=(E,), grid_shape=(N,) or (Nx, Ny),
          cell_lower=(N, d), cell_upper=(N, d))
 
 Interior edges are oriented from cell K to cell L.  ``cell_lower`` and
-``cell_upper`` are the corners of each cell's axis-aligned box.  The counts,
-the total measure and the transmissibilities are derived from these arrays.
+``cell_upper`` are the corners of each cell's axis-aligned box.  The
+dimension d = len(grid_shape), the counts, the total measure and the
+transmissibilities are derived from these arrays.
 
 Geometric quantities carried per interior face sigma = K|L:
 
@@ -26,6 +28,7 @@ Geometric quantities carried per interior face sigma = K|L:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +49,6 @@ class Mesh:
     nested-grid restriction use.
     """
 
-    dimension: int
     cell_centers: np.ndarray
     cell_measures: np.ndarray
     edge_cell_k: np.ndarray
@@ -56,6 +58,7 @@ class Mesh:
     grid_shape: tuple
     cell_lower: np.ndarray
     cell_upper: np.ndarray
+    dimension: int = field(init=False)
     num_cells: int = field(init=False)
     total_measure: float = field(init=False)
     num_interior_edges: int = field(init=False)
@@ -65,74 +68,78 @@ class Mesh:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("dimension", int(self.dimension))
         for name in _INDEX_ARRAYS:
             put(name, np.asarray(getattr(self, name), dtype=np.intp))
         for name in _FLOAT_ARRAYS:
             put(name, np.asarray(getattr(self, name), dtype=float))
         put("grid_shape", tuple(self.grid_shape))
+        put("dimension", len(self.grid_shape))
         put("num_cells", len(self.cell_measures))
         put("total_measure", float(self.cell_measures.sum()))
         put("num_interior_edges", len(self.edge_cell_k))
         put("edge_tau", self.edge_measure / self.edge_distance)
 
 
-def uniform_interval(n_cells: int) -> Mesh:
-    """Uniform mesh of (0, 1) with ``n_cells`` cells.
+def _uniform_grid(shape: tuple) -> Mesh:
+    """Uniform tensor-product mesh of the unit cube, shape[a] cells along axis a.
 
-    Faces are points, so m_sigma = 1 by convention (their 0-dimensional
-    Hausdorff measure) and tau_sigma = 1/d_sigma.
+    Cells run with axis 0 fastest (``k = ix + nx * iy``); interior edges are
+    listed axis by axis, each ordered by its K cell.  A face measures the
+    product of the cell widths along the other axes (1.0 when d = 1).
     """
-    if not isinstance(n_cells, (int, np.integer)) or n_cells < 1:
-        raise ValueError("n_cells must be a positive integer")
-    n_cells = int(n_cells)
-    faces = np.arange(n_cells + 1, dtype=float) / n_cells
-    centers = (np.arange(n_cells, dtype=float) + 0.5) / n_cells
-    cells = np.arange(n_cells)
+    dim = len(shape)
+    faces = [np.arange(n + 1, dtype=float) / n for n in shape]
+    centers = [(np.arange(n, dtype=float) + 0.5) / n for n in shape]
+    widths = [f[1:] - f[:-1] for f in faces]
+
+    def along(a, values):
+        # values of grid axis a, broadcastable over a cell array of reversed axes
+        return values.reshape([-1 if b == a else 1 for b in reversed(range(dim))])
+
+    def product(layout, factors):
+        out = np.ones(layout[::-1])
+        for a, values in factors:
+            out *= along(a, values)
+        return out.ravel()
+
+    def per_cell(per_axis):
+        out = np.empty(shape[::-1] + (dim,))
+        for a, values in enumerate(per_axis):
+            out[..., a] = along(a, values)
+        return out.reshape(-1, dim)
+
+    cells = np.arange(math.prod(shape)).reshape(shape[::-1])
+    edge_k, edge_l, measure, distance = [], [], [], []
+    for a, n in enumerate(shape):
+        layout = shape[:a] + (n - 1,) + shape[a + 1:]
+        rest = (slice(None),) * a
+        edge_k.append(cells[(Ellipsis, slice(None, -1)) + rest].ravel())
+        edge_l.append(cells[(Ellipsis, slice(1, None)) + rest].ravel())
+        measure.append(product(layout, [(b, w) for b, w in enumerate(widths) if b != a]))
+        distance.append(product(layout, [(a, centers[a][1:] - centers[a][:-1])]))
     return Mesh(
-        dimension=1, cell_centers=centers[:, None], cell_measures=np.diff(faces),
-        edge_cell_k=cells[:-1], edge_cell_l=cells[1:],
-        edge_measure=np.ones(n_cells - 1), edge_distance=np.diff(centers),
-        grid_shape=(n_cells,), cell_lower=faces[:-1, None].copy(),
-        cell_upper=faces[1:, None].copy())
+        cell_centers=per_cell(centers), cell_measures=product(shape, enumerate(widths)),
+        edge_cell_k=np.concatenate(edge_k), edge_cell_l=np.concatenate(edge_l),
+        edge_measure=np.concatenate(measure), edge_distance=np.concatenate(distance),
+        grid_shape=shape, cell_lower=per_cell([f[:-1] for f in faces]),
+        cell_upper=per_cell([f[1:] for f in faces]))
+
+
+def _cell_counts(**counts) -> tuple:
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
+    return tuple(int(v) for v in counts.values())
+
+
+def uniform_interval(n_cells: int) -> Mesh:
+    """Uniform mesh of (0, 1) with ``n_cells`` cells; faces are points, m_sigma = 1."""
+    return _uniform_grid(_cell_counts(n_cells=n_cells))
 
 
 def uniform_rectangle(nx: int, ny: int) -> Mesh:
-    """Uniform Cartesian mesh of the unit square with nx-by-ny cells.
-
-    Cells are indexed row-major, ``k = iy * nx + ix``; interior edges are
-    listed x-direction first, then y-direction, each ordered by the index of
-    their K cell.  The orthogonality condition holds exactly.
-    """
-    for name, value in (("nx", nx), ("ny", ny)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
-    nx, ny = int(nx), int(ny)
-    xf = np.arange(nx + 1, dtype=float) / nx
-    yf = np.arange(ny + 1, dtype=float) / ny
-    xc = (np.arange(nx, dtype=float) + 0.5) / nx
-    yc = (np.arange(ny, dtype=float) + 0.5) / ny
-    hx = np.diff(xf)
-    hy = np.diff(yf)
-    cells = np.arange(nx * ny).reshape(ny, nx)
-
-    # vertical faces (K|L along +x), then horizontal faces (K|L along +y)
-    ix = np.tile(np.arange(nx - 1), ny)
-    iy = np.repeat(np.arange(ny), nx - 1)
-    jx = np.tile(np.arange(nx), ny - 1)
-    jy = np.repeat(np.arange(ny - 1), nx)
-    edge_k = np.concatenate([cells[:, :-1].ravel(), cells[:-1, :].ravel()])
-    edge_l = np.concatenate([cells[:, 1:].ravel(), cells[1:, :].ravel()])
-    measure = np.concatenate([hy[iy], hx[jx]])
-    distance = np.concatenate([np.diff(xc)[ix], np.diff(yc)[jy]])
-
-    return Mesh(
-        dimension=2, cell_centers=np.column_stack([np.tile(xc, ny), np.repeat(yc, nx)]),
-        cell_measures=np.outer(hy, hx).ravel(),
-        edge_cell_k=edge_k, edge_cell_l=edge_l, edge_measure=measure,
-        edge_distance=distance, grid_shape=(nx, ny),
-        cell_lower=np.column_stack([np.tile(xf[:-1], ny), np.repeat(yf[:-1], nx)]),
-        cell_upper=np.column_stack([np.tile(xf[1:], ny), np.repeat(yf[1:], nx)]))
+    """Uniform mesh of the unit square with nx-by-ny cells, ``k = iy * nx + ix``."""
+    return _uniform_grid(_cell_counts(nx=nx, ny=ny))
 
 
 def validate(mesh: Mesh) -> list:

@@ -46,6 +46,7 @@ NEWTON_TOL = 1e-12          # infinity norm of the final Newton update
 MAX_NEWTON_ITERS = 50
 MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
 PROJECTION_FLOOR = 1e-12    # smallest volume fraction after a step
+MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
 
 # Below _SERIES_MAX_U the log-mean series through u^_SERIES_ORDER is exact to
 # rounding; above it the closed form's partials lose less than 1e-14.
@@ -307,28 +308,26 @@ def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField, dt: float):
                             dt, _jacobian_pattern(mesh, system.n))
 
 
-def project_simplex(u, floor: float) -> np.ndarray:
-    """Floor the components at ``floor`` and renormalise each column to unit sum.
+def project_simplex(u) -> np.ndarray:
+    """Floor the components at ``PROJECTION_FLOOR``, renormalise each column to unit sum.
 
     ``u`` holds one composition per column (a 1D vector is one composition).
     Returns strict-interior simplex points.  Note that when the floored sum
     exceeds one, a floored component lands one part in 1/floor below the
     floor after normalisation.
     """
-    if not floor > 0.0:
-        raise ValueError("floor must be positive")
-    v = np.maximum(np.asarray(u, dtype=float), floor)
+    v = np.maximum(np.asarray(u, dtype=float), PROJECTION_FLOOR)
     return v / v.sum(axis=0)
 
 
-def _project_values(values, floor):
+def _project_values(values):
     """Cellwise floor-and-renormalise, then clamp back to the floor.
 
     The renormalisation can round a floored entry one part in 1/floor below
     the floor; the final clamp keeps every entry at or above the floor while
     moving cell sums away from one by at most a few units of n*floor^2.
     """
-    return np.maximum(project_simplex(values, floor), floor)
+    return np.maximum(project_simplex(values), PROJECTION_FLOOR)
 
 
 def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float):
@@ -380,14 +379,19 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float)
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
-    projected = _project_values(x, PROJECTION_FLOOR)
+    projected = _project_values(x)
     state = StateField(mesh, projected)
     fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected)[0])
     return state, fluxes, StepStats(iterations, pre_projection_dev)
 
 
 def num_time_steps(dt: float, t_end: float) -> int:
-    """ceil(T/dt) with a guard against spurious extra steps from rounding."""
+    """ceil(T/dt) with a guard against spurious extra steps from rounding.
+
+    The guard is worth less than one step only while T/dt < ``MAX_STEP_RATIO``.
+    """
+    if not t_end / dt < MAX_STEP_RATIO:
+        raise ValueError(f"T/dt must be below {MAX_STEP_RATIO:g}")
     return max(1, math.ceil((t_end / dt) * (1.0 - 1e-12)))
 
 

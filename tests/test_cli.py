@@ -331,6 +331,14 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    def test_step_count_bound_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", uniform_doc(out, dt=1e-300, t_end=1.0))
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("configuration error: time.T / time.dt must "
+                                           "be a finite number of steps, below 1e+12\n")
+        assert not out.exists()
+
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(json.dumps(uniform_doc("caf\u00e9"), ensure_ascii=False)

@@ -55,6 +55,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"time\.T / time\.dt must be a finite"):
             load_config(base_config(time={"dt": 1e-308, "T": 1e308}))
 
+    @pytest.mark.parametrize("dt, t_end", [(1.0, 1e12), (1e-300, 1.0)])
+    def test_step_count_bound_rejected(self, dt, t_end):
+        with pytest.raises(ConfigError, match=r"time\.T / time\.dt must be a finite "
+                                              r"number of steps, below 1e\+12"):
+            load_config(base_config(time={"dt": dt, "T": t_end}))
+
     @pytest.mark.parametrize("dimension", [True, 1.0])
     def test_non_integer_dimension_rejected(self, dimension):
         with pytest.raises(ConfigError, match=r"mesh\.dimension must be 1 or 2"):
@@ -149,6 +155,12 @@ class TestLoadConfig:
         config = load_config(doc)
         assert config.convergence.grids == (8, 16)
         assert config.convergence.ref_n == 64
+
+    def test_convergence_repeated_grids_rejected(self):
+        doc = base_config(convergence={"grids": [4, 2, 2], "ref": 8})
+        with pytest.raises(ConfigError,
+                           match=r"^study grids must be distinct \(N = 2 is repeated\)$"):
+            load_config(doc)
 
     def test_convergence_requires_nesting(self):
         doc = base_config(convergence={"grids": [12], "ref": 64})

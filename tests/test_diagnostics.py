@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smfv.diagnostics import (DiagnosticsRecord, SampledRun, dissipation,
+from smfv.diagnostics import (DiagnosticsRecord, SampledRun, _restrict, dissipation,
                               entropy, equilibrium_composition,
                               l1_space_time_error, relative_entropy)
 from smfv.mesh import Mesh, uniform_interval, uniform_rectangle, validate
@@ -13,7 +13,7 @@ from smfv.scheme import FluxField, StateField
 
 def two_unit_cells():
     """Hand-built admissible mesh on (0, 2): two unit cells, tau_sigma = 1."""
-    return Mesh(dimension=1, cell_centers=[[0.5], [1.5]], cell_measures=[1.0, 1.0],
+    return Mesh(cell_centers=[[0.5], [1.5]], cell_measures=[1.0, 1.0],
                 edge_cell_k=[0], edge_cell_l=[1], edge_measure=[1.0],
                 edge_distance=[1.0], grid_shape=(2,),
                 cell_lower=[[0.0], [1.0]], cell_upper=[[1.0], [2.0]])
@@ -158,6 +158,26 @@ class TestL1SpaceTimeError:
         vals = np.arange(4.0)[None, :]  # 2x2 fine grid, mean 1.5
         ref = SampledRun(uniform_rectangle(2, 2), [1.0], [vals])
         assert l1_space_time_error(coarse, ref) == pytest.approx(1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("coarse, fine", [((1,), (4,)), ((3,), (12,)), ((2, 2), (4, 4)),
+                                          ((2, 3), (4, 3)), ((3, 1), (6, 4)),
+                                          ((2, 3), (10, 6))],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_restrict_matches_loop_reference(coarse, fine):
+    factors = tuple(nf // nc for nc, nf in zip(coarse, fine))
+    values = np.random.default_rng(3).uniform(size=(2, math.prod(fine)))
+    # a 1D grid is one row of a 2D grid
+    (ncx, ncy), (nfx, _), (rx, ry) = [s + (1,) * (2 - len(s))
+                                      for s in (coarse, fine, factors)]
+    expected = np.zeros((2, ncx * ncy))
+    for jy in range(ncy):
+        for jx in range(ncx):
+            for sy in range(ry):
+                for sx in range(rx):
+                    k = (jx * rx + sx) + nfx * (jy * ry + sy)
+                    expected[:, jx + ncx * jy] += values[:, k] / (rx * ry)
+    assert np.allclose(_restrict(values, coarse, factors), expected, rtol=1e-14, atol=0.0)
 
 
 class TestDiagnosticsRecord:

@@ -149,15 +149,29 @@ def _rectangle_reference(nx, ny):
     return np.array(cells), np.array(edges).reshape(-1, 4)
 
 
-@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 2), (2, 5), (7, 7)])
-def test_rectangle_matches_loop_reference(nx, ny):
-    mesh = uniform_rectangle(nx, ny)
-    cells, edges = _rectangle_reference(nx, ny)
-    assert mesh.grid_shape == (nx, ny)
-    assert np.array_equal(mesh.cell_centers, cells[:, 0:2])
-    assert np.array_equal(mesh.cell_measures, cells[:, 2])
-    assert np.array_equal(mesh.cell_lower, cells[:, 3:5])
-    assert np.array_equal(mesh.cell_upper, cells[:, 5:7])
+def _interval_reference(n):
+    """Per-entity loop construction of the interval's cell and edge arrays."""
+    f, c = np.arange(n + 1) / n, (np.arange(n) + 0.5) / n
+    cells = [(c[i], f[i + 1] - f[i], f[i], f[i + 1]) for i in range(n)]
+    edges = [(i, i + 1, 1.0, c[i + 1] - c[i]) for i in range(n - 1)]
+    return np.array(cells), np.array(edges).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (64,),
+                                   (1, 1), (3, 2), (2, 5), (7, 7)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_rectangle_matches_loop_reference(shape):
+    d = len(shape)
+    if d == 1:
+        mesh, (cells, edges) = uniform_interval(*shape), _interval_reference(*shape)
+    else:
+        mesh, (cells, edges) = uniform_rectangle(*shape), _rectangle_reference(*shape)
+    assert mesh.grid_shape == shape
+    assert mesh.dimension == d
+    assert np.array_equal(mesh.cell_centers, cells[:, 0:d])
+    assert np.array_equal(mesh.cell_measures, cells[:, d])
+    assert np.array_equal(mesh.cell_lower, cells[:, d + 1:2 * d + 1])
+    assert np.array_equal(mesh.cell_upper, cells[:, 2 * d + 1:])
     assert np.array_equal(mesh.edge_cell_k, edges[:, 0])
     assert np.array_equal(mesh.edge_cell_l, edges[:, 1])
     assert np.array_equal(mesh.edge_measure, edges[:, 2])

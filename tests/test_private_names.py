@@ -1,8 +1,9 @@
-"""Every module-level private name of the package is used inside the package.
+"""Every module-level private name and every parameter of the package is used.
 
 A ``_private`` function, class or constant is not part of the public API, so
 nothing outside ``src/smfv`` may keep it alive; one that no module of the
-package references is dead code.
+package references is dead code.  So is a parameter its function never
+reads, unless a calling protocol fixes it.
 """
 
 import ast
@@ -46,3 +47,35 @@ def test_every_private_module_name_is_referenced():
     unused = [f"{module}:{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
     assert unused == []
+
+
+# Parameters a protocol fixes, which an implementation may leave unread:
+# the property checks share check_*(rng, count, extra_system) and the
+# callbacks of ``run`` receive (t, state, fluxes, stats).
+_CHECK_PROTOCOL = {"rng", "count", "extra_system"}
+_SINK_PROTOCOL = ["t", "state", "fluxes", "stats"]
+
+
+def _parameters(fn):
+    args = fn.args
+    named = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return named + [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            params = _parameters(fn)
+            exempt = set()
+            if fn.name.startswith("check_"):
+                exempt = _CHECK_PROTOCOL
+            elif params == _SINK_PROTOCOL:
+                exempt = set(params)
+            unread += [f"{path.name}:{fn.name}({p})" for p in params
+                       if p not in read and p not in exempt]
+    assert unread == []

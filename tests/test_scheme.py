@@ -14,8 +14,8 @@ from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar, mat_B
 from smfv.scheme import (PROJECTION_FLOOR, NonConvergence, StateField,
                          _edge_fluxes, _edge_systems, _log_mean_with_partials,
-                         jacobian, log_mean, newton_step, project_simplex,
-                         residual, run)
+                         jacobian, log_mean, newton_step, num_time_steps,
+                         project_simplex, residual, run)
 
 
 class TestLogMean:
@@ -350,33 +350,29 @@ class TestEdgelessMesh:
 class TestProjectSimplex:
     def test_identity_inside(self):
         u = np.array([0.2, 0.3, 0.5])
-        assert project_simplex(u, 1e-12) == pytest.approx(u, rel=1e-15)
+        assert project_simplex(u) == pytest.approx(u, rel=1e-15)
 
     def test_negative_component(self):
-        out = project_simplex(np.array([-0.01, 0.5, 0.51]), 1e-12)
+        out = project_simplex(np.array([-0.01, 0.5, 0.51]))
         expected = np.array([1e-12, 0.5, 0.51]) / (1.01 + 1e-12)
         assert out == pytest.approx(expected, rel=1e-14)
         assert out[0] == pytest.approx(9.90099e-13, rel=1e-5)
 
     def test_all_floored(self):
-        assert project_simplex(np.array([-1.0, -1.0]), 1e-12) == pytest.approx(
+        assert project_simplex(np.array([-1.0, -1.0])) == pytest.approx(
             np.array([0.5, 0.5]))
 
     def test_columnwise(self):
         rng = np.random.default_rng(7)
         u = rng.uniform(-0.5, 1.5, size=(3, 5))
-        out = project_simplex(u, 1e-12)
+        out = project_simplex(u)
         for c in range(5):
-            assert np.array_equal(out[:, c], project_simplex(u[:, c], 1e-12))
-
-    def test_rejects_nonpositive_floor(self):
-        with pytest.raises(ValueError):
-            project_simplex(np.array([0.5, 0.5]), 0.0)
+            assert np.array_equal(out[:, c], project_simplex(u[:, c]))
 
     @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_lands_in_interior(self, values):
-        out = project_simplex(np.array(values), 1e-12)
+        out = project_simplex(np.array(values))
         assert abs(float(out.sum()) - 1.0) < 1e-12
         assert np.all(out > 0.0)
 
@@ -561,6 +557,14 @@ class TestRun:
         run(system_1d, mesh, u0, 0.25, 1.0, sink=lambda t, s, f, st: times.append(t))
         assert len(times) == 4
         assert times[-1] == pytest.approx(1.0, rel=1e-12)
+
+    def test_step_count_bound(self):
+        # the 1e-12 rounding guard drops a whole step once T/dt reaches 1e12
+        assert num_time_steps(1.0, 1e11) == 10 ** 11
+        assert num_time_steps(1e-4, 0.5) == 5000
+        for t_end in (1e12, 1e13, math.inf):
+            with pytest.raises(ValueError, match="T/dt must be below 1e"):
+                num_time_steps(1.0, t_end)
 
     def test_rejects_bad_time_parameters(self, system_1d):
         mesh = uniform_interval(4)
