@@ -15,23 +15,33 @@ nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
 log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
 Newton state's log means, edge matrices and fluxes are computed once and
-shared by the residual and the Jacobian.  One CSC Jacobian matrix is
-built per step and refilled in place at every Newton iteration; SuperLU
+shared by the residual and the Jacobian.
+
+The species sum decouples.  Abar is built from the symmetric cbar, so
+1^T (c* I + Abar(u_sigma)) = c* 1^T and sum_i J_iKsigma =
+-(s_L - s_K)/(c* d_sigma) with s = sum_i u_i: the summed equation is
+linear in the cell sums, free of the compositions, and solved by s = 1
+when the old sums are 1.  Newton therefore keeps every cell sum at its
+old value and factors only the Jacobian reduced to the first n - 1
+species, with u_n = s - sum_{j<n} u_j; volume filling holds by
+construction of the update.  One CSC matrix of (n-1) x (n-1) blocks is
+built per run and refilled in place at every Newton iteration; SuperLU
 factors it with the symmetric minimum-degree ordering on A^T + A, which
 suits the structurally symmetric two-point-flux Jacobian.  The first
 update below ``NEWTON_TOL`` is taken in full and ends the iteration;
-others are halved until the residual norm decreases.  The converged state
-is projected onto the unit simplex's interior by flooring at
-``PROJECTION_FLOOR`` and renormalising.
+others are halved until the residual norm over all n species decreases.
+The converged state is projected onto the unit simplex's interior by
+flooring at ``PROJECTION_FLOOR`` and renormalising.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
-stay positive, cell sums stay at one without being enforced, species
-masses are conserved, and the discrete entropy decays by at least the
-dissipation rate computed in :mod:`smfv.diagnostics`.
+stay positive, species masses are conserved, and the discrete entropy
+decays by at least the dissipation rate computed in
+:mod:`smfv.diagnostics`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -242,7 +252,7 @@ def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
 
 
 def _jacobian_pattern(mesh, n):
-    """The Jacobian's CSC matrix, with zero data, and the slot of every raw entry.
+    """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
 
     Unknown ordering is cell-major: flat index K * n + i.  The raw entries
     are the n x n blocks at (K, K), (K, L), (L, K) and (L, L) of every
@@ -274,9 +284,16 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     whose matrix is refilled in place and returned.  Flux blocks follow
     from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both the
     jump and the edge compositions inside S = c* I + Abar(u_sigma).
+
+    With blocks of size b = n - 1 the pattern holds the reduction to the
+    first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j: rows
+    i < n and columns dF/du_j - dF/du_n for j < n.  The time-derivative
+    diagonal is unchanged by it.
     """
     flux, mats, da, db = edges
     n = system.n
+    matrix, slot = pattern
+    b = matrix.shape[0] // mesh.num_cells
     flux = flux.T  # (E, n)
     # G[e, i, m] = d(Abar(s) J)_i / d s_m at fixed J
     gmat = system.c_bar[None, :, :] * flux[:, :, None]
@@ -286,14 +303,14 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     inv_d = (1.0 / mesh.edge_distance)[:, None, None]
     rhs_k = eye * inv_d - gmat * da.T[:, None, :]
     rhs_l = -(eye * inv_d + gmat * db.T[:, None, :])
-    blocks = np.linalg.solve(mats, np.concatenate([rhs_k, rhs_l], axis=2))
-    scale = mesh.edge_measure[:, None, None]
-    dk = scale * blocks[:, :, :n]  # m_sigma * dJ/du_K
-    dl = scale * blocks[:, :, n:]  # m_sigma * dJ/du_L
+    blocks = np.linalg.solve(mats, np.concatenate([rhs_k, rhs_l], axis=2))[:, :b]
+    blocks *= mesh.edge_measure[:, None, None]
+    dk, dl = blocks[:, :, :n], blocks[:, :, n:]  # m_sigma * dJ/du_K, m_sigma * dJ/du_L
+    if b < n:
+        dk, dl = dk[:, :, :b] - dk[:, :, b:], dl[:, :, :b] - dl[:, :, b:]
 
-    matrix, slot = pattern
     raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
-                          np.repeat(mesh.cell_measures / dt, n)])
+                          np.repeat(mesh.cell_measures / dt, b)])
     matrix.data = np.bincount(slot, weights=raw, minlength=matrix.nnz)
     return matrix
 
@@ -330,19 +347,41 @@ def _project_values(values):
     return np.maximum(project_simplex(values), PROJECTION_FLOOR)
 
 
-def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float):
+class _StepPlan:
+    """What every step of one run on one mesh shares: the reduced Jacobian's pattern.
+
+    The pattern is built at its first use, inside the first step.
+    """
+
+    def __init__(self, mesh, n):
+        self.mesh = mesh
+        self.n = n
+
+    @functools.cached_property
+    def pattern(self):
+        return _jacobian_pattern(self.mesh, self.n - 1)
+
+
+def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
+                *, _plan=None):
     """One implicit step: Newton solve, projection, flux recomputation.
 
-    An update with infinity norm below ``NEWTON_TOL`` is taken in full and
-    ends the iteration; any other is halved until the residual norm drops.
-    Returns ``(state, fluxes, stats)`` where ``stats`` carries the iteration
-    count and the largest per-cell deviation of the species sum from one
-    measured before the projection.  Raises :class:`NonConvergence` when the
-    iteration budget or the halvings run out, or a linear solve fails.
+    The update keeps every cell sum at its old value: it solves the Jacobian
+    reduced to the first n - 1 species against their residual rows and sets
+    delta_n = -sum_{i<n} delta_i.  The summed equation, linear in the cell
+    sums, then holds whenever it holds for the old state.  An update with
+    infinity norm below ``NEWTON_TOL`` is taken in full and ends the
+    iteration; any other is halved until the residual norm, over all n
+    species, drops.  Returns ``(state, fluxes, stats)`` where ``stats``
+    carries the iteration count and the largest per-cell deviation of the
+    species sum from one measured before the projection.  Raises
+    :class:`NonConvergence` when the iteration budget or the halvings run
+    out, or a linear solve fails.
     """
     _check_step_args(mesh, dt, u_old)
 
-    pattern = _jacobian_pattern(mesh, system.n)
+    plan = _StepPlan(mesh, system.n) if _plan is None else _plan
+    reduced = system.n - 1
     x = u_old.values.copy()
     res_norm = math.inf
     iterations = 0
@@ -350,9 +389,10 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float)
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
-            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, pattern),
+            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, plan.pattern),
                            permc_spec="MMD_AT_PLUS_A")
-            delta = lu.solve(-res.T.ravel()).reshape(mesh.num_cells, system.n).T
+            head = lu.solve(-res[:reduced].T.ravel()).reshape(mesh.num_cells, reduced).T
+            delta = np.vstack([head, -head.sum(axis=0)])
             if float(np.abs(delta).max()) < NEWTON_TOL:
                 x = x + delta
                 break
@@ -409,9 +449,10 @@ def run(system: SpeciesSystem, mesh: Mesh, u0: StateField, dt: float,
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
     state = u0
+    plan = _StepPlan(mesh, system.n)
     for p in range(1, num_time_steps(dt, t_end) + 1):
         try:
-            state, fluxes, stats = newton_step(system, mesh, state, dt)
+            state, fluxes, stats = newton_step(system, mesh, state, dt, _plan=plan)
         except NonConvergence as exc:
             exc.step_index = p
             exc.time = p * dt
