@@ -203,7 +203,8 @@ def check_b_inverse_bound(rng, count=1000, extra_system=None):
 
 def _edge_flux(system, u_sigma, du, d_sigma):
     """One edge's flux J from the scheme's (c* I + Abar(u_sigma)) J = -du/d_sigma."""
-    return np.linalg.solve(_edge_systems(system, u_sigma[:, None])[0], -du / d_sigma)
+    mat = _edge_systems(system, u_sigma[:, None])[:, :, 0]
+    return np.linalg.solve(mat, -du / d_sigma)
 
 
 def check_flux_zero_sum(rng, count=500, extra_system=None):

@@ -18,8 +18,8 @@ import numpy as np
 from .checks import run_property_suite
 from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_study,
                      load_config_file, preset_initial)
-from .diagnostics import (DiagnosticsRecord, SampledRun, equilibrium_composition,
-                          l1_space_time_error, relative_entropy)
+from .diagnostics import (DiagnosticsRecord, SampledRun, _restrict, _restriction_factors,
+                          equilibrium_composition, l1_space_time_error, relative_entropy)
 from .mesh import uniform_interval
 from .scheme import NonConvergence, num_time_steps, run
 
@@ -109,18 +109,26 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
     return 0
 
 
-def _collect_sampled_run(config: RunConfig, n_cells: int) -> SampledRun:
-    mesh = uniform_interval(n_cells)
+def _sampled_runs(config: RunConfig, mesh, grids) -> list:
+    """Run ``config`` on the 1D ``mesh``; one ``SampledRun`` per grid size in ``grids``.
+
+    Every step's state is restricted onto each grid as it arrives, so only
+    the coarse histories are kept.  A grid of ``mesh``'s own size reuses
+    ``mesh``; the others are built after the run.
+    """
     system = config.species
     u0 = preset_initial(config.initial, mesh, system.n)
-    states = []
+    factors = [_restriction_factors((g,), mesh.grid_shape) for g in grids]
+    histories = [[] for _ in grids]
 
     def sink(t, state, fluxes, stats):
-        states.append(state.values)
+        for g, factor, states in zip(grids, factors, histories):
+            states.append(_restrict(state.values, (g,), factor))
 
     run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
-    dts = np.full(len(states), config.time.dt)
-    return SampledRun(mesh, dts, states)
+    dts = np.full(len(histories[0]), config.time.dt)
+    return [SampledRun(mesh if g == mesh.num_cells else uniform_interval(g), dts, states)
+            for g, states in zip(grids, histories)]
 
 
 def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> int:
@@ -134,11 +142,10 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
         grids_field="convergence.grids" if grids is None else "--grids",
         ref_field="convergence.ref" if ref_n is None else "--ref")
     grids, ref_n = study.grids, study.ref_n
-    ref_run = _collect_sampled_run(config, ref_n)
     errors = []
-    for g in grids:
-        coarse = _collect_sampled_run(config, g)
-        errors.append(l1_space_time_error(coarse, ref_run))
+    for ref in _sampled_runs(config, uniform_interval(ref_n), grids):
+        coarse, = _sampled_runs(config, ref.mesh, [ref.mesh.num_cells])
+        errors.append(l1_space_time_error(coarse, ref))
 
     out = Path(out_dir or config.output.directory)
     with _open_out(out / "convergence.csv") as fh:

@@ -17,6 +17,16 @@ log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
 Newton state's log means, edge matrices and fluxes are computed once and
 shared by the residual and the Jacobian.
 
+The edge matrices S = c* I + Abar(u_sigma) are stored as an (n, n, E)
+structure of arrays, one contiguous length-E vector per entry, and
+inverted together by Gauss-Jordan elimination with a Python loop over
+the n pivots only.  The flux is S^-1 applied to the jump, and the
+Jacobian's flux blocks are S^-1/d_sigma minus S^-1 G times the log-mean
+partials, so the one inverse serves both and the edge terms need no
+LAPACK call.  No pivoting is needed: S is <= 0 off the diagonal and each
+of its columns sums to c*; every Schur complement keeps both properties
+with column sums >= c*, so every pivot is >= c* > 0.
+
 The species sum decouples.  Abar is built from the symmetric cbar, so
 1^T (c* I + Abar(u_sigma)) = c* 1^T and sum_i J_iKsigma =
 -(s_L - s_K)/(c* d_sigma) with s = sum_i u_i: the summed equation is
@@ -196,29 +206,66 @@ def log_mean(a, b):
 
 
 def _edge_systems(system, lam):
-    """Stack of matrices c* I + Abar(u_sigma) over all edges, shape (E, n, n)."""
-    st = lam.T  # (E, n)
-    mats = -(system.c_bar[None, :, :] * st[:, :, None])
-    diag = st @ system.c_bar.T + system.c_star  # c_bar diagonal is zero
-    idx = np.arange(system.n)
-    mats[:, idx, idx] = diag
+    """The matrices S = c* I + Abar(u_sigma) of all edges, shape (n, n, E).
+
+    ``lam`` holds the edge compositions, shape (n, E).  The layout is a
+    structure of arrays: entry (i, m) of every edge's matrix is one
+    contiguous length-E vector ``S[i, m]``.  Off the diagonal S is
+    -cbar_im lam_i <= 0, and because cbar is symmetric every column of S
+    sums to c*.
+    """
+    n = system.n
+    mats = -(system.c_bar[:, :, None] * lam[:, None, :])
+    idx = np.arange(n)
+    mats[idx, idx] = system.c_bar @ lam + system.c_star  # c_bar diagonal is zero
     return mats
 
 
-def _edge_fluxes(system, mesh, values):
-    """Edge terms of a cell state from one log mean and one batched solve.
+def _edge_inverse(mats):
+    """Inverse of every matrix of an (n, n, E) stack, by Gauss-Jordan elimination.
 
-    Returns ``(flux, mats, da, db)``: the fluxes, shape (n, E), the matrices
-    c* I + Abar(u_sigma), shape (E, n, n), and the log-mean partials
-    w.r.t. u_K and u_L, shape (n, E).
+    The Python loop runs over the n pivots and the rows only; each
+    operation acts on whole length-E vectors.  No pivoting is needed for
+    the matrices of :func:`_edge_systems`: they are <= 0 off the diagonal
+    with column sums c*, so the first pivot is >= c*, and eliminating it
+    leaves a Schur complement that is again <= 0 off the diagonal with
+    column sums c* (1 - S_kj / S_kk) >= c*.  By induction every pivot is
+    >= c* > 0; for such column-diagonally dominant matrices elimination
+    without pivoting is stable (growth factor at most 2).
+    """
+    inv = mats.copy()
+    n = inv.shape[0]
+    for k in range(n):
+        row = inv[k]
+        inv_pivot = 1.0 / row[k]
+        row[k] = 1.0
+        row *= inv_pivot
+        for i in range(n):
+            if i != k:
+                other = inv[i]
+                factor = other[k].copy()
+                other[k] = 0.0
+                other -= factor * row
+    return inv
+
+
+def _edge_fluxes(system, mesh, values):
+    """Edge terms of a cell state from one log mean and one inverse per edge.
+
+    Returns ``(flux, inv, da, db)``: the fluxes J = -S^-1 (u_L - u_K)/d_sigma,
+    shape (n, E), the inverses of S = c* I + Abar(u_sigma) from
+    :func:`_edge_inverse`, shape (n, n, E), which the Jacobian blocks reuse,
+    and the log-mean partials w.r.t. u_K and u_L, shape (n, E).
     """
     uk = values[:, mesh.edge_cell_k]
     ul = values[:, mesh.edge_cell_l]
     lam, da, db = _log_mean_with_partials(uk, ul)
-    mats = _edge_systems(system, lam)
-    rhs = ((uk - ul) / mesh.edge_distance).T
-    flux = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0].T
-    return flux, mats, da, db
+    inv = _edge_inverse(_edge_systems(system, lam))
+    rhs = (uk - ul) / mesh.edge_distance
+    flux = inv[:, 0] * rhs[0]
+    for j in range(1, system.n):
+        flux += inv[:, j] * rhs[j]
+    return flux, inv, da, db
 
 
 def _residual_values(system, mesh, values, old_values, dt):
@@ -255,17 +302,17 @@ def _jacobian_pattern(mesh, n):
     """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
 
     Unknown ordering is cell-major: flat index K * n + i.  The raw entries
-    are the n x n blocks at (K, K), (K, L), (L, K) and (L, L) of every
-    interior edge, in that order, followed by the n diagonal entries of
-    every cell.  Returns ``(matrix, slot)``: ``matrix`` is canonical with
-    ``np.intc`` index arrays, as SuperLU takes them, and summing the raw
-    entries by ``slot`` gives its ``data``.
+    are the (K, K), (K, L), (L, K) and (L, L) blocks of the interior edges,
+    each in the (n, n, E) layout of :func:`_edge_systems`, followed by the
+    n diagonal entries of every cell.  Returns ``(matrix, slot)``:
+    ``matrix`` is canonical with ``np.intc`` index arrays, as SuperLU takes
+    them, and summing the raw entries by ``slot`` gives its ``data``.
     """
     size = mesh.num_cells * n
     k, l = mesh.edge_cell_k, mesh.edge_cell_l
     i = np.arange(n)
-    rows = np.concatenate([k, k, l, l])[:, None, None] * n + i[:, None]
-    cols = np.concatenate([k, l, k, l])[:, None, None] * n + i
+    rows = np.stack([k, k, l, l])[:, None, None, :] * n + i[:, None, None]
+    cols = np.stack([k, l, k, l])[:, None, None, :] * n + i[:, None]
     # column-major keys: sorting them gives the CSC order
     keys = np.concatenate([(cols * size + rows).ravel(), np.arange(size) * (size + 1)])
     unique, slot = np.unique(keys, return_inverse=True)
@@ -281,33 +328,40 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
 
     ``edges`` are the state's terms from :func:`_edge_fluxes` and
     ``pattern`` the ``(matrix, slot)`` pair from :func:`_jacobian_pattern`,
-    whose matrix is refilled in place and returned.  Flux blocks follow
-    from differentiating J = -S^-1 (u_L - u_K)/d_sigma through both the
-    jump and the edge compositions inside S = c* I + Abar(u_sigma).
+    whose matrix is refilled in place and returned.  Differentiating
+    S J = -(u_L - u_K)/d_sigma, S = c* I + Abar(u_sigma), through the jump
+    and the edge compositions gives, with the state's edge inverses
+    S^-1 and P = S^-1 G, G = d(Abar(u_sigma) J)/du_sigma at fixed J,
+
+        dJ/du_K = S^-1/d_sigma - P diag(dlam/du_K),
+        dJ/du_L = -S^-1/d_sigma - P diag(dlam/du_L),
+
+    so no further solve is needed.  All blocks are built in the (n, n, E)
+    layout, one length-E vector per entry.
 
     With blocks of size b = n - 1 the pattern holds the reduction to the
     first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j: rows
     i < n and columns dF/du_j - dF/du_n for j < n.  The time-derivative
     diagonal is unchanged by it.
     """
-    flux, mats, da, db = edges
+    flux, inv, da, db = edges
     n = system.n
     matrix, slot = pattern
     b = matrix.shape[0] // mesh.num_cells
-    flux = flux.T  # (E, n)
-    # G[e, i, m] = d(Abar(s) J)_i / d s_m at fixed J
-    gmat = system.c_bar[None, :, :] * flux[:, :, None]
+    weighted = mesh.edge_measure * flux
+    # m_sigma G[j, m] = m_sigma d(Abar(s) J)_j / d s_m at fixed J
+    gmat = system.c_bar[:, :, None] * weighted[:, None, :]
     idx = np.arange(n)
-    gmat[:, idx, idx] = -(flux @ system.c_bar.T)
-    eye = np.eye(n)[None, :, :]
-    inv_d = (1.0 / mesh.edge_distance)[:, None, None]
-    rhs_k = eye * inv_d - gmat * da.T[:, None, :]
-    rhs_l = -(eye * inv_d + gmat * db.T[:, None, :])
-    blocks = np.linalg.solve(mats, np.concatenate([rhs_k, rhs_l], axis=2))[:, :b]
-    blocks *= mesh.edge_measure[:, None, None]
-    dk, dl = blocks[:, :, :n], blocks[:, :, n:]  # m_sigma * dJ/du_K, m_sigma * dJ/du_L
+    gmat[idx, idx] = -(system.c_bar @ weighted)
+    head = inv[:b]
+    prod = head[:, 0, None] * gmat[0]  # m_sigma P, rows i < b
+    for j in range(1, n):
+        prod += head[:, j, None] * gmat[j]
+    tau = mesh.edge_tau * head
+    dk = tau - prod * da  # m_sigma dJ/du_K
+    dl = -(tau + prod * db)  # m_sigma dJ/du_L
     if b < n:
-        dk, dl = dk[:, :, :b] - dk[:, :, b:], dl[:, :, :b] - dl[:, :, b:]
+        dk, dl = dk[:, :b] - dk[:, b:], dl[:, :b] - dl[:, b:]
 
     raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
                           np.repeat(mesh.cell_measures / dt, b)])
@@ -413,9 +467,8 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
             raise NonConvergence(iterations, res_norm)
     except NonConvergence:
         raise
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        # SuperLU reports a failed factorisation or solve as RuntimeError,
-        # numpy's batched edge solves a singular block as LinAlgError.
+    except RuntimeError as exc:
+        # SuperLU reports a failed factorisation or solve as RuntimeError.
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())

@@ -13,7 +13,8 @@ from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar, mat_B
 from smfv.scheme import (NEWTON_TOL, PROJECTION_FLOOR, NonConvergence, StateField,
-                         _edge_fluxes, _edge_systems, _log_mean_with_partials,
+                         _edge_fluxes, _edge_inverse, _edge_systems,
+                         _log_mean_with_partials,
                          jacobian, log_mean, newton_step, num_time_steps,
                          project_simplex, residual, run)
 
@@ -124,6 +125,79 @@ class TestEdgeFlux:
         ul = np.array([0.4, 0.1, 0.5])
         j = _two_cell_flux(system_1d, uk, ul)
         assert abs(float(j.sum())) <= 1e-12 * float(np.abs(ul - uk).max()) / 0.5
+
+
+def _wide_system(rng, n):
+    """Random symmetric coefficients spread over six decades."""
+    coeffs = np.triu(10.0 ** rng.uniform(-3.0, 3.0, size=(n, n)), 1)
+    return build_system(coeffs + coeffs.T)
+
+
+def _extreme_compositions(rng, n, count):
+    """Edge compositions over six decades with exact zeros and 1e-300 entries."""
+    lam = 10.0 ** rng.uniform(-6.0, 0.0, size=(n, count))
+    lam[rng.random((n, count)) < 0.2] = 0.0
+    lam[rng.random((n, count)) < 0.1] = 1e-300
+    lam[:, 0], lam[:, 1] = 0.0, 1e-300
+    return lam
+
+
+def _leading_pivots(mats):
+    """Pivots of elimination without pivoting, from leading principal minors."""
+    stack = mats.transpose(2, 0, 1)
+    minors = [np.ones(len(stack))]
+    minors += [np.linalg.det(stack[:, :k, :k]) for k in range(1, stack.shape[1] + 1)]
+    return np.array([minors[k + 1] / minors[k] for k in range(stack.shape[1])])
+
+
+class TestEdgeInverse:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_lapack(self, n):
+        # relative 1e-13, widened beyond kappa_1(S) = 100: two backward-stable
+        # inverses differ by O(eps kappa), and cbar/c* reaches 1e6 here
+        rng = np.random.default_rng(10 + n)
+        for _ in range(25):
+            mats = _edge_systems(_wide_system(rng, n), _extreme_compositions(rng, n, 40))
+            stack = mats.transpose(2, 0, 1)
+            ref = np.linalg.solve(stack, np.broadcast_to(np.eye(n), stack.shape))
+            inv = _edge_inverse(mats).transpose(2, 0, 1)
+            rel = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            assert np.all(rel <= 1e-15 * np.maximum(np.linalg.cond(stack, 1), 100.0))
+            backward = np.abs(stack @ inv - np.eye(n)).max(axis=(1, 2))
+            assert np.all(backward <= 1e-15 * np.linalg.norm(stack, 1, axis=(1, 2))
+                          * np.linalg.norm(inv, np.inf, axis=(1, 2)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_pivots_at_least_c_star(self, n):
+        # <= 0 off the diagonal with column sums c*: no pivoting is needed
+        rng = np.random.default_rng(20 + n)
+        for _ in range(25):
+            system = _wide_system(rng, n)
+            mats = _edge_systems(system, _extreme_compositions(rng, n, 40))
+            idx = np.arange(n)
+            off = mats.copy()
+            off[idx, idx] = 0.0
+            assert off.max() <= 0.0
+            gap = np.abs(mats.sum(axis=0) - system.c_star)
+            assert np.all(gap <= 1e-15 * np.abs(mats).sum(axis=0))
+            assert _leading_pivots(mats).min() >= system.c_star * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_jacobian_matches_finite_differences(self, n, monkeypatch):
+        # cbar/c* up to 1e6 amplifies the residual's rounding; a step of 1e-4
+        # keeps the difference quotient's rounding and truncation below 1e-6
+        import smfv.checks
+
+        monkeypatch.setattr(smfv.checks, "_FD_STEP", 1e-4)
+        rng = np.random.default_rng(30 + n)
+        mesh = uniform_rectangle(3, 2)
+        for _ in range(3):
+            system = _wide_system(rng, n)
+            new = StateField(mesh, rng.uniform(0.05, 1.0, size=(n, 6)))
+            old = StateField(mesh, rng.dirichlet(np.ones(n), size=6).T)
+            analytic = jacobian(system, mesh, new, 0.1).toarray()
+            fd = finite_difference_jacobian(system, mesh, new, old, 0.1)
+            assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-5
 
 
 class TestResidual:
@@ -444,17 +518,20 @@ class TestNewtonSolve:
         drift = np.abs(state.mass_vector - u0.mass_vector) / u0.mass_vector
         assert drift.max() < 1e-10
 
-    def test_singular_edge_solve_raises(self, system_1d, monkeypatch):
-        import smfv.scheme
+    def test_no_batched_lapack_call(self, system_2d, monkeypatch):
+        # edge fluxes and Jacobian blocks come from the scheme's own inverse
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the scheme called numpy.linalg")
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(smfv.scheme.np.linalg, "solve", singular)
-        mesh = uniform_interval(4)
-        u0 = StateField(mesh, np.full((3, 4), 1.0 / 3.0))
-        with pytest.raises(NonConvergence, match="Singular matrix"):
-            newton_step(system_1d, mesh, u0, 1e-3)
+        mesh = uniform_rectangle(8, 8)
+        u0 = _blocks_2d(mesh)
+        monkeypatch.setattr(np.linalg, "solve", unavailable)
+        monkeypatch.setattr(np.linalg, "inv", unavailable)
+        steps = []
+        final = run(system_2d, mesh, u0, 1e-5, 3e-5,
+                    sink=lambda t, s, f, stats: steps.append(stats.newton_iterations))
+        assert len(steps) == 3 and min(steps) >= 2
+        assert final.min_fraction() >= PROJECTION_FLOOR
 
     def test_no_residual_decrease_raises(self, system_1d, monkeypatch):
         import smfv.scheme
@@ -694,7 +771,7 @@ class TestFluxField:
             ul /= ul.sum()
             d_sigma = rng.uniform(0.1, 1.0)
             u_sigma = log_mean(uk, ul)
-            j = np.linalg.solve(_edge_systems(system_1d, u_sigma[:, None])[0],
+            j = np.linalg.solve(_edge_systems(system_1d, u_sigma[:, None])[:, :, 0],
                                 -(ul - uk) / d_sigma)
             j_ref = -np.linalg.solve(mat_B(system_1d, u_sigma),
                                      np.log(ul) - np.log(uk)) / d_sigma
