@@ -35,13 +35,25 @@ when the old sums are 1.  Newton therefore keeps every cell sum at its
 old value and factors only the Jacobian reduced to the first n - 1
 species, with u_n = s - sum_{j<n} u_j; volume filling holds by
 construction of the update.  One CSC matrix of (n-1) x (n-1) blocks is
-built per run and refilled in place at every Newton iteration; SuperLU
-factors it with the symmetric minimum-degree ordering on A^T + A, which
-suits the structurally symmetric two-point-flux Jacobian.  The first
-update below ``NEWTON_TOL`` is taken in full and ends the iteration;
-others are halved until the residual norm over all n species decreases.
-The converged state is projected onto the unit simplex's interior by
-flooring at ``PROJECTION_FLOOR`` and renormalising.
+built per run and refilled in place for every factor; SuperLU factors it
+with the symmetric minimum-degree ordering on A^T + A, which suits the
+structurally symmetric two-point-flux Jacobian.
+
+Within a step the iteration is a chord (Shamanskii) method (Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003): each step
+factors at its first iterate and keeps that LU while full updates at
+least halve the residual norm (``CHORD_CONTRACTION``).  A halving drops
+the LU, and so does a weaker contraction; a kept LU whose full update
+does not lower the residual is refactored at the same iterate.  Reuse
+never crosses a step: every step's first update is a full Newton update,
+which keeps the accepted states within rounding of full Newton's, whereas
+a factor carried over from the previous step moved final states by
+1.2e-12.  The first update below ``NEWTON_TOL`` is taken in full and ends
+the iteration; other updates from a fresh LU are halved until the
+residual norm over all n species decreases.  The converged state is
+projected onto the unit simplex's interior by flooring at
+``PROJECTION_FLOOR`` and renormalising; its fluxes are computed only if
+a caller reads them.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, species masses are conserved, and the discrete entropy
@@ -65,6 +77,7 @@ from .model import SpeciesSystem
 NEWTON_TOL = 1e-12          # infinity norm of the final Newton update
 MAX_NEWTON_ITERS = 50
 MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
+CHORD_CONTRACTION = 0.5     # largest residual-norm ratio of a full update that keeps the LU
 PROJECTION_FLOOR = 1e-12    # smallest volume fraction after a step
 MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
 
@@ -126,23 +139,36 @@ class StateField:
         return float(np.abs(self.values.sum(axis=0) - 1.0).max())
 
 
-@dataclass(frozen=True)
 class FluxField:
     """Oriented per-edge species fluxes J_{i,K->L}, shape (n, n_interior_edges).
 
     Storage is oriented from cell K to cell L, so flux anti-symmetry under
     orientation flip holds by construction; boundary fluxes are implicitly
-    zero.
+    zero.  ``FluxField(mesh, values)`` holds the given values.  The field
+    :func:`newton_step` returns holds the step's projected state instead and
+    computes its fluxes at the first read of ``values``, once; a caller
+    that never reads them costs no edge evaluation.
     """
 
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if vals.ndim != 2 or vals.shape[1] != self.mesh.num_interior_edges:
+    def __init__(self, mesh: Mesh, values):
+        vals = np.ascontiguousarray(np.asarray(values, dtype=float))
+        if vals.ndim != 2 or vals.shape[1] != mesh.num_interior_edges:
             raise ValueError("flux values must have shape (n_species, n_interior_edges)")
-        object.__setattr__(self, "values", vals)
+        self.mesh = mesh
+        self.values = vals  # an instance value: the lazy property below is not used
+
+    @classmethod
+    def _of_state(cls, system, state):
+        """The fluxes of ``state``, computed at the first read of ``values``."""
+        fluxes = cls.__new__(cls)
+        fluxes.mesh = state.mesh
+        fluxes._source = (system, state)
+        return fluxes
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        system, state = self._source
+        return _edge_fluxes(system, self.mesh, state.values)[0]
 
     def max_species_sum(self) -> float:
         """Largest |sum_i J_i| over edges; zero for converged states."""
@@ -151,10 +177,16 @@ class FluxField:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Per-step solver metadata reported alongside the new state."""
+    """Per-step solver metadata reported alongside the new state.
+
+    ``newton_iterations`` counts linear solves, ``lu_factors`` the LU
+    factorisations among them; a solve with a kept factor makes the first
+    exceed the second.
+    """
 
     newton_iterations: int
     pre_projection_sum_deviation: float
+    lu_factors: int
 
 
 def _log_mean_with_partials(a, b):
@@ -418,19 +450,31 @@ class _StepPlan:
 
 def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
                 *, _plan=None):
-    """One implicit step: Newton solve, projection, flux recomputation.
+    """One implicit step: chord-Newton solve and projection.
 
     The update keeps every cell sum at its old value: it solves the Jacobian
     reduced to the first n - 1 species against their residual rows and sets
     delta_n = -sum_{i<n} delta_i.  The summed equation, linear in the cell
-    sums, then holds whenever it holds for the old state.  An update with
-    infinity norm below ``NEWTON_TOL`` is taken in full and ends the
-    iteration; any other is halved until the residual norm, over all n
-    species, drops.  Returns ``(state, fluxes, stats)`` where ``stats``
-    carries the iteration count and the largest per-cell deviation of the
-    species sum from one measured before the projection.  Raises
-    :class:`NonConvergence` when the iteration budget or the halvings run
-    out, or a linear solve fails.
+    sums, then holds whenever it holds for the old state.
+
+    The step factors the reduced Jacobian at its first iterate and keeps
+    the LU after a full update whose residual norm, over all n species, is
+    at most ``CHORD_CONTRACTION`` times the previous one.  Any halving, or a
+    weaker contraction, drops it, and the next iterate is factored afresh.
+    A full update from a kept LU that does not lower the residual norm is
+    rejected without halving: the LU is refactored at the same iterate,
+    whose residual and edge terms are known, and the system solved again.
+    The LU never outlives the step, so every step starts with a full Newton
+    update.  An update with infinity norm below ``NEWTON_TOL``, from a fresh
+    or a kept LU, is taken in full and ends the iteration; any other from a
+    fresh LU is halved until the residual norm drops.
+
+    Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
+    projected state, computed at the first read of their values; ``stats``
+    carries the number of linear solves (``newton_iterations``), of LU
+    factors, and the largest per-cell deviation of the species sum from one
+    measured before the projection.  Raises :class:`NonConvergence` when the
+    iteration budget or the halvings run out, or a linear solve fails.
     """
     _check_step_args(mesh, dt, u_old)
 
@@ -438,13 +482,17 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     reduced = system.n - 1
     x = u_old.values.copy()
     res_norm = math.inf
-    iterations = 0
+    iterations = factors = 0
+    lu = None
     try:
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
-            lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, plan.pattern),
-                           permc_spec="MMD_AT_PLUS_A")
+            stale = lu is not None
+            if not stale:
+                lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, plan.pattern),
+                               permc_spec="MMD_AT_PLUS_A")
+                factors += 1
             head = lu.solve(-res[:reduced].T.ravel()).reshape(mesh.num_cells, reduced).T
             delta = np.vstack([head, -head.sum(axis=0)])
             if float(np.abs(delta).max()) < NEWTON_TOL:
@@ -456,13 +504,18 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
                 cand = x + step * delta
                 trial = _residual_values(system, mesh, cand, u_old.values, dt)
                 cand_norm = float(np.abs(trial[0]).max())
-                if cand_norm < res_norm:
+                if cand_norm < res_norm or stale:
                     break
                 step *= 0.5
             else:
                 raise NonConvergence(iterations, res_norm, reason="no residual "
                                      f"decrease in {MAX_DAMPING_HALVINGS} halvings")
-            x, (res, edges), res_norm = cand, trial, cand_norm
+            # only a full update that contracts enough keeps the LU; a kept
+            # LU's update that brings no decrease leaves x, to be refactored
+            if not cand_norm <= CHORD_CONTRACTION * res_norm or step < 1.0:
+                lu = None
+            if cand_norm < res_norm:
+                x, (res, edges), res_norm = cand, trial, cand_norm
         else:
             raise NonConvergence(iterations, res_norm)
     except NonConvergence:
@@ -472,10 +525,9 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
-    projected = _project_values(x)
-    state = StateField(mesh, projected)
-    fluxes = FluxField(mesh, _edge_fluxes(system, mesh, projected)[0])
-    return state, fluxes, StepStats(iterations, pre_projection_dev)
+    state = StateField(mesh, _project_values(x))
+    return state, FluxField._of_state(system, state), StepStats(
+        iterations, pre_projection_dev, factors)
 
 
 def num_time_steps(dt: float, t_end: float) -> int:

@@ -168,6 +168,45 @@ class TestCmdEntropyDecay:
         assert abs(slow["slope"]) < abs(fast["slope"])
 
 
+def _run_entropy_decay(out):
+    cmd_entropy_decay(load_config(smooth_doc(out)))
+
+
+def _run_convergence(out):
+    cmd_convergence(load_config(smooth_doc(out, dt=2e-3, n_cells=8)), grids=(4, 8), ref_n=32)
+
+
+def _run_every_fourth_row(out):
+    doc = smooth_doc(out, t_end=1e-2)
+    doc["output"]["diagnostics_every"] = 4
+    cmd_run(load_config(doc))
+
+
+# the run writes rows with fluxes at steps 4, 8 and the final step 10
+@pytest.mark.parametrize("command, reads", [(_run_entropy_decay, 0), (_run_convergence, 0),
+                                            (_run_every_fourth_row, 3)],
+                         ids=["entropy-decay", "convergence", "run"])
+def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
+    # every edge evaluation serves a residual, except one per flux a row reads
+    import smfv.scheme
+
+    calls = {"_edge_fluxes": 0, "_residual_values": 0}
+
+    def counted(name):
+        original = getattr(smfv.scheme, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(smfv.scheme, name, counted(name))
+    command(tmp_path / "out")
+    assert calls["_residual_values"] > 0
+    assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
+
+
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 1.0, 50)

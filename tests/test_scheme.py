@@ -12,8 +12,8 @@ from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar, mat_B
-from smfv.scheme import (NEWTON_TOL, PROJECTION_FLOOR, NonConvergence, StateField,
-                         _edge_fluxes, _edge_inverse, _edge_systems,
+from smfv.scheme import (CHORD_CONTRACTION, NEWTON_TOL, PROJECTION_FLOOR, NonConvergence,
+                         StateField, _edge_fluxes, _edge_inverse, _edge_systems,
                          _log_mean_with_partials,
                          jacobian, log_mean, newton_step, num_time_steps,
                          project_simplex, residual, run)
@@ -183,12 +183,9 @@ class TestEdgeInverse:
             assert _leading_pivots(mats).min() >= system.c_star * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_jacobian_matches_finite_differences(self, n, monkeypatch):
-        # cbar/c* up to 1e6 amplifies the residual's rounding; a step of 1e-4
-        # keeps the difference quotient's rounding and truncation below 1e-6
-        import smfv.checks
-
-        monkeypatch.setattr(smfv.checks, "_FD_STEP", 1e-4)
+    def test_jacobian_matches_finite_differences(self, n):
+        # cbar/c* up to 1e6 amplifies the residual's rounding; the oracle's
+        # step, scaled to the contrast, keeps the quotient's error below 1e-6
         rng = np.random.default_rng(30 + n)
         mesh = uniform_rectangle(3, 2)
         for _ in range(3):
@@ -343,6 +340,35 @@ def _captured_factors(monkeypatch, context=None):
     return calls
 
 
+def _factored_states(monkeypatch):
+    """Patch the residual and the Jacobian; returns the states the Jacobian is built at.
+
+    Each Jacobian call is matched to its state by the identity of the edge
+    terms it receives, which the residual of that state returned.  Entries
+    are ``(values, later)``, where ``later`` counts the states evaluated
+    after it and before the call: candidates that were rejected.
+    """
+    import smfv.scheme
+
+    evaluated, factored = [], []
+    residual_values = smfv.scheme._residual_values
+    jacobian_matrix = smfv.scheme._jacobian_matrix
+
+    def recorded(system, mesh, values, old_values, dt):
+        res, edges = residual_values(system, mesh, values, old_values, dt)
+        evaluated.append((edges, values.copy()))
+        return res, edges
+
+    def located(system, mesh, edges, dt, pattern):
+        later = next(i for i, (seen, _) in enumerate(reversed(evaluated)) if seen is edges)
+        factored.append((evaluated[-1 - later][1], later))
+        return jacobian_matrix(system, mesh, edges, dt, pattern)
+
+    monkeypatch.setattr(smfv.scheme, "_residual_values", recorded)
+    monkeypatch.setattr(smfv.scheme, "_jacobian_matrix", located)
+    return factored
+
+
 def _blocks_2d(mesh):
     blocks = [{"species": 0, "box": [0.0, 0.5, 0.0, 0.5]},
               {"species": 0, "box": [0.5, 1.0, 0.5, 1.0]},
@@ -383,23 +409,17 @@ class TestNewtonLinearSolve:
         assert ratio <= 0.7
 
     def test_one_matrix_refilled_per_step(self, system_2d, monkeypatch):
-        import smfv.scheme
-
-        seen = []
-        original = smfv.scheme._residual_values
-
-        def recorded(system, mesh, values, old_values, dt):
-            seen.append(values.copy())
-            return original(system, mesh, values, old_values, dt)
-
-        monkeypatch.setattr(smfv.scheme, "_residual_values", recorded)
-        # the accepted iterate is the last state whose residual was evaluated
-        calls = _captured_factors(monkeypatch, context=lambda: seen[-1])
+        # every factor is the exact reduced Jacobian of the iterate it was
+        # made at, and the chord solves outnumber the factors
+        factored = _factored_states(monkeypatch)
+        calls = _captured_factors(monkeypatch, context=lambda: factored[-1][0])
         mesh = uniform_rectangle(6, 5)
         u_old = _blocks_2d(mesh)
         dt = 1e-4
         _, _, stats = newton_step(system_2d, mesh, u_old, dt)
-        assert len(calls) == stats.newton_iterations > 2
+        monkeypatch.undo()
+        assert len(calls) == stats.lu_factors > 2
+        assert stats.lu_factors < stats.newton_iterations
         template = calls[0][0]
         for matrix, filled, _, values in calls:
             assert matrix is template
@@ -565,15 +585,14 @@ class TestNewtonSolve:
         monkeypatch.setattr(smfv.scheme, "_residual_values", counted)
         mesh = uniform_interval(n_cells)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        iterations = []
-        run(system_1d, mesh, u0, 1e-4, t_end,
-            sink=lambda t, s, f, stats: iterations.append(stats.newton_iterations))
-        assert calls[0] == sum(iterations)
-        assert max(iterations) <= 3
+        steps = []
+        run(system_1d, mesh, u0, 1e-4, t_end, sink=lambda t, s, f, stats: steps.append(stats))
+        assert calls[0] == sum(stats.newton_iterations for stats in steps)
+        assert max(stats.lu_factors for stats in steps) <= 3
 
     def test_one_edge_evaluation_per_newton_state(self, system_1d, monkeypatch):
-        # the Jacobian reuses the edge terms of the residual's state; the one
-        # extra log mean is the flux of the projected state
+        # the Jacobian reuses the edge terms of the residual's state; the flux
+        # of the projected state costs one more log mean, at its first read
         import smfv.scheme
 
         calls = {"_log_mean_with_partials": 0, "_residual_values": 0}
@@ -592,8 +611,10 @@ class TestNewtonSolve:
         state = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         for _ in range(5):
             calls.update(dict.fromkeys(calls, 0))
-            state, _, _ = newton_step(system_1d, mesh, state, 1e-4)
+            state, fluxes, _ = newton_step(system_1d, mesh, state, 1e-4)
             assert calls["_residual_values"] >= 2
+            assert calls["_log_mean_with_partials"] == calls["_residual_values"]
+            assert fluxes.values is fluxes.values
             assert calls["_log_mean_with_partials"] == calls["_residual_values"] + 1
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -620,13 +641,85 @@ class TestNewtonSolve:
         monkeypatch.setattr(smfv.scheme, "_project_values", recorded)
         calls = _captured_factors(monkeypatch)
         state, _, stats = newton_step(system, mesh, u_old, dt)
-        assert len(calls) == stats.newton_iterations >= 2
+        assert len(calls) == stats.lu_factors
+        assert stats.newton_iterations >= 2
         size = (n - 1) * mesh.num_cells
         assert all(matrix.shape == (size, size) for matrix, _, _ in calls)
         res = residual(system, mesh, StateField(mesh, pre[0]), u_old, dt)
         assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
         drift = np.abs(state.mass_vector - u_old.mass_vector) / u_old.mass_vector
         assert drift.max() < 1e-12
+
+    def test_kept_factor_without_decrease_is_refactored(self, system_1d, monkeypatch):
+        # nonsmooth1d on 8 cells at dt = 1e-5: one full update from a kept LU
+        # does not lower the residual; it is rejected without halving and the
+        # iterate it started from is factored afresh from its known edge terms
+        import smfv.scheme
+
+        factored = _factored_states(monkeypatch)
+        pre = []
+        project = smfv.scheme._project_values
+
+        def recorded(values):
+            pre.append(values.copy())
+            return project(values)
+
+        monkeypatch.setattr(smfv.scheme, "_project_values", recorded)
+        mesh = uniform_interval(8)
+        u_old = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
+        dt = 1e-5
+        state, _, stats = newton_step(system_1d, mesh, u_old, dt)
+        assert [later for _, later in factored].count(1) == 1
+        assert all(later <= 1 for _, later in factored)
+        assert len(factored) == stats.lu_factors < stats.newton_iterations
+        res = residual(system_1d, mesh, StateField(mesh, pre[0]), u_old, dt)
+        assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
+        assert state.min_fraction() >= PROJECTION_FLOOR
+
+    def test_factor_kept_only_after_contracting_full_update(self, system_2d, monkeypatch):
+        # replays the acceptance of every candidate: the LU outlives an
+        # accepted update exactly when that update was full (no halving, no
+        # rejection since the last factor) and contracted the residual norm
+        # by CHORD_CONTRACTION
+        import smfv.scheme
+
+        norms = []
+        residual_values = smfv.scheme._residual_values
+
+        def recorded(*args):
+            res, edges = residual_values(*args)
+            norms.append(float(np.abs(res).max()))
+            return res, edges
+
+        monkeypatch.setattr(smfv.scheme, "_residual_values", recorded)
+        calls = _captured_factors(monkeypatch, context=lambda: len(norms))
+        mesh = uniform_rectangle(6, 5)
+        newton_step(system_2d, mesh, _blocks_2d(mesh), 1e-4)
+        factored_after = {call[-1] for call in calls}  # residuals evaluated before it
+        current, failed, outcomes = norms[0], False, []
+        for count, norm in enumerate(norms[1:], start=1):
+            if count in factored_after:
+                failed = False
+            if not norm < current:
+                failed = True  # halved next, or rejected and refactored
+                continue
+            keep = not failed and norm <= CHORD_CONTRACTION * current
+            assert (count + 1 in factored_after) != keep
+            outcomes.append((failed, keep))
+            current, failed = norm, False
+        assert {(False, True), (False, False), (True, False)} <= set(outcomes)
+
+    def test_late_steps_factor_once(self, system_1d):
+        # smooth1d at N=64 and dt = 1e-4, the entropy-decay run: near
+        # equilibrium one LU serves every solve of a step
+        mesh = uniform_interval(64)
+        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        steps = []
+        run(system_1d, mesh, u0, 1e-4, 0.02, sink=lambda t, s, f, stats: steps.append(stats))
+        late = steps[100:]
+        assert len(late) == 100
+        assert all(stats.lu_factors == 1 for stats in late)
+        assert all(stats.newton_iterations >= 2 for stats in late)
 
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
         import smfv.scheme
@@ -733,6 +826,22 @@ class TestRun:
         assert [(m is mesh, n) for m, n in built] == [(True, 2)]
         smfv.scheme.newton_step(system_1d, mesh, u0, 1e-3)
         assert len(built) == 2
+
+    def test_sink_reads_fluxes_of_its_state(self, system_1d):
+        # computed at the first read, from the step's projected state, once
+        mesh = uniform_interval(16)
+        u0 = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
+        seen = []
+
+        def sink(t, state, fluxes, stats):
+            seen.append((state, fluxes, fluxes.values))
+
+        run(system_1d, mesh, u0, 1e-4, 5e-4, sink=sink)
+        assert len(seen) == 5
+        for state, fluxes, values in seen:
+            assert fluxes.mesh is mesh
+            assert fluxes.values is values
+            assert np.array_equal(values, _edge_fluxes(system_1d, mesh, state.values)[0])
 
     def test_step_count_and_times(self, system_1d):
         mesh = uniform_interval(4)
