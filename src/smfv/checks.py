@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .mesh import uniform_interval, uniform_rectangle, validate
-from .scheme import (PROJECTION_FLOOR, StateField, _edge_systems,
+from .mesh import Mesh, uniform_interval, uniform_rectangle, validate
+from .scheme import (PROJECTION_FLOOR, StateField, _edge_fluxes,
                      _log_mean_with_partials, jacobian, log_mean, project_simplex,
                      residual)
 from . import diagnostics
@@ -201,10 +201,13 @@ def check_b_inverse_bound(rng, count=1000, extra_system=None):
                           PSD_TOL, count)
 
 
-def _edge_flux(system, u_sigma, du, d_sigma):
-    """One edge's flux J from the scheme's (c* I + Abar(u_sigma)) J = -du/d_sigma."""
-    mat = _edge_systems(system, u_sigma[:, None])[:, :, 0]
-    return np.linalg.solve(mat, -du / d_sigma)
+def _edge_flux(system, uk, ul, d_sigma):
+    """The scheme's flux J_{K->L} on two cells of width d_sigma sharing a unit face."""
+    mesh = Mesh(cell_centers=[[0.5 * d_sigma], [1.5 * d_sigma]],
+                cell_measures=[d_sigma, d_sigma], edge_cell_k=[0], edge_cell_l=[1],
+                edge_measure=[1.0], edge_distance=[d_sigma], grid_shape=(2,),
+                cell_lower=[[0.0], [d_sigma]], cell_upper=[[d_sigma], [2.0 * d_sigma]])
+    return _edge_fluxes(system, mesh, np.column_stack([uk, ul]))[0][:, 0]
 
 
 def check_flux_zero_sum(rng, count=500, extra_system=None):
@@ -220,7 +223,7 @@ def check_flux_zero_sum(rng, count=500, extra_system=None):
         ul = _random_simplex(rng, system.n)
         d_sigma = rng.uniform(0.1, 1.0)
         du = ul - uk
-        j = _edge_flux(system, log_mean(uk, ul), du, d_sigma)
+        j = _edge_flux(system, uk, ul, d_sigma)
         bound = 1e-12 * float(np.abs(du).max()) / d_sigma
         expected = -float(du.sum()) / (system.c_star * d_sigma)
         excess = abs(float(j.sum()) - expected) - bound
@@ -236,26 +239,27 @@ def check_flux_formula_equivalence(rng, count=500, extra_system=None):
         uk = _random_simplex(rng, system.n)
         ul = _random_simplex(rng, system.n)
         d_sigma = rng.uniform(0.1, 1.0)
-        u_sigma = log_mean(uk, ul)
-        j = _edge_flux(system, u_sigma, ul - uk, d_sigma)
+        j = _edge_flux(system, uk, ul, d_sigma)
         dlog = np.log(ul) - np.log(uk)
-        j_ref = -np.linalg.solve(model.mat_B(system, u_sigma), dlog) / d_sigma
+        j_ref = -np.linalg.solve(model.mat_B(system, log_mean(uk, ul)), dlog) / d_sigma
         worst = max(worst, float(np.abs(j - j_ref).max()))
     return PropertyResult("flux_formula_equivalence", worst <= 1e-10, worst,
                           1e-10, count)
 
 
-def finite_difference_jacobian(system, mesh, u_new: StateField, u_old: StateField,
+def finite_difference_jacobian(system, u_new: StateField, u_old: StateField,
                                dt: float) -> np.ndarray:
     """Dense central-difference Jacobian of the residual, the FD oracle.
 
-    The residual's rounding error grows with the coefficient contrast
+    It is taken on the mesh of ``u_new``, which ``u_old`` must share.  The
+    residual's rounding error grows with the coefficient contrast
     cbar_max/c*, and a central difference divides it by the step while its
     truncation error grows as the step squared; the step therefore grows
     as the contrast's cube root from ``_FD_STEP``.  At a contrast of 1e6 the
     fixed step 1e-6 left a rounding error of 1.4e-5, this one 2e-7.
     """
     n = system.n
+    mesh = u_new.mesh
     size = mesh.num_cells * n
     out = np.zeros((size, size))
     base = u_new.values
@@ -267,8 +271,8 @@ def finite_difference_jacobian(system, mesh, u_new: StateField, u_old: StateFiel
             minus = base.copy()
             plus[i, cell] += step
             minus[i, cell] -= step
-            r_plus = residual(system, mesh, StateField(mesh, plus), u_old, dt)
-            r_minus = residual(system, mesh, StateField(mesh, minus), u_old, dt)
+            r_plus = residual(system, StateField(mesh, plus), u_old, dt)
+            r_minus = residual(system, StateField(mesh, minus), u_old, dt)
             out[:, col] = (r_plus - r_minus).T.ravel() / (2.0 * step)
     return out
 
@@ -286,8 +290,8 @@ def check_jacobian_fd(rng, count=100, extra_system=None):
         u_new = StateField(mesh, vals)
         u_old = StateField(mesh, old)
         dt = 0.1
-        analytic = jacobian(system, mesh, u_new, dt).toarray()
-        fd = finite_difference_jacobian(system, mesh, u_new, u_old, dt)
+        analytic = jacobian(system, u_new, dt).toarray()
+        fd = finite_difference_jacobian(system, u_new, u_old, dt)
         err = float(np.abs(analytic - fd).max() / np.abs(fd).max())
         worst = max(worst, err)
     return PropertyResult("jacobian_vs_finite_differences", worst <= 1e-5,
@@ -357,7 +361,7 @@ def check_entropy_bounds(rng, count=300, extra_system=None):
         n = int(rng.integers(2, 6))
         vals = np.stack([_random_simplex(rng, n, floor=0.0)
                          for _ in range(mesh.num_cells)]).T
-        e = diagnostics.entropy(mesh, StateField(mesh, vals))
+        e = diagnostics.entropy(StateField(mesh, vals))
         lower = -mesh.total_measure * np.log(n)
         worst = max(worst, e - 0.0, lower - e)
     return PropertyResult("entropy_bounds", worst <= 1e-12, worst, 1e-12, count)

@@ -21,7 +21,7 @@ from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_stud
 from .diagnostics import (DiagnosticsRecord, SampledRun, _restrict, _restriction_factors,
                           equilibrium_composition, l1_space_time_error, relative_entropy)
 from .mesh import uniform_interval
-from .scheme import NonConvergence, num_time_steps, run
+from .scheme import NonConvergence, StateField, num_time_steps, run
 
 _FIT_FLOOR = 1e-15   # relative entropies at or below this are left out of the fit
 
@@ -35,32 +35,29 @@ def _open_out(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_snapshot(out_dir: Path, mesh, values, t: float) -> None:
-    path = out_dir / f"u_t{t!r}.csv"
-    n = values.shape[0]
+def _write_snapshot(out_dir: Path, state: StateField, t: float) -> None:
+    """One row per cell of the state's mesh: index, center, volume fractions."""
+    mesh = state.mesh
     coords = ["x", "y"][: mesh.dimension]
-    with _open_out(path) as fh:
-        fh.write("cell," + ",".join(coords)
-                 + "," + ",".join(f"u_{i + 1}" for i in range(n)) + "\n")
-        for k in range(mesh.num_cells):
-            cols = [str(k)]
-            cols += [_fmt(c) for c in mesh.cell_centers[k]]
-            cols += [_fmt(values[i, k]) for i in range(n)]
-            fh.write(",".join(cols) + "\n")
+    species = [f"u_{i + 1}" for i in range(state.values.shape[0])]
+    table = np.column_stack([np.arange(mesh.num_cells), mesh.cell_centers, state.values.T])
+    with _open_out(out_dir / f"u_t{t!r}.csv") as fh:
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
+                   delimiter=",", header=",".join(["cell"] + coords + species),
+                   comments="")
 
 
 class _SnapshotSchedule:
     """Emit each requested time at the first step time at or past it."""
 
-    def __init__(self, out_dir, mesh, times):
+    def __init__(self, out_dir, times):
         self.out_dir = out_dir
-        self.mesh = mesh
         self.pending = sorted(times)
 
-    def offer(self, t, values):
+    def offer(self, t, state: StateField):
         while self.pending and t >= self.pending[0] - 1e-12 * max(1.0, abs(self.pending[0])):
             self.pending.pop(0)
-            _write_snapshot(self.out_dir, self.mesh, values, t)
+            _write_snapshot(self.out_dir, state, t)
 
 
 def _diag_header(n: int) -> str:
@@ -85,27 +82,27 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
     equilibrium = equilibrium_composition(u0)
     out = Path(out_dir or config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    snapshots = _SnapshotSchedule(out, mesh, config.output.snapshot_times)
+    snapshots = _SnapshotSchedule(out, config.output.snapshot_times)
     every = config.output.diagnostics_every
     total_steps = num_time_steps(config.time.dt, config.time.t_end)
 
     with _open_out(out / "diagnostics.csv") as fh:
         fh.write(_diag_header(system.n))
-        rec0 = DiagnosticsRecord.from_step(system, mesh, u0, None, equilibrium, 0.0)
+        rec0 = DiagnosticsRecord.from_step(system, u0, None, equilibrium, 0.0)
         fh.write(_diag_row(rec0))
-        snapshots.offer(0.0, u0.values)
+        snapshots.offer(0.0, u0)
         step_counter = {"p": 0}
 
         def sink(t, state, fluxes, stats):
             step_counter["p"] += 1
             p = step_counter["p"]
             if p % every == 0 or p == total_steps:
-                rec = DiagnosticsRecord.from_step(system, mesh, state, fluxes,
-                                                  equilibrium, t, stats)
+                rec = DiagnosticsRecord.from_step(system, state, fluxes, equilibrium,
+                                                  t, stats)
                 fh.write(_diag_row(rec))
-            snapshots.offer(t, state.values)
+            snapshots.offer(t, state)
 
-        run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
+        run(system, u0, config.time.dt, config.time.t_end, sink)
     return 0
 
 
@@ -125,7 +122,7 @@ def _sampled_runs(config: RunConfig, mesh, grids) -> list:
         for g, factor, states in zip(grids, factors, histories):
             states.append(_restrict(state.values, (g,), factor))
 
-    run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
+    run(system, u0, config.time.dt, config.time.t_end, sink)
     dts = np.full(len(histories[0]), config.time.dt)
     return [SampledRun(mesh if g == mesh.num_cells else uniform_interval(g), dts, states)
             for g, states in zip(grids, histories)]
@@ -193,13 +190,13 @@ def cmd_entropy_decay(config: RunConfig, out_dir=None) -> int:
     u0 = preset_initial(config.initial, mesh, system.n)
     equilibrium = equilibrium_composition(u0)
     times = [0.0]
-    h_values = [relative_entropy(mesh, u0, equilibrium)]
+    h_values = [relative_entropy(u0, equilibrium)]
 
     def sink(t, state, fluxes, stats):
         times.append(t)
-        h_values.append(relative_entropy(mesh, state, equilibrium))
+        h_values.append(relative_entropy(state, equilibrium))
 
-    run(system, mesh, u0, config.time.dt, config.time.t_end, sink)
+    run(system, u0, config.time.dt, config.time.t_end, sink)
 
     out = Path(out_dir or config.output.directory)
     with _open_out(out / "entropy.csv") as fh:

@@ -21,26 +21,24 @@ from .model import SpeciesSystem
 from .scheme import FluxField, StateField, StepStats
 
 
-def entropy(mesh: Mesh, state: StateField) -> float:
-    """Discrete entropy sum_K m_K sum_i u log u, in [-m_Omega log n, 0]."""
-    if state.mesh is not mesh:
-        raise ValueError("state does not belong to the given mesh")
+def entropy(state: StateField) -> float:
+    """Entropy sum_K m_K sum_i u log u over the state's mesh, in [-m_Omega log n, 0]."""
     u = state.values
     if np.any(u < 0.0):
         raise ValueError("entropy requires nonnegative volume fractions")
     logs = np.log(np.where(u > 0.0, u, 1.0))  # 0 log 0 := 0
-    return float((mesh.cell_measures * (u * logs)).sum())
+    return float((state.mesh.cell_measures * (u * logs)).sum())
 
 
-def dissipation(system: SpeciesSystem, mesh: Mesh, state: StateField,
-                fluxes: FluxField) -> float:
-    """Entropy dissipation rate of a step: flux part plus sqrt-jump part.
+def dissipation(system: SpeciesSystem, state: StateField, fluxes: FluxField) -> float:
+    """Entropy dissipation rate of a step on the state's mesh, which the fluxes share.
 
     D = sum_sigma [ (c*/2) m_sigma d_sigma |J_Ksigma|^2
                     + (alpha/2) tau_sigma |D_Ksigma sqrt(u)|^2 ].
     """
-    if state.mesh is not mesh or fluxes.mesh is not mesh:
-        raise ValueError("fields do not belong to the given mesh")
+    mesh = state.mesh
+    if fluxes.mesh is not mesh:
+        raise ValueError("fluxes do not belong to the given mesh of the state")
     j2 = (fluxes.values ** 2).sum(axis=0)
     flux_part = 0.5 * system.c_star * float(
         (mesh.edge_measure * mesh.edge_distance * j2).sum())
@@ -56,14 +54,12 @@ def equilibrium_composition(state: StateField) -> np.ndarray:
     return state.mass_vector / state.mesh.total_measure
 
 
-def relative_entropy(mesh: Mesh, state: StateField, m) -> float:
-    """Entropy relative to a uniform composition m > 0; nonnegative.
+def relative_entropy(state: StateField, m) -> float:
+    """Entropy relative to a uniform composition m > 0 on the state's mesh; nonnegative.
 
     Equals entropy(u) - entropy(m) when m carries the same species masses
     as the state.
     """
-    if state.mesh is not mesh:
-        raise ValueError("state does not belong to the given mesh")
     m = np.asarray(m, dtype=float)
     if m.shape != (state.values.shape[0],):
         raise ValueError("m must be one composition value per species")
@@ -74,7 +70,7 @@ def relative_entropy(mesh: Mesh, state: StateField, m) -> float:
         raise ValueError("relative entropy requires nonnegative volume fractions")
     logs = np.log(np.where(u > 0.0, u, 1.0)) - np.log(m)[:, None]
     terms = np.where(u > 0.0, u * logs, 0.0)
-    return float((mesh.cell_measures * terms).sum())
+    return float((state.mesh.cell_measures * terms).sum())
 
 
 @dataclass(frozen=True)
@@ -145,23 +141,22 @@ class DiagnosticsRecord:
     newton_iterations: int
 
     @classmethod
-    def from_step(cls, system: SpeciesSystem, mesh: Mesh, state: StateField,
-                  fluxes: FluxField, equilibrium, time: float,
-                  stats: StepStats = None):
-        """Assemble a record; pass ``fluxes=None``/``stats=None`` at t = 0."""
-        diss = dissipation(system, mesh, state, fluxes) if fluxes is not None else 0.0
+    def from_step(cls, system: SpeciesSystem, state: StateField, fluxes: FluxField,
+                  equilibrium, time: float, stats: StepStats = None):
+        """Assemble a record; pass ``fluxes=None``/``stats=None`` at t = 0.
+
+        Every quantity is taken on the mesh of ``state``, the fluxes' too.
+        """
+        diss = dissipation(system, state, fluxes) if fluxes is not None else 0.0
         fdev = fluxes.max_species_sum() if fluxes is not None else 0.0
-        if stats is not None:
-            sum_dev = stats.pre_projection_sum_deviation
-            iters = stats.newton_iterations
-        else:
-            sum_dev = state.sum_deviation()
-            iters = 0
+        sum_dev = (state.sum_deviation() if stats is None
+                   else stats.pre_projection_sum_deviation)
+        iters = 0 if stats is None else stats.newton_iterations
         return cls(
             time=float(time),
-            entropy=entropy(mesh, state),
+            entropy=entropy(state),
             dissipation=diss,
-            relative_entropy=relative_entropy(mesh, state, equilibrium),
+            relative_entropy=relative_entropy(state, equilibrium),
             masses=state.mass_vector.copy(),
             min_fraction=state.min_fraction(),
             max_sum_deviation=sum_dev,

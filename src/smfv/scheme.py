@@ -311,23 +311,24 @@ def _residual_values(system, mesh, values, old_values, dt):
     return res, edges
 
 
-def _check_step_args(mesh, dt, *states):
-    if any(state.mesh is not mesh for state in states):
-        raise ValueError("state does not belong to the given mesh")
+def _check_dt(dt):
     if not dt > 0.0:
         raise ValueError("dt must be positive")
 
 
-def residual(system: SpeciesSystem, mesh: Mesh, u_new: StateField,
-             u_old: StateField, dt: float) -> np.ndarray:
+def residual(system: SpeciesSystem, u_new: StateField, u_old: StateField,
+             dt: float) -> np.ndarray:
     """Backward-Euler residual of the implicit step, shape (n, n_cells).
 
+    Both states must lie on one mesh, the one the residual is taken on.
     Boundary faces contribute nothing (zero-flux boundary).  Summed over all
     cells the flux contributions telescope, so the residual total equals the
     mass-change total for every species.
     """
-    _check_step_args(mesh, dt, u_new, u_old)
-    return _residual_values(system, mesh, u_new.values, u_old.values, dt)[0]
+    if u_old.mesh is not u_new.mesh:
+        raise ValueError("u_old does not belong to the given mesh of u_new")
+    _check_dt(dt)
+    return _residual_values(system, u_new.mesh, u_new.values, u_old.values, dt)[0]
 
 
 def _jacobian_pattern(mesh, n):
@@ -401,12 +402,13 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     return matrix
 
 
-def jacobian(system: SpeciesSystem, mesh: Mesh, u_new: StateField, dt: float):
-    """Analytic residual Jacobian as a sparse matrix (n|T| x n|T|).
+def jacobian(system: SpeciesSystem, u_new: StateField, dt: float):
+    """Analytic residual Jacobian on the mesh of ``u_new``, sparse (n|T| x n|T|).
 
     The time-derivative part is diagonal, so the old state does not enter.
     """
-    _check_step_args(mesh, dt, u_new)
+    _check_dt(dt)
+    mesh = u_new.mesh
     return _jacobian_matrix(system, mesh, _edge_fluxes(system, mesh, u_new.values),
                             dt, _jacobian_pattern(mesh, system.n))
 
@@ -448,9 +450,8 @@ class _StepPlan:
         return _jacobian_pattern(self.mesh, self.n - 1)
 
 
-def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
-                *, _plan=None):
-    """One implicit step: chord-Newton solve and projection.
+def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=None):
+    """One implicit step on the mesh of ``u_old``: chord-Newton solve and projection.
 
     The update keeps every cell sum at its old value: it solves the Jacobian
     reduced to the first n - 1 species against their residual rows and sets
@@ -476,8 +477,8 @@ def newton_step(system: SpeciesSystem, mesh: Mesh, u_old: StateField, dt: float,
     measured before the projection.  Raises :class:`NonConvergence` when the
     iteration budget or the halvings run out, or a linear solve fails.
     """
-    _check_step_args(mesh, dt, u_old)
-
+    _check_dt(dt)
+    mesh = u_old.mesh
     plan = _StepPlan(mesh, system.n) if _plan is None else _plan
     reduced = system.n - 1
     x = u_old.values.copy()
@@ -540,24 +541,23 @@ def num_time_steps(dt: float, t_end: float) -> int:
     return max(1, math.ceil((t_end / dt) * (1.0 - 1e-12)))
 
 
-def run(system: SpeciesSystem, mesh: Mesh, u0: StateField, dt: float,
-        t_end: float, sink=None) -> StateField:
+def run(system: SpeciesSystem, u0: StateField, dt: float, t_end: float,
+        sink=None) -> StateField:
     """Advance the implicit scheme from ``u0`` over ceil(T/dt) steps of size dt.
 
-    After each step the optional ``sink`` callback receives
-    ``(t_p, state, fluxes, stats)``.  A Newton failure aborts the run (no
-    adaptive stepping); the raised :class:`NonConvergence` carries the
-    failing step index and time.
+    Every step stays on the mesh of ``u0``.  After each step the optional
+    ``sink`` callback receives ``(t_p, state, fluxes, stats)``.  A Newton
+    failure aborts the run (no adaptive stepping); the raised
+    :class:`NonConvergence` carries the failing step index and time.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
     state = u0
-    plan = _StepPlan(mesh, system.n)
+    plan = _StepPlan(u0.mesh, system.n)
     for p in range(1, num_time_steps(dt, t_end) + 1):
         try:
-            state, fluxes, stats = newton_step(system, mesh, state, dt, _plan=plan)
+            state, fluxes, stats = newton_step(system, state, dt, _plan=plan)
         except NonConvergence as exc:
             exc.step_index = p
             exc.time = p * dt

@@ -60,18 +60,18 @@ class RunTrace:
 def trace_run(system, mesh, u0, dt, t_end, sample=False):
     equilibrium = equilibrium_composition(u0)
     trace = RunTrace(dt=dt)
-    trace.records.append(DiagnosticsRecord.from_step(system, mesh, u0, None,
+    trace.records.append(DiagnosticsRecord.from_step(system, u0, None,
                                                      equilibrium, 0.0))
     states = []
 
     def sink(t, state, fluxes, stats):
-        trace.records.append(DiagnosticsRecord.from_step(system, mesh, state, fluxes,
+        trace.records.append(DiagnosticsRecord.from_step(system, state, fluxes,
                                                          equilibrium, t, stats))
         trace.post_devs.append(state.sum_deviation())
         if sample:
             states.append(state.values)
 
-    run(system, mesh, u0, dt, t_end, sink)
+    run(system, u0, dt, t_end, sink)
     if sample:
         trace.sampled = SampledRun(mesh, np.full(len(states), dt), states)
     return trace
@@ -221,7 +221,7 @@ def test_criterion_10_small_instance_oracle():
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    state, _, _ = newton_step(system, mesh, u_old, dt)
+    state, _, _ = newton_step(system, u_old, dt)
     err = abs(state.values[0, 0] - oracle)
     check("criterion 10: 2-cell implicit step matches bisection oracle to 1e-10",
           err <= 1e-10, f"|newton - oracle| = {err:.3e}")

@@ -57,5 +57,5 @@ def test_every_factor_goes_through_splu(monkeypatch):
     mesh = uniform_rectangle(4, 4)
     rng = np.random.default_rng(2)
     u_old = StateField(mesh, rng.dirichlet(np.ones(3), size=mesh.num_cells).T)
-    _, _, stats = newton_step(system, mesh, u_old, 1e-3)
+    _, _, stats = newton_step(system, u_old, 1e-3)
     assert calls["gstrf"] == calls["splu"] == stats.lu_factors > 0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import smfv.checks
-from smfv.cli import (cmd_check, cmd_convergence, cmd_entropy_decay, cmd_run,
-                      fit_decay_rate, main)
+from smfv.cli import (_write_snapshot, cmd_check, cmd_convergence, cmd_entropy_decay,
+                      cmd_run, fit_decay_rate, main)
 from smfv.config import load_config
+from smfv.mesh import uniform_interval, uniform_rectangle
+from smfv.scheme import StateField
 
 
 def write_config(path, doc):
@@ -207,6 +209,23 @@ def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
     assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
 
 
+@pytest.mark.parametrize("mesh", [uniform_interval(7), uniform_rectangle(3, 4)],
+                         ids=["interval", "rectangle"])
+def test_snapshot_matches_per_value_reference(tmp_path, mesh):
+    # one formatted string per value, as the writer's rows must read
+    rng = np.random.default_rng(9)
+    shape = (3, mesh.num_cells)
+    values = rng.random(shape) * 10.0 ** rng.uniform(-300, 2, shape)
+    values[:, 0] = [0.0, 1e-12, 1.0]
+    _write_snapshot(tmp_path, StateField(mesh, values), 0.25)
+    coords = ["x", "y"][: mesh.dimension]
+    lines = [",".join(["cell"] + coords + ["u_1", "u_2", "u_3"])]
+    for k in range(mesh.num_cells):
+        cols = [f"{c:.17g}" for c in list(mesh.cell_centers[k]) + list(values[:, k])]
+        lines.append(",".join([str(k)] + cols))
+    assert (tmp_path / "u_t0.25.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -305,6 +324,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("aborted:")
         assert "no residual decrease in 30 halvings" in err
+
+    def test_high_contrast_solver_failure_exit_code(self, tmp_path, capsys):
+        # a genuine Newton failure, unpatched, ends in a typed error
+        doc = uniform_doc(tmp_path / "out", dt=1e-4, t_end=1e-3)
+        doc["initial"] = {"preset": "nonsmooth1d"}
+        doc["species"]["c"] = [[0, 0.01, 0.2], [0.01, 0, 20], [0.2, 20, 0]]
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted:")
+        assert "no residual decrease" in err
 
     def test_check_subcommand_with_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smfv.checks, "ALL_CHECKS",

@@ -24,32 +24,32 @@ class TestEntropy:
         for n in (2, 3, 5):
             mesh = uniform_interval(8)
             state = StateField(mesh, np.full((n, 8), 1.0 / n))
-            assert entropy(mesh, state) == pytest.approx(-math.log(n), rel=1e-12)
+            assert entropy(state) == pytest.approx(-math.log(n), rel=1e-12)
 
     def test_pure_state_is_zero(self):
         mesh = uniform_interval(4)
         vals = np.zeros((3, 4))
         vals[0] = 1.0
-        assert entropy(mesh, StateField(mesh, vals)) == 0.0
+        assert entropy(StateField(mesh, vals)) == 0.0
 
     def test_single_cell_value(self):
         mesh = uniform_interval(1)
         state = StateField(mesh, np.array([[0.25], [0.75]]))
         expected = 0.25 * math.log(0.25) + 0.75 * math.log(0.75)
-        assert entropy(mesh, state) == pytest.approx(expected, rel=1e-14)
+        assert entropy(state) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(-0.562335, abs=1e-6)
 
     def test_rejects_negative(self):
         mesh = uniform_interval(2)
         with pytest.raises(ValueError):
-            entropy(mesh, StateField(mesh, np.array([[-0.1, 0.5], [1.1, 0.5]])))
+            entropy(StateField(mesh, np.array([[-0.1, 0.5], [1.1, 0.5]])))
 
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(0)
         mesh = uniform_interval(11)
         for n in (2, 4):
             vals = rng.dirichlet(np.ones(n), size=11).T
-            e = entropy(mesh, StateField(mesh, vals))
+            e = entropy(StateField(mesh, vals))
             assert -mesh.total_measure * math.log(n) - 1e-12 <= e <= 1e-12
 
 
@@ -58,7 +58,7 @@ class TestDissipation:
         mesh = uniform_interval(5)
         state = StateField(mesh, np.full((3, 5), 1.0 / 3.0))
         fluxes = FluxField(mesh, np.zeros((3, 4)))
-        assert dissipation(system_1d, mesh, state, fluxes) == 0.0
+        assert dissipation(system_1d, state, fluxes) == 0.0
 
     def test_single_edge_jump_value(self):
         mesh = two_unit_cells()
@@ -69,7 +69,7 @@ class TestDissipation:
         fluxes = FluxField(mesh, np.zeros((2, 1)))
         jump = math.sqrt(0.75) - math.sqrt(0.25)
         expected = (system.alpha / 2.0) * 1.0 * 2.0 * jump**2
-        value = dissipation(system, mesh, state, fluxes)
+        value = dissipation(system, state, fluxes)
         assert value == pytest.approx(expected, rel=1e-14)
         assert value == pytest.approx(0.535898, abs=1e-6)
 
@@ -79,7 +79,14 @@ class TestDissipation:
         for _ in range(50):
             state = StateField(mesh, rng.dirichlet(np.ones(3), size=9).T)
             fluxes = FluxField(mesh, rng.normal(size=(3, 8)))
-            assert dissipation(system_1d, mesh, state, fluxes) >= 0.0
+            assert dissipation(system_1d, state, fluxes) >= 0.0
+
+    def test_rejects_fluxes_of_another_mesh(self, system_1d):
+        # the two fields meet here, so their meshes must be one
+        state = StateField(uniform_interval(5), np.full((3, 5), 1.0 / 3.0))
+        fluxes = FluxField(uniform_interval(5), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="do not belong"):
+            dissipation(system_1d, state, fluxes)
 
 
 class TestRelativeEntropy:
@@ -87,7 +94,7 @@ class TestRelativeEntropy:
         mesh = uniform_interval(6)
         m = np.array([0.2, 0.3, 0.5])
         state = StateField(mesh, np.repeat(m[:, None], 6, axis=1))
-        assert relative_entropy(mesh, state, m) == pytest.approx(0.0, abs=1e-15)
+        assert relative_entropy(state, m) == pytest.approx(0.0, abs=1e-15)
 
     def test_nonnegative_for_matched_equilibrium(self):
         rng = np.random.default_rng(2)
@@ -95,7 +102,7 @@ class TestRelativeEntropy:
         for _ in range(100):
             state = StateField(mesh, rng.dirichlet(np.ones(3), size=10).T)
             m = equilibrium_composition(state)
-            assert relative_entropy(mesh, state, m) >= -1e-12
+            assert relative_entropy(state, m) >= -1e-12
 
     def test_equals_entropy_difference(self):
         rng = np.random.default_rng(3)
@@ -103,15 +110,15 @@ class TestRelativeEntropy:
         state = StateField(mesh, rng.dirichlet(np.ones(3), size=7).T)
         m = equilibrium_composition(state)
         equilibrium = StateField(mesh, np.repeat(m[:, None], 7, axis=1))
-        h = relative_entropy(mesh, state, m)
-        assert h == pytest.approx(entropy(mesh, state) - entropy(mesh, equilibrium),
+        h = relative_entropy(state, m)
+        assert h == pytest.approx(entropy(state) - entropy(equilibrium),
                                   abs=1e-12)
 
     def test_rejects_zero_mass_species(self):
         mesh = uniform_interval(3)
         state = StateField(mesh, np.full((2, 3), 0.5))
         with pytest.raises(ValueError):
-            relative_entropy(mesh, state, np.array([1.0, 0.0]))
+            relative_entropy(state, np.array([1.0, 0.0]))
 
 
 class TestL1SpaceTimeError:
@@ -186,7 +193,7 @@ class TestDiagnosticsRecord:
         state = StateField(mesh, np.full((3, 4), 1.0 / 3.0))
         fluxes = FluxField(mesh, np.zeros((3, 3)))
         m = equilibrium_composition(state)
-        rec = DiagnosticsRecord.from_step(system_1d, mesh, state, fluxes, m, 0.5)
+        rec = DiagnosticsRecord.from_step(system_1d, state, fluxes, m, 0.5)
         # the bounds of every record: entropy in [-m log n, 0], H >= 0, D >= 0
         assert -math.log(3.0) - 1e-10 <= rec.entropy <= 1e-10
         assert rec.dissipation == 0.0

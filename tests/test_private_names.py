@@ -3,7 +3,8 @@
 A ``_private`` function, class or constant is not part of the public API, so
 nothing outside ``src/smfv`` may keep it alive; one that no module of the
 package references is dead code.  So is a parameter its function never
-reads, unless a calling protocol fixes it.
+reads, unless a calling protocol fixes it.  Nor does a function take a
+``mesh`` beside a ``StateField``, which carries its own.
 """
 
 import ast
@@ -79,3 +80,25 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{fn.name}({p})" for p in params
                        if p not in read and p not in exempt]
     assert unread == []
+
+
+def _annotation_names(fn):
+    args = fn.args
+    for a in args.posonlyargs + args.args + args.kwonlyargs:
+        if a.annotation is not None:
+            for node in ast.walk(a.annotation):
+                if isinstance(node, ast.Name):
+                    yield node.id
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    yield node.value
+
+
+def test_no_function_takes_a_mesh_beside_a_state():
+    # a StateField carries its mesh; a second mesh argument has one valid value
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(fn, ast.FunctionDef) and "mesh" in _parameters(fn)
+                    and "StateField" in _annotation_names(fn)):
+                both.append(f"{path.name}:{fn.name}")
+    assert both == []
