@@ -79,6 +79,22 @@ class Mesh:
         put("num_interior_edges", len(self.edge_cell_k))
         put("edge_tau", self.edge_measure / self.edge_distance)
 
+    def cell_edge_incidence(self, rows: int) -> np.ndarray:
+        """The bins of per-cell sums over cell and edge terms, for ``rows`` rows at once.
+
+        Each of the ``rows`` rows holds one term per cell, then one per
+        interior edge for its K cell, then one per edge for its L cell.
+        ``np.bincount`` by the returned index, shape (rows * (N + 2E),),
+        sums the terms of row r and cell c into bin r * N + c, in that
+        order.  Built once per mesh and row count.
+        """
+        built = self.__dict__.setdefault("_incidence", {})
+        if rows not in built:
+            cells = np.concatenate([np.arange(self.num_cells), self.edge_cell_k,
+                                    self.edge_cell_l])
+            built[rows] = (cells + self.num_cells * np.arange(rows)[:, None]).ravel()
+        return built[rows]
+
 
 def _uniform_grid(shape: tuple) -> Mesh:
     """Uniform tensor-product mesh of the unit cube, shape[a] cells along axis a.

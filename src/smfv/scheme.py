@@ -15,7 +15,8 @@ nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
 log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
 Newton state's log means, edge matrices and fluxes are computed once and
-shared by the residual and the Jacobian.
+shared by the residual and the Jacobian; the log-mean partials are
+computed only for the states whose Jacobian is factored.
 
 The edge matrices S = c* I + Abar(u_sigma) are stored as an (n, n, E)
 structure of arrays, one contiguous length-E vector per entry, and
@@ -35,9 +36,11 @@ when the old sums are 1.  Newton therefore keeps every cell sum at its
 old value and factors only the Jacobian reduced to the first n - 1
 species, with u_n = s - sum_{j<n} u_j; volume filling holds by
 construction of the update.  One CSC matrix of (n-1) x (n-1) blocks is
-built per run and refilled in place for every factor; SuperLU factors it
-with the symmetric minimum-degree ordering on A^T + A, which suits the
-structurally symmetric two-point-flux Jacobian.
+built per run and refilled in place for every factor.  Its unknowns are
+numbered once per run in SuperLU's symmetric minimum-degree order on
+A^T + A, which suits the structurally symmetric two-point-flux Jacobian,
+so each factor is SuperLU's in the natural order of that matrix, and two
+gathers take the residual into the order and the solution out of it.
 
 Within a step the iteration is a chord (Shamanskii) method (Kelley,
 Solving Nonlinear Equations with Newton's Method, SIAM 2003): each step
@@ -189,7 +192,7 @@ class StepStats:
     lu_factors: int
 
 
-def _log_mean_with_partials(a, b):
+def _log_mean_with_partials(a, b, partials=True):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
     The log mean (a - b)/log(a/b) is totalised: 0, with both partials 0,
@@ -199,6 +202,9 @@ def _log_mean_with_partials(a, b):
     other.  For u >= ``_SERIES_MAX_U`` the closed form is used, with
     d/da = (L - (a-b)/a)/L^2, symmetrically for b, and L = log(a/b), which
     unlike log a - log b stays accurate for small a and b.
+
+    Returns ``(lam, da, db)``, or with ``partials`` false only ``lam``, the
+    same to the bit, without the work of the partials.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -212,18 +218,19 @@ def _log_mean_with_partials(a, b):
         big_df = _SERIES_ORDER * big_f
         for k in range(_SERIES_ORDER - 1, 0, -1):
             big_f = big_f * u + 1.0 / (2 * k + 1)
-            big_df = big_df * u + k / (2 * k + 1)
+            if partials:
+                big_df = big_df * u + k / (2 * k + 1)
         g = 1.0 / (big_f * u + 1.0)
-        lam = 0.5 * s * g
-        t = big_df * g * g
-        da = 0.5 * g - (f - u) * t
-        db = 0.5 * g + (f + u) * t
         big_l = np.log(a / b)
         closed = u >= _SERIES_MAX_U
-        lam = np.where(closed, d / big_l, lam)
-        da = np.where(closed, (big_l - d / a) / (big_l * big_l), da)
-        db = np.where(closed, (d / b - big_l) / (big_l * big_l), db)
+        lam = np.where(closed, d / big_l, 0.5 * s * g)
+        if partials:
+            t = big_df * g * g
+            da = np.where(closed, (big_l - d / a) / (big_l * big_l), 0.5 * g - (f - u) * t)
+            db = np.where(closed, (d / b - big_l) / (big_l * big_l), 0.5 * g + (f + u) * t)
     pos = (a > 0.0) & (b > 0.0)
+    if not partials:
+        return np.where(pos, lam, 0.0)
     return np.where(pos, lam, 0.0), np.where(pos, da, 0.0), np.where(pos, db, 0.0)
 
 
@@ -233,8 +240,7 @@ def log_mean(a, b):
     Zero where either argument is non-positive; otherwise it lies between
     min(a, b) and max(a, b).
     """
-    lam, _, _ = _log_mean_with_partials(a, b)
-    return lam[()]
+    return _log_mean_with_partials(a, b, partials=False)[()]
 
 
 def _edge_systems(system, lam):
@@ -284,31 +290,38 @@ def _edge_inverse(mats):
 def _edge_fluxes(system, mesh, values):
     """Edge terms of a cell state from one log mean and one inverse per edge.
 
-    Returns ``(flux, inv, da, db)``: the fluxes J = -S^-1 (u_L - u_K)/d_sigma,
+    Returns ``(flux, inv, uk, ul)``: the fluxes J = -S^-1 (u_L - u_K)/d_sigma,
     shape (n, E), the inverses of S = c* I + Abar(u_sigma) from
     :func:`_edge_inverse`, shape (n, n, E), which the Jacobian blocks reuse,
-    and the log-mean partials w.r.t. u_K and u_L, shape (n, E).
+    and the cell values either side of every edge, shape (n, E), from which
+    the Jacobian takes the log-mean partials.
     """
     uk = values[:, mesh.edge_cell_k]
     ul = values[:, mesh.edge_cell_l]
-    lam, da, db = _log_mean_with_partials(uk, ul)
+    lam = _log_mean_with_partials(uk, ul, partials=False)
     inv = _edge_inverse(_edge_systems(system, lam))
     rhs = (uk - ul) / mesh.edge_distance
     flux = inv[:, 0] * rhs[0]
     for j in range(1, system.n):
         flux += inv[:, j] * rhs[j]
-    return flux, inv, da, db
+    return flux, inv, uk, ul
 
 
 def _residual_values(system, mesh, values, old_values, dt):
-    """Residual of ``values`` and its edge terms, which the Jacobian reuses."""
+    """Residual of ``values`` and its edge terms, which the Jacobian reuses.
+
+    One ``np.bincount`` over the mesh's cell-edge incidence adds, per
+    species and cell, the time term, then the flux of every edge leaving
+    the cell and minus that of every edge entering it, in edge order.
+    """
     edges = _edge_fluxes(system, mesh, values)
-    res = mesh.cell_measures * (values - old_values) / dt
+    n, cells = values.shape
     weighted = mesh.edge_measure * edges[0]
-    for i in range(system.n):
-        np.add.at(res[i], mesh.edge_cell_k, weighted[i])
-        np.subtract.at(res[i], mesh.edge_cell_l, weighted[i])
-    return res, edges
+    terms = np.concatenate([mesh.cell_measures * (values - old_values) / dt,
+                            weighted, -weighted], axis=1)
+    res = np.bincount(mesh.cell_edge_incidence(n), weights=terms.ravel(),
+                      minlength=n * cells)
+    return res.reshape(n, cells), edges
 
 
 def _check_dt(dt):
@@ -331,15 +344,25 @@ def residual(system: SpeciesSystem, u_new: StateField, u_old: StateField,
     return _residual_values(system, u_new.mesh, u_new.values, u_old.values, dt)[0]
 
 
-def _jacobian_pattern(mesh, n):
+def _jacobian_pattern(mesh, n, ordered=False):
     """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
 
     Unknown ordering is cell-major: flat index K * n + i.  The raw entries
     are the (K, K), (K, L), (L, K) and (L, L) blocks of the interior edges,
     each in the (n, n, E) layout of :func:`_edge_systems`, followed by the
-    n diagonal entries of every cell.  Returns ``(matrix, slot)``:
+    n diagonal entries of every cell.  Returns ``(matrix, slot, perm)``:
     ``matrix`` is canonical with ``np.intc`` index arrays, as SuperLU takes
     them, and summing the raw entries by ``slot`` gives its ``data``.
+
+    ``perm`` is None, or with ``ordered`` a fill-reducing order: unknown q
+    is then row and column ``perm[q]`` of the matrix, which SuperLU is to
+    factor in its natural order.  ``perm`` is the ``perm_c`` of
+    ``splu(A, permc_spec="MMD_AT_PLUS_A")`` for any A with the cell-major
+    pattern: the symmetric minimum-degree order on A^T + A, postordered by
+    SuperLU's elimination tree.  scipy takes no ``perm_c`` input, so it is
+    read off an incomplete factor of an M-matrix with the pattern (-1 off
+    the diagonal, the matrix order on it), which exists for any dropping
+    and costs a fraction of a full factor.
     """
     size = mesh.num_cells * n
     k, l = mesh.edge_cell_k, mesh.edge_cell_l
@@ -349,11 +372,23 @@ def _jacobian_pattern(mesh, n):
     # column-major keys: sorting them gives the CSC order
     keys = np.concatenate([(cols * size + rows).ravel(), np.arange(size) * (size + 1)])
     unique, slot = np.unique(keys, return_inverse=True)
-    indptr = np.searchsorted(unique // size, np.arange(size + 1)).astype(np.intc)
-    matrix = sp.csc_matrix((np.zeros(len(unique)), (unique % size).astype(np.intc),
-                            indptr), shape=(size, size))
-    matrix.has_canonical_format = True
-    return matrix, slot
+
+    def csc(keys, data):
+        indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.intc)
+        matrix = sp.csc_matrix((data, (keys % size).astype(np.intc), indptr),
+                               shape=(size, size))
+        matrix.has_canonical_format = True
+        return matrix
+
+    perm = None
+    if ordered:
+        m_matrix = csc(unique, np.where(unique % (size + 1) == 0, float(size), -1.0))
+        perm = spla.spilu(m_matrix, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                          fill_factor=1).perm_c.astype(np.intp)
+        unique, rank = np.unique(perm[unique // size] * size + perm[unique % size],
+                                 return_inverse=True)
+        slot = rank[slot]
+    return csc(unique, np.zeros(len(unique))), slot, perm
 
 
 def _jacobian_matrix(system, mesh, edges, dt, pattern):
@@ -369,17 +404,20 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
         dJ/du_K = S^-1/d_sigma - P diag(dlam/du_K),
         dJ/du_L = -S^-1/d_sigma - P diag(dlam/du_L),
 
-    so no further solve is needed.  All blocks are built in the (n, n, E)
-    layout, one length-E vector per entry.
+    so no further solve is needed.  The log-mean partials are computed here,
+    from the cell values the edge terms carry: the residual, which most
+    states only need, does without them.  All blocks are built in the
+    (n, n, E) layout, one length-E vector per entry.
 
     With blocks of size b = n - 1 the pattern holds the reduction to the
     first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j: rows
     i < n and columns dF/du_j - dF/du_n for j < n.  The time-derivative
     diagonal is unchanged by it.
     """
-    flux, inv, da, db = edges
+    flux, inv, uk, ul = edges
+    _, da, db = _log_mean_with_partials(uk, ul)
     n = system.n
-    matrix, slot = pattern
+    matrix, slot, _ = pattern
     b = matrix.shape[0] // mesh.num_cells
     weighted = mesh.edge_measure * flux
     # m_sigma G[j, m] = m_sigma d(Abar(s) J)_j / d s_m at fixed J
@@ -438,7 +476,9 @@ def _project_values(values):
 class _StepPlan:
     """What every step of one run on one mesh shares: the reduced Jacobian's pattern.
 
-    The pattern is built at its first use, inside the first step.
+    The pattern is in a fill-reducing order, computed once; ``gathers``
+    take a residual into that order and a solution out of it.  Both are
+    built at their first use, inside the first step.
     """
 
     def __init__(self, mesh, n):
@@ -447,7 +487,22 @@ class _StepPlan:
 
     @functools.cached_property
     def pattern(self):
-        return _jacobian_pattern(self.mesh, self.n - 1)
+        return _jacobian_pattern(self.mesh, self.n - 1, ordered=True)
+
+    @functools.cached_property
+    def gathers(self):
+        """Index arrays ``(into, out_of)`` of the two gathers of every solve.
+
+        For a residual ``res`` of shape (n, cells), ``res.ravel()[into]``
+        holds its first n - 1 rows in the matrix's order; for a solution
+        in that order, ``solution[out_of]`` is the update of the first
+        n - 1 species, shape (n - 1, cells).
+        """
+        perm = self.pattern[2]
+        cells, b = self.mesh.num_cells, self.n - 1
+        into = np.empty_like(perm)
+        into[perm] = (np.arange(cells)[:, None] + cells * np.arange(b)).ravel()
+        return into, perm.reshape(cells, b).T
 
 
 def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=None):
@@ -482,20 +537,25 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     plan = _StepPlan(mesh, system.n) if _plan is None else _plan
     reduced = system.n - 1
     x = u_old.values.copy()
+    delta = np.empty_like(x)
     res_norm = math.inf
     iterations = factors = 0
     lu = None
     try:
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
+        into, out_of = plan.gathers
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = lu is not None
             if not stale:
+                # The order is fixed per run, so SuperLU orders nothing here.
+                # Its own symbolic reuse (options={"Fact": "SamePattern"})
+                # crashes the process in scipy 1.17.1 and is not used.
                 lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, plan.pattern),
-                               permc_spec="MMD_AT_PLUS_A")
+                               permc_spec="NATURAL")
                 factors += 1
-            head = lu.solve(-res[:reduced].T.ravel()).reshape(mesh.num_cells, reduced).T
-            delta = np.vstack([head, -head.sum(axis=0)])
+            delta[:reduced] = lu.solve(-res.ravel()[into])[out_of]
+            delta[reduced] = -delta[:reduced].sum(axis=0)
             if float(np.abs(delta).max()) < NEWTON_TOL:
                 x = x + delta
                 break

@@ -40,6 +40,18 @@ class TestLogMean:
         assert lam >= min(a, b) * (1.0 - 1e-14)
         assert lam <= max(a, b) * (1.0 + 1e-14)
 
+    def test_log_mean_alone_is_that_with_partials(self):
+        # one implementation: without partials it returns the same log mean
+        # to the bit, on both branches, at equal arguments and at zeros
+        rng = np.random.default_rng(9)
+        a = rng.uniform(1e-8, 1.0, size=400)
+        b = np.concatenate([a[:100] * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, size=100)),
+                            rng.uniform(1e-8, 1.0, size=100), a[200:300],
+                            np.zeros(50), -a[350:]])
+        lam = _log_mean_with_partials(a, b, partials=False)
+        assert np.array_equal(lam, _log_mean_with_partials(a, b)[0])
+        assert np.array_equal(lam, log_mean(a, b))
+
     def test_partials_at_equal_arguments(self):
         a = np.array([0.3])
         _, da, db = _log_mean_with_partials(a, a.copy())
@@ -214,6 +226,22 @@ class TestResidual:
         r = residual(system_1d, new, old, dt)
         expected = (mesh.cell_measures * (new.values - old.values) / dt).sum()
         assert float(r.sum()) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+    def test_scatter_sums_in_edge_order(self, system_2d):
+        # per cell: the time term, plus the outgoing fluxes, minus the
+        # incoming ones, each in edge order, to the bit
+        rng = np.random.default_rng(4)
+        mesh = uniform_rectangle(5, 4)
+        new = StateField(mesh, rng.dirichlet(np.ones(3), size=mesh.num_cells).T)
+        old = StateField(mesh, rng.dirichlet(np.ones(3), size=mesh.num_cells).T)
+        dt = 0.05
+        weighted = mesh.edge_measure * _edge_fluxes(system_2d, mesh, new.values)[0]
+        expected = mesh.cell_measures * (new.values - old.values) / dt
+        for i in range(3):
+            np.add.at(expected[i], mesh.edge_cell_k, weighted[i])
+            np.subtract.at(expected[i], mesh.edge_cell_l, weighted[i])
+        assert np.array_equal(residual(system_2d, new, old, dt), expected)
+        assert mesh.cell_edge_incidence(3) is mesh.cell_edge_incidence(3)
 
     def test_two_cell_hand_assembly(self):
         # n = 2 and c12 = 1 makes Abar vanish: J_i = -(u_iL - u_iK)/d
@@ -408,21 +436,87 @@ class TestNewtonLinearSolve:
         ratio = (factor.L.nnz + factor.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
         assert ratio <= 0.7
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mesh", [uniform_interval(64), uniform_rectangle(12, 10)],
+                             ids=["interval", "rectangle"])
+    def test_plan_order_is_superlus_minimum_degree(self, mesh, n):
+        # the run's one order is the perm_c SuperLU's symmetric minimum-degree
+        # ordering gives the natural-order reduced Jacobian, and the plan's
+        # matrix is that Jacobian's pattern with rows and columns permuted
+        import smfv.scheme
+
+        coeffs = [[0.0, 0.5], [0.5, 0.0]] if n == 2 else [[0.0, 0.1, 0.2],
+                                                        [0.1, 0.0, 2.0],
+                                                        [0.2, 2.0, 0.0]]
+        system = build_system(coeffs)
+        rng = np.random.default_rng(n)
+        state = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
+        natural = _reduced(jacobian(system, state, 1e-3), n)
+        matrix, _, perm = smfv.scheme._StepPlan(mesh, n).pattern
+        assert np.array_equal(np.sort(perm), np.arange(natural.shape[0]))
+        superlu = scipy.sparse.linalg.splu(natural, permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(perm, superlu.perm_c)
+        order = np.argsort(perm)
+        permuted = scipy.sparse.csc_matrix(natural[order][:, order])
+        permuted.sort_indices()
+        assert np.array_equal(matrix.indptr, permuted.indptr)
+        assert np.array_equal(matrix.indices, permuted.indices)
+
+    def test_factors_in_the_plans_order(self, system_2d, monkeypatch):
+        # every numeric factor is SuperLU's, with no ordering of its own, of
+        # the plan's matrix; its column permutation stays the identity
+        import smfv.scheme
+
+        original = scipy.sparse.linalg.splu
+        calls = []
+
+        def capture(matrix, *args, **kwargs):
+            calls.append((matrix, args, kwargs, original(matrix, *args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+        mesh = uniform_rectangle(8, 8)
+        plan = smfv.scheme._StepPlan(mesh, 3)
+        for _ in range(2):
+            _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-5, _plan=plan)
+        assert len(calls) == 2 * stats.lu_factors > 2
+        for matrix, args, kwargs, factor in calls:
+            assert matrix is plan.pattern[0]
+            assert args == () and kwargs == {"permc_spec": "NATURAL"}
+            assert np.array_equal(factor.perm_c, np.arange(matrix.shape[0]))
+
+    def test_shared_plan_matches_fresh_plans(self, system_2d):
+        # a run's one plan gives, to the bit, the states and counts of steps
+        # that each order and build their pattern afresh
+        mesh = uniform_rectangle(8, 8)
+        dt = 1e-5
+        shared = []
+        run(system_2d, _blocks_2d(mesh), dt, 3 * dt,
+            sink=lambda t, s, f, stats: shared.append((s, stats)))
+        state = _blocks_2d(mesh)
+        for shared_state, shared_stats in shared:
+            state, _, stats = newton_step(system_2d, state, dt)
+            assert np.array_equal(state.values, shared_state.values)
+            assert stats == shared_stats
+
     def test_one_matrix_refilled_per_step(self, system_2d, monkeypatch):
         # every factor is the exact reduced Jacobian of the iterate it was
         # made at, and the chord solves outnumber the factors
+        import smfv.scheme
+
         factored = _factored_states(monkeypatch)
         calls = _captured_factors(monkeypatch, context=lambda: factored[-1][0])
         mesh = uniform_rectangle(6, 5)
         u_old = _blocks_2d(mesh)
         dt = 1e-4
-        _, _, stats = newton_step(system_2d, u_old, dt)
+        plan = smfv.scheme._StepPlan(mesh, 3)
+        _, _, stats = newton_step(system_2d, u_old, dt, _plan=plan)
         monkeypatch.undo()
         assert len(calls) == stats.lu_factors > 2
         assert stats.lu_factors < stats.newton_iterations
-        template = calls[0][0]
+        order = np.argsort(plan.pattern[2])
         for matrix, filled, _, values in calls:
-            assert matrix is template
+            assert matrix is plan.pattern[0]
             assert matrix.format == "csc"
             assert matrix.has_canonical_format
             # recomputed from the arrays, not read from the flag the code set
@@ -431,6 +525,8 @@ class TestNewtonLinearSolve:
             assert matrix.indices.dtype == np.intc
             assert matrix.indptr.dtype == np.intc
             exact = _reduced(jacobian(system_2d, StateField(mesh, values), dt), 3)
+            exact = scipy.sparse.csc_matrix(exact[order][:, order])
+            exact.sort_indices()
             assert np.array_equal(filled.indices, exact.indices)
             assert np.array_equal(filled.indptr, exact.indptr)
             assert np.abs(filled.data - exact.data).max() <= 1e-12 * np.abs(exact.data).max()
@@ -591,31 +687,65 @@ class TestNewtonSolve:
         assert max(stats.lu_factors for stats in steps) <= 3
 
     def test_one_edge_evaluation_per_newton_state(self, system_1d, monkeypatch):
-        # the Jacobian reuses the edge terms of the residual's state; the flux
-        # of the projected state costs one more log mean, at its first read
+        # one log mean per residual, its partials only for the states that
+        # are factored; the flux of the projected state costs one more log
+        # mean, without partials, at its first read
         import smfv.scheme
 
-        calls = {"_log_mean_with_partials": 0, "_residual_values": 0}
+        calls = {"log_mean": 0, "partials": 0, "_residual_values": 0}
+        log_mean_with_partials = smfv.scheme._log_mean_with_partials
+        residual_values = smfv.scheme._residual_values
 
-        def counted(name):
-            original = getattr(smfv.scheme, name)
+        def counted_log_mean(a, b, partials=True):
+            calls["partials" if partials else "log_mean"] += 1
+            return log_mean_with_partials(a, b, partials)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
+        def counted_residual(*args):
+            calls["_residual_values"] += 1
+            return residual_values(*args)
 
-        for name in calls:
-            monkeypatch.setattr(smfv.scheme, name, counted(name))
+        monkeypatch.setattr(smfv.scheme, "_log_mean_with_partials", counted_log_mean)
+        monkeypatch.setattr(smfv.scheme, "_residual_values", counted_residual)
         mesh = uniform_interval(16)
         state = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        plan = smfv.scheme._StepPlan(mesh, 3)
         for _ in range(5):
             calls.update(dict.fromkeys(calls, 0))
-            state, fluxes, _ = newton_step(system_1d, state, 1e-4)
-            assert calls["_residual_values"] >= 2
-            assert calls["_log_mean_with_partials"] == calls["_residual_values"]
+            state, fluxes, stats = newton_step(system_1d, state, 1e-4, _plan=plan)
+            assert calls["_residual_values"] > stats.lu_factors >= 1
+            assert calls["log_mean"] == calls["_residual_values"]
+            assert calls["partials"] == stats.lu_factors
             assert fluxes.values is fluxes.values
-            assert calls["_log_mean_with_partials"] == calls["_residual_values"] + 1
+            assert calls["log_mean"] == calls["_residual_values"] + 1
+            assert calls["partials"] == stats.lu_factors
+
+    def test_partials_are_those_of_the_factored_state(self, system_2d, monkeypatch):
+        # the partials the Jacobian computes from the edge terms equal, to
+        # the bit, a direct evaluation at the state the factor is made at;
+        # the log mean without partials equals the one with them
+        import smfv.scheme
+
+        factored = _factored_states(monkeypatch)
+        log_mean_with_partials = smfv.scheme._log_mean_with_partials
+        seen = []
+
+        def recorded(a, b, partials=True):
+            out = log_mean_with_partials(a, b, partials)
+            if partials:
+                seen.append(out)
+            else:
+                assert np.array_equal(out, log_mean_with_partials(a, b)[0])
+            return out
+
+        monkeypatch.setattr(smfv.scheme, "_log_mean_with_partials", recorded)
+        mesh = uniform_rectangle(6, 5)
+        _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-4)
+        monkeypatch.undo()
+        assert len(seen) == len(factored) == stats.lu_factors > 2
+        k, l = mesh.edge_cell_k, mesh.edge_cell_l
+        for (values, _), got in zip(factored, seen):
+            expected = _log_mean_with_partials(values[:, k], values[:, l])
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_reduced_solve_satisfies_every_species(self, monkeypatch, n):
@@ -802,30 +932,39 @@ class TestRun:
             before = state
 
     def test_pattern_built_once_per_run(self, system_1d, monkeypatch):
-        # built inside the first step, not before it; every step still goes
-        # through the module's newton_step, where the benchmark's tracer hooks in
+        # built and ordered inside the first step, not before it, by one
+        # incomplete factor; every step still goes through the module's
+        # newton_step, where the benchmark's tracer hooks in
         import smfv.scheme
 
-        built, steps = [], []
+        built, orders, steps = [], [], []
         pattern, step = smfv.scheme._jacobian_pattern, smfv.scheme.newton_step
+        spilu = scipy.sparse.linalg.spilu
 
-        def counted_pattern(*args):
-            built.append(args)
-            return pattern(*args)
+        def counted_pattern(*args, **kwargs):
+            built.append((args, kwargs))
+            return pattern(*args, **kwargs)
+
+        def counted_spilu(*args, **kwargs):
+            orders.append(kwargs)
+            return spilu(*args, **kwargs)
 
         def counted_step(*args, **kwargs):
-            steps.append(len(built))
+            steps.append((len(built), len(orders)))
             return step(*args, **kwargs)
 
         monkeypatch.setattr(smfv.scheme, "_jacobian_pattern", counted_pattern)
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted_spilu)
         monkeypatch.setattr(smfv.scheme, "newton_step", counted_step)
         mesh = uniform_interval(8)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         run(system_1d, u0, 1e-3, 5e-3)
-        assert steps == [0, 1, 1, 1, 1]
-        assert [(m is mesh, n) for m, n in built] == [(True, 2)]
+        assert steps == [(0, 0)] + [(1, 1)] * 4
+        assert [(args[0] is mesh, args[1:], kwargs)
+                for args, kwargs in built] == [(True, (2,), {"ordered": True})]
+        assert orders[0]["permc_spec"] == "MMD_AT_PLUS_A"
         smfv.scheme.newton_step(system_1d, u0, 1e-3)
-        assert len(built) == 2
+        assert (len(built), len(orders)) == (2, 2)
 
     def test_sink_reads_fluxes_of_its_state(self, system_1d):
         # computed at the first read, from the step's projected state, once
