@@ -301,8 +301,10 @@ def check_jacobian_fd(rng, count=100, extra_system=None):
 def check_log_mean(rng, count=2000, extra_system=None):
     """Branches, containment and partials (vs central differences) of the log mean.
 
-    Every other pair has a relative gap in 1e-16..1e-2, where the quotient
-    form cancels; there both partials are checked (difference step 1e-6 a).
+    Every other pair has a relative gap in 1e-16..1e-2, where the closed
+    form of the partials cancels and the series gives them; there both
+    partials are checked (difference step 1e-6 a).  The log mean itself is
+    one log1p formula on every pair.
     """
     worst = 0.0
     ok = True

@@ -10,13 +10,14 @@ where the per-edge flux vector J_Ksigma is the unique solution of
     (c* I + Abar(u_sigma)) J_Ksigma = -(u_L - u_K) / d_sigma,
 
 with edge compositions u_sigma given componentwise by the logarithmic mean
-of the two adjacent cell values.  Boundary faces carry zero flux.  The
-nonlinear system is solved by Newton iteration with an analytic
+of the two adjacent cell values, |a - b| / log1p(|a - b| / min(a, b)),
+which needs no threshold near a == b.  Boundary faces carry zero flux.
+The nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
-log-mean series of Ismail and Roe (J. Comput. Phys. 228, 2009).  Each
-Newton state's log means, edge matrices and fluxes are computed once and
-shared by the residual and the Jacobian; the log-mean partials are
-computed only for the states whose Jacobian is factored.
+series of Ismail and Roe (J. Comput. Phys. 228, 2009) for the log-mean
+partials.  Each Newton state's log means, edge matrices and fluxes are
+computed once and shared by the residual and the Jacobian; the log-mean
+partials are computed only for the states whose Jacobian is factored.
 
 The edge matrices S = c* I + Abar(u_sigma) are stored as an (n, n, E)
 structure of arrays, one contiguous length-E vector per entry, and
@@ -84,10 +85,13 @@ CHORD_CONTRACTION = 0.5     # largest residual-norm ratio of a full update that 
 PROJECTION_FLOOR = 1e-12    # smallest volume fraction after a step
 MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
 
-# Below _SERIES_MAX_U the log-mean series through u^_SERIES_ORDER is exact to
-# rounding; above it the closed form's partials lose less than 1e-14.
+# The log-mean partials come from the series where u = f^2 < _SERIES_MAX_U:
+# F through u^_SERIES_ORDER is exact to rounding there, and above it the
+# closed form's partials lose less than 1e-14.  The log mean itself needs
+# neither.  _SERIES_DF[k - 1] is the u^(k-1) coefficient of 4 F'(u).
 _SERIES_MAX_U = 1e-2
 _SERIES_ORDER = 7
+_SERIES_DF = tuple(4.0 * k / (2 * k + 1) for k in range(1, _SERIES_ORDER + 1))
 
 
 class NonConvergence(RuntimeError):
@@ -195,43 +199,65 @@ class StepStats:
 def _log_mean_with_partials(a, b, partials=True):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
-    The log mean (a - b)/log(a/b) is totalised: 0, with both partials 0,
-    whenever min(a, b) <= 0.  With s = a + b, f = (a - b)/s and u = f^2 it
-    equals s/(2 F(u)), F(u) = sum_k u^k/(2k + 1), with partials
-    1/(2F) -/+ (f -/+ u) F'/F^2, exact to rounding as a and b approach each
-    other.  For u >= ``_SERIES_MAX_U`` the closed form is used, with
-    d/da = (L - (a-b)/a)/L^2, symmetrically for b, and L = log(a/b), which
-    unlike log a - log b stays accurate for small a and b.
+    The log mean is computed as |a - b| / log1p(|a - b| / min(a, b)), which
+    equals a where a == b and has no cancellation for any pair of positive
+    normal doubles: the gap is exact or rounded once, and log1p is well
+    conditioned on its positive arguments.  It is totalised: 0, with both
+    partials 0, whenever min(a, b) <= 0.  Below the normal range (a
+    subnormal min(a, b)) the quotient may overflow, and the log mean is then
+    finite and >= 0 but need not be accurate.  The formula is symmetric, so
+    swapping a and b gives the same bits.
+
+    The partials use L = log(a/b) = copysign(ell, a - b), with ell the same
+    log1p, in the closed form d/da = (L - (a-b)/a)/L^2, symmetrically for b.
+    It cancels as a and b approach each other, so where u = f^2 <
+    ``_SERIES_MAX_U``, f = (a - b)/(a + b), they come from the series of
+    Ismail and Roe instead: the log mean is (a + b)/(2 F(u)), F(u) =
+    sum_k u^k/(2k + 1), with partials 1/(2F) -/+ (f -/+ u) F'/F^2, and
+    1/(2F) is taken as the log mean over a + b.
 
     Returns ``(lam, da, db)``, or with ``partials`` false only ``lam``, the
     same to the bit, without the work of the partials.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # Both branches are evaluated everywhere; the discarded one may not be finite.
+    # Non-positive arguments give 0/0 and logs below -1, a subnormal min(a, b)
+    # an overflow and a == b an infinite 1/L^2; the where-masks discard them.
     with np.errstate(all="ignore"):
         d = a - b
+        gap = np.abs(d)
+        low = np.minimum(a, b)
+        pos = low > 0.0
+        ell = np.log1p(gap / low)
+        lam = np.where(pos, a, 0.0)
+        np.divide(gap, ell, out=lam, where=ell > 0.0)
+        if not partials:
+            return lam
         s = a + b
         f = d / s
         u = f * f
-        big_f = 1.0 / (2 * _SERIES_ORDER + 1)    # F and F' by Horner's rule
-        big_df = _SERIES_ORDER * big_f
-        for k in range(_SERIES_ORDER - 1, 0, -1):
-            big_f = big_f * u + 1.0 / (2 * k + 1)
-            if partials:
-                big_df = big_df * u + k / (2 * k + 1)
-        g = 1.0 / (big_f * u + 1.0)
-        big_l = np.log(a / b)
-        closed = u >= _SERIES_MAX_U
-        lam = np.where(closed, d / big_l, 0.5 * s * g)
-        if partials:
-            t = big_df * g * g
-            da = np.where(closed, (big_l - d / a) / (big_l * big_l), 0.5 * g - (f - u) * t)
-            db = np.where(closed, (d / b - big_l) / (big_l * big_l), 0.5 * g + (f + u) * t)
-    pos = (a > 0.0) & (b > 0.0)
-    if not partials:
-        return np.where(pos, lam, 0.0)
-    return np.where(pos, lam, 0.0), np.where(pos, da, 0.0), np.where(pos, db, 0.0)
+        # w = 4 F'(u) by Horner's rule, in place; r = lam/s = 1/(2F), so
+        # w r^2 = F'/F^2
+        w = _SERIES_DF[-1] * u + _SERIES_DF[-2]
+        for coeff in _SERIES_DF[-3::-1]:
+            w *= u
+            w += coeff
+        r = lam / s
+        w *= r * r
+        big_l = np.copysign(ell, d)
+        inv_l2 = 1.0 / (big_l * big_l)
+        da = big_l - d / a
+        da *= inv_l2
+        db = d / b
+        db -= big_l
+        db *= inv_l2
+        series = u < _SERIES_MAX_U
+        u *= w
+        u += r
+        f *= w
+        da = np.where(series, u - f, da)
+        db = np.where(series, u + f, db)
+    return lam, np.where(pos, da, 0.0), np.where(pos, db, 0.0)
 
 
 def log_mean(a, b):
@@ -254,8 +280,8 @@ def _edge_systems(system, lam):
     """
     n = system.n
     mats = -(system.c_bar[:, :, None] * lam[:, None, :])
-    idx = np.arange(n)
-    mats[idx, idx] = system.c_bar @ lam + system.c_star  # c_bar diagonal is zero
+    # the diagonal through a strided view; c_bar's diagonal is zero
+    mats.reshape(n * n, -1)[::n + 1] = system.c_bar @ lam + system.c_star
     return mats
 
 
@@ -296,15 +322,13 @@ def _edge_fluxes(system, mesh, values):
     and the cell values either side of every edge, shape (n, E), from which
     the Jacobian takes the log-mean partials.
     """
-    uk = values[:, mesh.edge_cell_k]
-    ul = values[:, mesh.edge_cell_l]
+    # np.take gathers into C order, unlike values[:, index]
+    uk = np.take(values, mesh.edge_cell_k, axis=1)
+    ul = np.take(values, mesh.edge_cell_l, axis=1)
     lam = _log_mean_with_partials(uk, ul, partials=False)
     inv = _edge_inverse(_edge_systems(system, lam))
     rhs = (uk - ul) / mesh.edge_distance
-    flux = inv[:, 0] * rhs[0]
-    for j in range(1, system.n):
-        flux += inv[:, j] * rhs[j]
-    return flux, inv, uk, ul
+    return np.einsum("ijE,jE->iE", inv, rhs), inv, uk, ul
 
 
 def _residual_values(system, mesh, values, old_values, dt):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -70,14 +71,15 @@ class TestLogMean:
         assert db == pytest.approx(fd_b, rel=1e-6, abs=1e-8)
 
     def test_matches_mpmath_reference(self):
-        # relative gaps 0 and 1e-16..1 at magnitudes 1e-12..1, both orders
-        gaps = np.concatenate([[0.0], np.logspace(-16, 0, 65)])
+        # relative gaps 0 and 1e-16..1e12 (the projection floor against 1)
+        # at magnitudes 1e-12..1, both orders
+        gaps = np.concatenate([[0.0], np.logspace(-16, 12, 113)])
         mags = np.logspace(-12, 0, 13)
         a = np.repeat(mags, len(gaps))
         b = a * (1.0 + np.tile(gaps, len(mags)))
         a, b = np.concatenate([a, b]), np.concatenate([b, a])
         lam, da, db = _log_mean_with_partials(a, b)
-        worst = 0.0
+        worst = [0.0, 0.0]
         with mpmath.workdps(50):
             for i in range(len(a)):
                 x, y = mpmath.mpf(a[i]), mpmath.mpf(b[i])
@@ -87,9 +89,24 @@ class TestLogMean:
                     big_l = mpmath.log(x) - mpmath.log(y)
                     ref = ((x - y) / big_l, (big_l - (x - y) / x) / big_l**2,
                            ((x - y) / y - big_l) / big_l**2)
-                for got, want in zip((lam[i], da[i], db[i]), ref):
-                    worst = max(worst, float(abs(mpmath.mpf(got) - want) / want))
-        assert worst <= 1e-14
+                for k, (got, want) in enumerate(zip((lam[i], da[i], db[i]), ref)):
+                    err = float(abs(mpmath.mpf(got) - want) / want)
+                    worst[min(k, 1)] = max(worst[min(k, 1)], err)
+        assert worst[0] <= 1e-15
+        assert worst[1] <= 1e-14
+
+    def test_subnormal_minimum_is_finite(self):
+        # outside the normal range the value need not be accurate, but it
+        # stays finite and >= 0 and raises no floating-point warning
+        a = np.array([5e-324, 5e-324, 1e-310, 1e-310, 2e-309, 5e-324])
+        b = np.array([1.0, 1e-323, 0.5, 1.1e-310, 1e-300, 5e-324])
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = log_mean(a, b)
+            assert np.array_equal(_log_mean_with_partials(a, b)[0], lam)
+        assert np.all(np.isfinite(lam))
+        assert np.all(lam >= 0.0)
 
 
 class TestEdgeFractions:
@@ -109,10 +126,20 @@ class TestEdgeFractions:
         assert out == pytest.approx(np.array([math.e - 1.0, 0.0, 0.0]), rel=1e-15)
 
     def test_symmetry(self):
+        # swapping the arguments gives the same bits, and swaps the partials:
+        # near-equal pairs, pairs up to 1e12 apart and zeros
         rng = np.random.default_rng(1)
-        a = rng.uniform(0.0, 1.0, size=10)
-        b = rng.uniform(0.0, 1.0, size=10)
-        assert log_mean(a, b) == pytest.approx(log_mean(b, a), rel=1e-15)
+        a = rng.uniform(0.0, 1.0, size=3000)
+        b = np.concatenate([a[:1000] * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, size=1000)),
+                            a[1000:2000] * 10.0 ** rng.uniform(-12.0, 0.0, size=1000),
+                            rng.uniform(0.0, 1.0, size=900), np.zeros(100)])
+        a[2900:2950] = 0.0
+        lam, da, db = _log_mean_with_partials(a, b)
+        lam_swapped, da_swapped, db_swapped = _log_mean_with_partials(b, a)
+        assert np.array_equal(log_mean(a, b), log_mean(b, a))
+        assert np.array_equal(lam, lam_swapped)
+        assert np.array_equal(da, db_swapped)
+        assert np.array_equal(db, da_swapped)
 
 
 def _two_cell_flux(system, uk, ul):
@@ -122,6 +149,20 @@ def _two_cell_flux(system, uk, ul):
 
 
 class TestEdgeFlux:
+    def test_swapped_cells_negate_flux(self, system_2d):
+        # orientation: swapping the two cells gives exactly -J, for random,
+        # near-equal and far-apart compositions
+        rng = np.random.default_rng(4)
+        for k in range(2000):
+            uk = rng.dirichlet(np.ones(3))
+            if k % 2:
+                ul = uk * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, size=3))
+            else:
+                ul = rng.dirichlet(np.ones(3)) * 10.0 ** rng.uniform(-12.0, 0.0, size=3)
+            ul /= ul.sum()
+            j = _two_cell_flux(system_2d, uk, ul)
+            assert np.array_equal(_two_cell_flux(system_2d, ul, uk), -j)
+
     def test_zero_jump(self, system_1d):
         u = np.array([0.2, 0.3, 0.5])
         j = _two_cell_flux(system_1d, u, u.copy())
