@@ -18,9 +18,9 @@ import numpy as np
 from .checks import run_property_suite
 from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_study,
                      load_config_file, preset_initial)
-from .diagnostics import (DiagnosticsRecord, SampledRun, _restrict, _restriction_factors,
-                          equilibrium_composition, l1_space_time_error, relative_entropy)
-from .mesh import uniform_interval
+from .diagnostics import (DiagnosticsRecord, SampledRun, equilibrium_composition,
+                          l1_space_time_error, relative_entropy)
+from .mesh import disjoint_union, uniform_interval
 from .scheme import NonConvergence, StateField, num_time_steps, run
 
 _FIT_FLOOR = 1e-15   # relative entropies at or below this are left out of the fit
@@ -106,30 +106,14 @@ def cmd_run(config: RunConfig, out_dir=None) -> int:
     return 0
 
 
-def _sampled_runs(config: RunConfig, mesh, grids) -> list:
-    """Run ``config`` on the 1D ``mesh``; one ``SampledRun`` per grid size in ``grids``.
-
-    Every step's state is restricted onto each grid as it arrives, so only
-    the coarse histories are kept.  A grid of ``mesh``'s own size reuses
-    ``mesh``; the others are built after the run.
-    """
-    system = config.species
-    u0 = preset_initial(config.initial, mesh, system.n)
-    factors = [_restriction_factors((g,), mesh.grid_shape) for g in grids]
-    histories = [[] for _ in grids]
-
-    def sink(t, state, fluxes, stats):
-        for g, factor, states in zip(grids, factors, histories):
-            states.append(_restrict(state.values, (g,), factor))
-
-    run(system, u0, config.time.dt, config.time.t_end, sink)
-    dts = np.full(len(histories[0]), config.time.dt)
-    return [SampledRun(mesh if g == mesh.num_cells else uniform_interval(g), dts, states)
-            for g, states in zip(grids, histories)]
-
-
 def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> int:
-    """Grid-refinement study against a nested reference run, same dt."""
+    """Grid-refinement study against a nested reference run, same dt.
+
+    The reference and every study grid of another size advance as one run
+    on the disjoint union of their meshes.  After each step every grid's
+    L1 term against the reference, restricted onto the grid, is added to
+    its error; a grid of the reference's own size is the reference.
+    """
     if config.mesh.dimension != 1:
         raise ConfigError("the convergence study requires a 1D mesh configuration")
     default = config.convergence or ConvergenceConfig()
@@ -139,10 +123,20 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
         grids_field="convergence.grids" if grids is None else "--grids",
         ref_field="convergence.ref" if ref_n is None else "--ref")
     grids, ref_n = study.grids, study.ref_n
-    errors = []
-    for ref in _sampled_runs(config, uniform_interval(ref_n), grids):
-        coarse, = _sampled_runs(config, ref.mesh, [ref.mesh.num_cells])
-        errors.append(l1_space_time_error(coarse, ref))
+    sizes = [ref_n] + [g for g in grids if g != ref_n]
+    meshes = [uniform_interval(g) for g in sizes]
+    union, offsets = disjoint_union(meshes)
+    dt = config.time.dt
+    errors = [0.0] * len(grids)
+
+    def sink(t, state, fluxes, stats):
+        steps = [SampledRun(mesh, [dt], [state.values[:, a:b]])
+                 for mesh, a, b in zip(meshes, offsets, offsets[1:])]
+        for i, g in enumerate(grids):
+            errors[i] += l1_space_time_error(steps[sizes.index(g)], steps[0])
+
+    u0 = preset_initial(config.initial, union, config.species.n)
+    run(config.species, u0, dt, config.time.t_end, sink)
 
     out = Path(out_dir or config.output.directory)
     with _open_out(out / "convergence.csv") as fh:

@@ -88,6 +88,8 @@ class SampledRun:
 
 
 def _restriction_factors(coarse_shape, fine_shape):
+    if coarse_shape is None or fine_shape is None:
+        raise ValueError("restriction needs meshes that are tensor grids")
     for nc, nf in zip(coarse_shape, fine_shape):
         if nf % nc != 0:
             raise ValueError("reference grid must be an integer refinement "

@@ -5,18 +5,20 @@ joining the centers of two neighbouring cells is orthogonal to their shared
 face.  The uniform constructors below (interval and Cartesian rectangle)
 are the one- and two-axis cases of one tensor-product grid and satisfy that
 condition exactly.  Boundary faces carry zero flux, so a mesh stores only
-its cells and interior faces.
+its cells and interior faces.  ``disjoint_union`` joins meshes that share no
+face into one, on which the scheme advances every component at once.
 
 A ``Mesh`` is a bundle of flat numpy arrays, built by keyword::
 
     Mesh(cell_centers=(N, d), cell_measures=(N,),
          edge_cell_k=(E,), edge_cell_l=(E,), edge_measure=(E,),
-         edge_distance=(E,), grid_shape=(N,) or (Nx, Ny),
+         edge_distance=(E,), grid_shape=(N,), (Nx, Ny) or None,
          cell_lower=(N, d), cell_upper=(N, d))
 
 Interior edges are oriented from cell K to cell L.  ``cell_lower`` and
-``cell_upper`` are the corners of each cell's axis-aligned box.  The
-dimension d = len(grid_shape), the counts, the total measure and the
+``cell_upper`` are the corners of each cell's axis-aligned box.
+``grid_shape`` is None for a mesh that is not one tensor grid, such as a
+disjoint union.  The dimension d, the counts, the total measure and the
 transmissibilities are derived from these arrays.
 
 Geometric quantities carried per interior face sigma = K|L:
@@ -42,11 +44,11 @@ _FLOAT_ARRAYS = ("cell_centers", "cell_measures", "edge_measure", "edge_distance
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable array bundle of the cells and interior edges of a structured grid.
+    """Immutable array bundle of the cells and interior edges of a mesh.
 
-    ``grid_shape`` and the per-cell boxes ``cell_lower`` / ``cell_upper``
-    give the structured layout that exact indicator averaging and
-    nested-grid restriction use.
+    The per-cell boxes ``cell_lower`` / ``cell_upper`` serve exact indicator
+    averaging; ``grid_shape``, None unless the mesh is one tensor grid,
+    serves nested-grid restriction.
     """
 
     cell_centers: np.ndarray
@@ -55,7 +57,7 @@ class Mesh:
     edge_cell_l: np.ndarray
     edge_measure: np.ndarray
     edge_distance: np.ndarray
-    grid_shape: tuple
+    grid_shape: tuple | None
     cell_lower: np.ndarray
     cell_upper: np.ndarray
     dimension: int = field(init=False)
@@ -72,8 +74,9 @@ class Mesh:
             put(name, np.asarray(getattr(self, name), dtype=np.intp))
         for name in _FLOAT_ARRAYS:
             put(name, np.asarray(getattr(self, name), dtype=float))
-        put("grid_shape", tuple(self.grid_shape))
-        put("dimension", len(self.grid_shape))
+        if self.grid_shape is not None:
+            put("grid_shape", tuple(self.grid_shape))
+        put("dimension", self.cell_centers.shape[1])
         put("num_cells", len(self.cell_measures))
         put("total_measure", float(self.cell_measures.sum()))
         put("num_interior_edges", len(self.edge_cell_k))
@@ -156,6 +159,25 @@ def uniform_interval(n_cells: int) -> Mesh:
 def uniform_rectangle(nx: int, ny: int) -> Mesh:
     """Uniform mesh of the unit square with nx-by-ny cells, ``k = iy * nx + ix``."""
     return _uniform_grid(_cell_counts(nx=nx, ny=ny))
+
+
+def disjoint_union(meshes) -> tuple:
+    """One mesh of disjoint copies of ``meshes``, and the cell offsets of its components.
+
+    Component c holds cells ``offsets[c]:offsets[c + 1]`` of the union, in
+    its own order, and its interior edges follow those of the components
+    before it, with their cell indices shifted by ``offsets[c]``.  No edge
+    joins two components, so a residual, Jacobian or run on the union is
+    that of each component, side by side.  The union is not a tensor grid:
+    its ``grid_shape`` is None.
+    """
+    offsets = np.cumsum([0] + [m.num_cells for m in meshes])
+    arrays = {name: np.concatenate([getattr(m, name) for m in meshes])
+              for name in _FLOAT_ARRAYS}
+    for name in _INDEX_ARRAYS:
+        arrays[name] = np.concatenate([getattr(m, name) + off
+                                       for m, off in zip(meshes, offsets)])
+    return Mesh(grid_shape=None, **arrays), offsets
 
 
 def validate(mesh: Mesh) -> list:

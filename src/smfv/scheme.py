@@ -205,8 +205,9 @@ def _log_mean_with_partials(a, b, partials=True):
     conditioned on its positive arguments.  It is totalised: 0, with both
     partials 0, whenever min(a, b) <= 0.  Below the normal range (a
     subnormal min(a, b)) the quotient may overflow, and the log mean is then
-    finite and >= 0 but need not be accurate.  The formula is symmetric, so
-    swapping a and b gives the same bits.
+    finite and >= 0 but need not be accurate; where the overflow makes it 0,
+    both partials are 0 too.  The formula is symmetric, so swapping a and b
+    gives the same bits.
 
     The partials use L = log(a/b) = copysign(ell, a - b), with ell the same
     log1p, in the closed form d/da = (L - (a-b)/a)/L^2, symmetrically for b.
@@ -222,7 +223,8 @@ def _log_mean_with_partials(a, b, partials=True):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     # Non-positive arguments give 0/0 and logs below -1, a subnormal min(a, b)
-    # an overflow and a == b an infinite 1/L^2; the where-masks discard them.
+    # an overflow to an infinite L and a == b an infinite 1/L^2; the
+    # where-masks discard them.
     with np.errstate(all="ignore"):
         d = a - b
         gap = np.abs(d)
@@ -257,7 +259,9 @@ def _log_mean_with_partials(a, b, partials=True):
         f *= w
         da = np.where(series, u - f, da)
         db = np.where(series, u + f, db)
-    return lam, np.where(pos, da, 0.0), np.where(pos, db, 0.0)
+    # lam is 0 exactly on the zero branch and where the quotient overflows
+    nonzero = lam > 0.0
+    return lam, np.where(nonzero, da, 0.0), np.where(nonzero, db, 0.0)
 
 
 def log_mean(a, b):

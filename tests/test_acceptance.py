@@ -19,9 +19,9 @@ from smfv.cli import fit_decay_rate
 from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import (DiagnosticsRecord, SampledRun,
                               equilibrium_composition, l1_space_time_error)
-from smfv.mesh import uniform_interval, uniform_rectangle
+from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle
 from smfv.model import build_system, mat_Abar
-from smfv.scheme import StateField, log_mean, newton_step, run
+from smfv.scheme import FluxField, StateField, log_mean, newton_step, run
 
 CONV_GRIDS = (16, 32, 64, 128)
 CONV_REF = 1024
@@ -57,33 +57,55 @@ class RunTrace:
                 for rec in self.records[1:]]
 
 
-def trace_run(system, mesh, u0, dt, t_end, sample=False):
-    equilibrium = equilibrium_composition(u0)
-    trace = RunTrace(dt=dt)
-    trace.records.append(DiagnosticsRecord.from_step(system, u0, None,
-                                                     equilibrium, 0.0))
-    states = []
+def trace_run(system, u0, dt, t_end, sample=False, parts=None):
+    """The traces of a run from ``u0``: one, or with ``parts`` one per component.
+
+    ``parts`` lists, in order, the meshes whose disjoint union ``u0`` lies
+    on; each component's trace is built from the slices of every step's
+    state and fluxes that belong to it.
+    """
+    parts = parts or [u0.mesh]
+    cells = np.cumsum([0] + [m.num_cells for m in parts])
+    edges = np.cumsum([0] + [m.num_interior_edges for m in parts])
+
+    def split(state, fluxes):
+        for mesh, a, b, e, f in zip(parts, cells, cells[1:], edges, edges[1:]):
+            yield (StateField(mesh, state.values[:, a:b]),
+                   None if fluxes is None else FluxField(mesh, fluxes.values[:, e:f]))
+
+    traces = [RunTrace(dt=dt) for _ in parts]
+    equilibria = []
+    for trace, (state, _) in zip(traces, split(u0, None)):
+        equilibria.append(equilibrium_composition(state))
+        trace.records.append(DiagnosticsRecord.from_step(system, state, None,
+                                                         equilibria[-1], 0.0))
+    states = [[] for _ in parts]
 
     def sink(t, state, fluxes, stats):
-        trace.records.append(DiagnosticsRecord.from_step(system, state, fluxes,
-                                                         equilibrium, t, stats))
-        trace.post_devs.append(state.sum_deviation())
-        if sample:
-            states.append(state.values)
+        for trace, equilibrium, sampled, (part, part_fluxes) in zip(
+                traces, equilibria, states, split(state, fluxes)):
+            trace.records.append(DiagnosticsRecord.from_step(
+                system, part, part_fluxes, equilibrium, t, stats))
+            trace.post_devs.append(part.sum_deviation())
+            if sample:
+                sampled.append(part.values)
 
     run(system, u0, dt, t_end, sink)
     if sample:
-        trace.sampled = SampledRun(mesh, np.full(len(states), dt), states)
-    return trace
+        for trace, mesh, sampled in zip(traces, parts, states):
+            trace.sampled = SampledRun(mesh, np.full(len(sampled), dt), sampled)
+    return traces
 
 
 @pytest.fixture(scope="module")
 def convergence_bundle(system_1d):
-    traces = {}
-    for n in CONV_GRIDS + (CONV_REF,):
-        mesh = uniform_interval(n)
-        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        traces[n] = trace_run(system_1d, mesh, u0, CONV_DT, CONV_T, sample=True)
+    # the reference and the study grids advance as one run on their union;
+    # the pre-projection deviation of each grid's records is the union's
+    sizes = (CONV_REF,) + CONV_GRIDS
+    meshes = [uniform_interval(n) for n in sizes]
+    u0 = preset_initial(InitialConfig("smooth1d"), disjoint_union(meshes)[0], 3)
+    traces = dict(zip(sizes, trace_run(system_1d, u0, CONV_DT, CONV_T, sample=True,
+                                       parts=meshes)))
     errors = {n: l1_space_time_error(traces[n].sampled, traces[CONV_REF].sampled)
               for n in CONV_GRIDS}
     return traces, errors
@@ -93,14 +115,16 @@ def convergence_bundle(system_1d):
 def run_2d(system_2d):
     mesh = uniform_rectangle(35, 35)
     u0 = preset_initial(InitialConfig("blocks2d", {"blocks": BLOCKS_2D}), mesh, 3)
-    return trace_run(system_2d, mesh, u0, 1e-5, 200 * 1e-5)
+    trace, = trace_run(system_2d, u0, 1e-5, 200 * 1e-5)
+    return trace
 
 
 @pytest.fixture(scope="module")
 def decay_run(system_1d):
     mesh = uniform_interval(64)
     u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-    return trace_run(system_1d, mesh, u0, 1e-4, 0.5)
+    trace, = trace_run(system_1d, u0, 1e-4, 0.5)
+    return trace
 
 
 def all_traces(convergence_bundle, run_2d, decay_run):

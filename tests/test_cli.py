@@ -6,7 +6,7 @@ import pytest
 import smfv.checks
 from smfv.cli import (_write_snapshot, cmd_check, cmd_convergence, cmd_entropy_decay,
                       cmd_run, fit_decay_rate, main)
-from smfv.config import load_config
+from smfv.config import ConfigError, load_config
 from smfv.mesh import uniform_interval, uniform_rectangle
 from smfv.scheme import StateField
 
@@ -123,6 +123,28 @@ class TestCmdConvergence:
         cmd_convergence(config, grids=(8,), ref_n=8)
         _, rows = read_csv(out / "convergence.csv")
         assert float(rows[0][1]) == 0.0
+
+    def test_outputs_are_deterministic(self, tmp_path):
+        doc = smooth_doc(tmp_path / "out", dt=2e-3, t_end=1e-2, n_cells=8)
+        written = []
+        for name in ("a", "b"):
+            cmd_convergence(load_config(doc), grids=(4, 8), ref_n=16, out_dir=tmp_path / name)
+            written.append((tmp_path / name / "convergence.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_table_preset_fails_before_any_step(self, tmp_path, monkeypatch):
+        # the initial state is built on the union of all grids, which no
+        # table matches, so no step runs
+        import smfv.cli
+
+        def no_run(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(smfv.cli, "run", no_run)
+        doc = smooth_doc(tmp_path / "out", n_cells=4)
+        doc["initial"] = {"preset": "table", "values": [[0.25, 0.25, 0.5]] * 4}
+        with pytest.raises(ConfigError, match="one row per mesh cell"):
+            cmd_convergence(load_config(doc), grids=(4,), ref_n=8)
 
     def test_non_nested_rejected(self, tmp_path):
         config = load_config(smooth_doc(tmp_path / "out"))

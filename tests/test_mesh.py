@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smfv.mesh import uniform_interval, uniform_rectangle, validate
+from smfv.diagnostics import SampledRun, l1_space_time_error
+from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle, validate
 
 
 class TestUniformInterval:
@@ -176,3 +177,37 @@ def test_rectangle_matches_loop_reference(shape):
     assert np.array_equal(mesh.edge_cell_l, edges[:, 1])
     assert np.array_equal(mesh.edge_measure, edges[:, 2])
     assert np.array_equal(mesh.edge_distance, edges[:, 3])
+
+
+class TestDisjointUnion:
+    @pytest.mark.parametrize("parts", [[uniform_interval(3), uniform_interval(1),
+                                        uniform_interval(5)],
+                                       [uniform_rectangle(2, 3), uniform_rectangle(4, 4)]],
+                             ids=["intervals", "rectangles"])
+    def test_components_side_by_side(self, parts):
+        union, offsets = disjoint_union(parts)
+        assert validate(union) == []
+        assert offsets.tolist() == np.cumsum([0] + [m.num_cells for m in parts]).tolist()
+        assert union.num_cells == offsets[-1]
+        assert union.dimension == parts[0].dimension
+        assert union.grid_shape is None
+        first = 0
+        for mesh, a, b in zip(parts, offsets, offsets[1:]):
+            edges = slice(first, first + mesh.num_interior_edges)
+            first = edges.stop
+            assert np.array_equal(union.cell_centers[a:b], mesh.cell_centers)
+            assert np.array_equal(union.cell_measures[a:b], mesh.cell_measures)
+            assert np.array_equal(union.cell_lower[a:b], mesh.cell_lower)
+            assert np.array_equal(union.cell_upper[a:b], mesh.cell_upper)
+            assert np.array_equal(union.edge_cell_k[edges], mesh.edge_cell_k + a)
+            assert np.array_equal(union.edge_cell_l[edges], mesh.edge_cell_l + a)
+            assert np.array_equal(union.edge_tau[edges], mesh.edge_tau)
+        assert first == union.num_interior_edges
+
+    def test_union_is_not_restricted(self):
+        # the union is no tensor grid, so no nested-grid restriction takes it
+        union, _ = disjoint_union([uniform_interval(2), uniform_interval(4)])
+        ref = SampledRun(union, [1.0], [np.full((3, 6), 1.0 / 3.0)])
+        coarse = SampledRun(uniform_interval(2), [1.0], [np.full((3, 2), 1.0 / 3.0)])
+        with pytest.raises(ValueError, match="tensor grids"):
+            l1_space_time_error(coarse, ref)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from smfv.checks import finite_difference_jacobian
 from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
-from smfv.mesh import Mesh, uniform_interval, uniform_rectangle, validate
+from smfv.mesh import Mesh, disjoint_union, uniform_interval, uniform_rectangle, validate
 from smfv.model import build_system, mat_Abar, mat_B
 from smfv.scheme import (CHORD_CONTRACTION, NEWTON_TOL, PROJECTION_FLOOR, NonConvergence,
                          StateField, _edge_fluxes, _edge_inverse, _edge_systems,
@@ -97,16 +97,21 @@ class TestLogMean:
 
     def test_subnormal_minimum_is_finite(self):
         # outside the normal range the value need not be accurate, but it
-        # stays finite and >= 0 and raises no floating-point warning
+        # and its partials stay finite, it stays >= 0, the partials are 0
+        # where it is, and nothing raises a floating-point warning
         a = np.array([5e-324, 5e-324, 1e-310, 1e-310, 2e-309, 5e-324])
         b = np.array([1.0, 1e-323, 0.5, 1.1e-310, 1e-300, 5e-324])
         a, b = np.concatenate([a, b]), np.concatenate([b, a])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lam = log_mean(a, b)
-            assert np.array_equal(_log_mean_with_partials(a, b)[0], lam)
+            full, da, db = _log_mean_with_partials(a, b)
+        assert np.array_equal(full, lam)
         assert np.all(np.isfinite(lam))
         assert np.all(lam >= 0.0)
+        assert np.all(np.isfinite(da)) and np.all(np.isfinite(db))
+        assert np.all(da[lam == 0.0] == 0.0) and np.all(db[lam == 0.0] == 0.0)
+        assert np.count_nonzero(lam == 0.0) >= 4  # the overflow branch is reached
 
 
 class TestEdgeFractions:
@@ -1046,6 +1051,59 @@ class TestRun:
             run(system_1d, u0, 0.0, 1.0)
         with pytest.raises(ValueError):
             run(system_1d, u0, 0.5, 0.1)
+
+
+class TestDisjointUnion:
+    """A run on a disjoint union advances each component as if alone."""
+
+    @staticmethod
+    def _states(union, offsets, rng):
+        # random compositions on the union, and each component's share of them
+        values = rng.dirichlet(np.ones(3), size=union.num_cells).T
+        return values, [values[:, a:b] for a, b in zip(offsets, offsets[1:])]
+
+    def test_residual_is_each_components(self, system_2d):
+        rng = np.random.default_rng(11)
+        parts = [uniform_rectangle(3, 2), uniform_rectangle(1, 1), uniform_rectangle(4, 5)]
+        union, offsets = disjoint_union(parts)
+        new, new_parts = self._states(union, offsets, rng)
+        old, old_parts = self._states(union, offsets, rng)
+        r = residual(system_2d, StateField(union, new), StateField(union, old), 0.05)
+        for mesh, a, b, u, v in zip(parts, offsets, offsets[1:], new_parts, old_parts):
+            alone = residual(system_2d, StateField(mesh, u), StateField(mesh, v), 0.05)
+            assert np.array_equal(r[:, a:b], alone)
+
+    def test_jacobian_couples_no_components(self, system_1d):
+        rng = np.random.default_rng(12)
+        union, offsets = disjoint_union([uniform_interval(n) for n in (5, 2, 7)])
+        values, _ = self._states(union, offsets, rng)
+        jac = jacobian(system_1d, StateField(union, values), 0.1).tocoo()
+        # unknown K * n + i belongs to the component holding cell K
+        rows, cols = (np.searchsorted(offsets, index // 3, side="right")
+                      for index in (jac.row, jac.col))
+        assert jac.nnz > 0
+        assert np.array_equal(rows, cols)
+
+    def test_run_keeps_each_component_within_rounding(self, system_1d):
+        meshes = [uniform_interval(16), uniform_interval(32)]
+        union, offsets = disjoint_union(meshes)
+        initial = InitialConfig("smooth1d")
+
+        def trace(mesh):
+            states, factors = [], []
+
+            def sink(t, state, fluxes, stats):
+                states.append(state.values)
+                factors.append(stats.lu_factors)
+            run(system_1d, preset_initial(initial, mesh, 3), 1e-4, 4e-3, sink)
+            return states, factors
+
+        states, factors = trace(union)
+        assert len(states) == 40
+        for mesh, a, b in zip(meshes, offsets, offsets[1:]):
+            alone, alone_factors = trace(mesh)
+            assert alone_factors == factors
+            assert max(np.abs(u[:, a:b] - v).max() for u, v in zip(states, alone)) <= 2e-15
 
 
 class TestFluxField:
