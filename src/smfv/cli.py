@@ -18,12 +18,17 @@ import numpy as np
 from .checks import run_property_suite
 from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_study,
                      load_config_file, preset_initial)
-from .diagnostics import (DiagnosticsRecord, SampledRun, equilibrium_composition,
-                          l1_space_time_error, relative_entropy)
+from .diagnostics import (DiagnosticsRecord, equilibrium_composition, l1_distance,
+                          relative_entropy)
 from .mesh import disjoint_union, uniform_interval
 from .scheme import NonConvergence, StateField, num_time_steps, run
 
 _FIT_FLOOR = 1e-15   # relative entropies at or below this are left out of the fit
+# Rows formatted per snapshot write.  At 70x70 (4,900 rows) blocks of 512
+# rows wrote in 23 ms against 26 ms for the whole table at once and 42 ms
+# for np.savetxt; the whole table at once raised the 70x70 run's peak
+# resident set by 0.7 MiB, through its 29,400 float objects.
+_SNAPSHOT_ROWS = 512
 
 
 def _fmt(x) -> str:
@@ -36,15 +41,22 @@ def _open_out(path: Path):
 
 
 def _write_snapshot(out_dir: Path, state: StateField, t: float) -> None:
-    """One row per cell of the state's mesh: index, center, volume fractions."""
+    """One row per cell of the state's mesh: index, center, volume fractions.
+
+    The rows are those ``np.savetxt`` writes for the table with formats
+    ``%d`` and ``%.17g``, made by one ``%`` per block of
+    ``_SNAPSHOT_ROWS`` rows.
+    """
     mesh = state.mesh
     coords = ["x", "y"][: mesh.dimension]
     species = [f"u_{i + 1}" for i in range(state.values.shape[0])]
     table = np.column_stack([np.arange(mesh.num_cells), mesh.cell_centers, state.values.T])
+    row = ",".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\n"
     with _open_out(out_dir / f"u_t{t!r}.csv") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
-                   delimiter=",", header=",".join(["cell"] + coords + species),
-                   comments="")
+        fh.write(",".join(["cell"] + coords + species) + "\n")
+        for start in range(0, len(table), _SNAPSHOT_ROWS):
+            block = table[start:start + _SNAPSHOT_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 class _SnapshotSchedule:
@@ -127,13 +139,15 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
     meshes = [uniform_interval(g) for g in sizes]
     union, offsets = disjoint_union(meshes)
     dt = config.time.dt
+    # per study grid: its cells in the union and its distance to the reference
+    terms = [(offsets[j], offsets[j + 1], l1_distance(meshes[j], meshes[0]))
+             for j in map(sizes.index, grids)]
     errors = [0.0] * len(grids)
 
     def sink(t, state, fluxes, stats):
-        steps = [SampledRun(mesh, [dt], [state.values[:, a:b]])
-                 for mesh, a, b in zip(meshes, offsets, offsets[1:])]
-        for i, g in enumerate(grids):
-            errors[i] += l1_space_time_error(steps[sizes.index(g)], steps[0])
+        ref = state.values[:, :offsets[1]]
+        for i, (a, b, distance) in enumerate(terms):
+            errors[i] += dt * distance(state.values[:, a:b], ref)
 
     u0 = preset_initial(config.initial, union, config.species.n)
     run(config.species, u0, dt, config.time.t_end, sink)

@@ -106,25 +106,42 @@ def _restrict(values, coarse_shape, factors):
     return blocks.mean(axis=tuple(range(2, len(split) + 1, 2))).reshape(n, -1)
 
 
+def l1_distance(coarse_mesh: Mesh, ref_mesh: Mesh):
+    """The L1 distance of one time level between nested uniform grids, as a function.
+
+    Returns ``distance(uc, uf)``: sum_K m_K |uc_K - (R uf)_K| over the
+    cells K of ``coarse_mesh``, where R restricts values on ``ref_mesh`` to
+    the coarse grid by exact averaging over the nested subcells.  The
+    restriction factors are checked and computed once, here.
+    """
+    shape = coarse_mesh.grid_shape
+    factors = _restriction_factors(shape, ref_mesh.grid_shape)
+    measures = coarse_mesh.cell_measures
+
+    def distance(uc, uf):
+        return float((np.abs(uc - _restrict(uf, shape, factors)) * measures).sum())
+
+    return distance
+
+
 def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
     """L1 space-time distance between two runs on nested uniform grids.
 
     The reference is restricted to the coarse grid by exact averaging over
-    the nested subcells, then the cellwise L1 distance is accumulated with
-    rectangle weights dt_p over the shared step times.  Restricted to the
-    coarse-grid representations this is a metric: symmetric and zero exactly
-    when the restricted fields coincide cellwise at every step.
+    the nested subcells, then the cellwise L1 distance of
+    :func:`l1_distance` is accumulated with rectangle weights dt_p over the
+    shared step times.  Restricted to the coarse-grid representations this
+    is a metric: symmetric and zero exactly when the restricted fields
+    coincide cellwise at every step.
     """
     if coarse.mesh.dimension != ref.mesh.dimension:
         raise ValueError("runs live on meshes of different dimension")
     if len(coarse.dts) != len(ref.dts) or not np.array_equal(coarse.dts, ref.dts):
         raise ValueError("runs must share identical time grids")
-    factors = _restriction_factors(coarse.mesh.grid_shape, ref.mesh.grid_shape)
-    measures = coarse.mesh.cell_measures
+    distance = l1_distance(coarse.mesh, ref.mesh)
     acc = 0.0
     for dt_p, uc, uf in zip(coarse.dts, coarse.states, ref.states):
-        restricted = _restrict(uf, coarse.mesh.grid_shape, factors)
-        acc += float(dt_p) * float((np.abs(uc - restricted) * measures).sum())
+        acc += float(dt_p) * distance(uc, uf)
     return acc
 
 

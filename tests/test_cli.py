@@ -6,9 +6,10 @@ import pytest
 import smfv.checks
 from smfv.cli import (_write_snapshot, cmd_check, cmd_convergence, cmd_entropy_decay,
                       cmd_run, fit_decay_rate, main)
-from smfv.config import ConfigError, load_config
-from smfv.mesh import uniform_interval, uniform_rectangle
-from smfv.scheme import StateField
+from smfv.config import ConfigError, load_config, preset_initial
+from smfv.diagnostics import SampledRun, l1_space_time_error
+from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle
+from smfv.scheme import StateField, run
 
 
 def write_config(path, doc):
@@ -132,6 +133,25 @@ class TestCmdConvergence:
             written.append((tmp_path / name / "convergence.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_errors_are_those_of_full_histories(self, tmp_path):
+        # the per-step sums are, to the bit, the space-time errors of each
+        # grid's full history in the union run against the reference's
+        out = tmp_path / "out"
+        config = load_config(smooth_doc(out, dt=2e-3, t_end=1e-2, n_cells=8))
+        cmd_convergence(config, grids=(4, 8), ref_n=16)
+        _, rows = read_csv(out / "convergence.csv")
+        meshes = [uniform_interval(g) for g in (16, 4, 8)]
+        union, offsets = disjoint_union(meshes)
+        history = []
+        run(config.species, preset_initial(config.initial, union, 3), config.time.dt,
+            config.time.t_end, sink=lambda t, s, f, stats: history.append(s.values))
+        runs = [SampledRun(mesh, [config.time.dt] * len(history),
+                           [values[:, a:b] for values in history])
+                for mesh, a, b in zip(meshes, offsets, offsets[1:])]
+        assert len(history) == 5
+        assert [float(r[1]) for r in rows] == [l1_space_time_error(grid, runs[0])
+                                              for grid in runs[1:]]
+
     def test_table_preset_fails_before_any_step(self, tmp_path, monkeypatch):
         # the initial state is built on the union of all grids, which no
         # table matches, so no step runs
@@ -229,6 +249,27 @@ def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
     command(tmp_path / "out")
     assert calls["_residual_values"] > 0
     assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
+
+
+@pytest.mark.parametrize("mesh", [uniform_interval(1100), uniform_rectangle(30, 20)],
+                         ids=["interval", "rectangle"])
+def test_snapshot_is_savetxts_table(tmp_path, mesh):
+    # byte for byte what np.savetxt writes for the same table and formats,
+    # over several blocks of rows and a partial last one
+    rng = np.random.default_rng(4)
+    shape = (3, mesh.num_cells)
+    values = rng.random(shape) * 10.0 ** rng.uniform(-320, 3, shape)
+    values[:, 0] = [0.0, -0.0, 5e-324]
+    state = StateField(mesh, values)
+    _write_snapshot(tmp_path, state, 1e-5)
+    table = np.column_stack([np.arange(mesh.num_cells), mesh.cell_centers, values.T])
+    coords = ["x", "y"][: mesh.dimension]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
+                   delimiter=",", header=",".join(["cell"] + coords + ["u_1", "u_2", "u_3"]),
+                   comments="")
+    assert (tmp_path / "u_t1e-05.csv").read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("mesh", [uniform_interval(7), uniform_rectangle(3, 4)],

@@ -13,8 +13,8 @@ from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import Mesh, disjoint_union, uniform_interval, uniform_rectangle, validate
 from smfv.model import build_system, mat_Abar, mat_B
-from smfv.scheme import (CHORD_CONTRACTION, NEWTON_TOL, PROJECTION_FLOOR, NonConvergence,
-                         StateField, _edge_fluxes, _edge_inverse, _edge_systems,
+from smfv.scheme import (CHORD_CONTRACTION, NEWTON_TOL, PROJECTION_FLOOR, SUPERLU_SETTINGS,
+                         NonConvergence, StateField, _edge_fluxes, _edge_inverse, _edge_systems,
                          _log_mean_with_partials,
                          jacobian, log_mean, newton_step, num_time_steps,
                          project_simplex, residual, run)
@@ -509,8 +509,9 @@ class TestNewtonLinearSolve:
         assert np.array_equal(matrix.indices, permuted.indices)
 
     def test_factors_in_the_plans_order(self, system_2d, monkeypatch):
-        # every numeric factor is SuperLU's, with no ordering of its own, of
-        # the plan's matrix; its column permutation stays the identity
+        # every numeric factor is SuperLU's, with no ordering of its own and
+        # the module's panel and supernode settings, of the plan's matrix;
+        # its column permutation stays the identity
         import smfv.scheme
 
         original = scipy.sparse.linalg.splu
@@ -528,8 +529,38 @@ class TestNewtonLinearSolve:
         assert len(calls) == 2 * stats.lu_factors > 2
         for matrix, args, kwargs, factor in calls:
             assert matrix is plan.pattern[0]
-            assert args == () and kwargs == {"permc_spec": "NATURAL"}
+            assert args == () and kwargs == {"permc_spec": "NATURAL", **SUPERLU_SETTINGS}
             assert np.array_equal(factor.perm_c, np.arange(matrix.shape[0]))
+
+    def test_superlu_settings_keep_the_defaults_path(self, system_2d, monkeypatch):
+        # unit panels without relaxed supernodes change only how SuperLU
+        # works: every step takes the solves and factors of SuperLU's
+        # default settings and ends within rounding of its state
+        mesh = uniform_rectangle(12, 12)
+        dt = 1e-5
+
+        def steps():
+            out = []
+            run(system_2d, _blocks_2d(mesh), dt, 3 * dt,
+                sink=lambda t, s, f, stats: out.append((s.values, stats)))
+            return out
+
+        shipped = steps()
+        for name in ("splu", "spilu"):
+            original = getattr(scipy.sparse.linalg, name)
+
+            def defaults(*args, _original=original, **kwargs):
+                for key in SUPERLU_SETTINGS:
+                    kwargs.pop(key)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.sparse.linalg, name, defaults)
+        default = steps()
+        assert len(shipped) == len(default) == 3
+        for (values, stats), (default_values, default_stats) in zip(shipped, default):
+            assert (stats.newton_iterations, stats.lu_factors) == (
+                default_stats.newton_iterations, default_stats.lu_factors)
+            assert np.abs(values - default_values).max() <= 1e-14
 
     def test_shared_plan_matches_fresh_plans(self, system_2d):
         # a run's one plan gives, to the bit, the states and counts of steps
@@ -1009,6 +1040,7 @@ class TestRun:
         assert [(args[0] is mesh, args[1:], kwargs)
                 for args, kwargs in built] == [(True, (2,), {"ordered": True})]
         assert orders[0]["permc_spec"] == "MMD_AT_PLUS_A"
+        assert {key: orders[0][key] for key in SUPERLU_SETTINGS} == SUPERLU_SETTINGS
         smfv.scheme.newton_step(system_1d, u0, 1e-3)
         assert (len(built), len(orders)) == (2, 2)
 
