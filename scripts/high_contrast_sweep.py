@@ -2,23 +2,23 @@
 
 Usage, from the root of a source checkout::
 
-    python3 scripts/high_contrast_sweep.py [--seed 0] [--cases 300]
+    python3 scripts/high_contrast_sweep.py
 
-Each case draws, from one seeded generator, a symmetric coefficient matrix
-of three species with off-diagonal entries log-uniform over [1e-3, 1e2], a
-time step log-uniform over [1e-6, 1e-1] and one of three initial data: the
-paper's blocks on an Nx x Ny grid with Nx, Ny in 4..8, or the nonsmooth1d
-or smooth1d profile on 4..32 cells.  The case runs ``smfv.scheme.run`` for
-three steps.  It fails if Newton raises ``NonConvergence``; any other
-exception ends the sweep.  The script prints every failing case and then
-the failure count and the failing case ids, so two source trees can be
-compared by their last two lines.  The 300 default cases take about 6 s
-on a 2-core VM with Python 3.11.
+Each of the 300 cases draws, from one generator seeded with 0, a symmetric
+coefficient matrix of three species with off-diagonal entries log-uniform
+over [1e-3, 1e2], a time step log-uniform over [1e-6, 1e-1] and one of
+three initial data: the paper's blocks of ``configs/blocks2d.json`` on an
+Nx x Ny grid with Nx, Ny in 4..8, or the nonsmooth1d or smooth1d profile
+on 4..32 cells.  The case runs ``smfv.scheme.run`` for three steps.  It
+fails if Newton raises ``NonConvergence``; any other exception ends the
+sweep.  The script prints every failing case and then the failure count
+and the failing case ids, so two source trees can be compared by their
+last two lines.  The 300 cases take about 6 s on a 2-core VM with
+Python 3.11.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -27,15 +27,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from smfv.config import InitialConfig, preset_initial  # noqa: E402
+from smfv.config import InitialConfig, load_config_file, preset_initial  # noqa: E402
 from smfv.mesh import uniform_interval, uniform_rectangle  # noqa: E402
 from smfv.model import build_system  # noqa: E402
 from smfv.scheme import NonConvergence, run  # noqa: E402
 
+SEED = 0
+CASES = 300
 STEPS = 3
-BLOCKS = [{"species": 0, "box": [0.0, 0.5, 0.0, 0.5]},
-          {"species": 0, "box": [0.5, 1.0, 0.5, 1.0]},
-          {"species": 1, "box": [0.5, 1.0, 0.0, 0.5]}]
+BLOCKS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "blocks2d.json"
 PRESETS = ("blocks2d", "nonsmooth1d", "smooth1d")
 
 
@@ -51,13 +51,15 @@ def draw_case(rng):
     return preset, grid, (c12, c13, c23), dt
 
 
-def run_case(preset, grid, coeffs, dt):
-    """Run three steps; return None or the message of the NonConvergence."""
+def run_case(preset, grid, coeffs, dt, blocks):
+    """Run three steps; return None or the message of the NonConvergence.
+
+    ``blocks`` is the ``InitialConfig`` used for the blocks2d preset.
+    """
     c12, c13, c23 = coeffs
     system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
     if preset == "blocks2d":
-        mesh = uniform_rectangle(*grid)
-        initial = InitialConfig(preset, {"blocks": BLOCKS})
+        mesh, initial = uniform_rectangle(*grid), blocks
     else:
         mesh = uniform_interval(*grid)
         initial = InitialConfig(preset)
@@ -69,23 +71,20 @@ def run_case(preset, grid, coeffs, dt):
     return None
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=int, default=300)
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    cases = [draw_case(rng) for _ in range(args.cases)]
+def main():
+    blocks = load_config_file(BLOCKS_CONFIG).initial
+    rng = np.random.default_rng(SEED)
+    cases = [draw_case(rng) for _ in range(CASES)]
     start = time.perf_counter()
     failed = []
     for i, (preset, grid, coeffs, dt) in enumerate(cases):
-        message = run_case(preset, grid, coeffs, dt)
+        message = run_case(preset, grid, coeffs, dt, blocks)
         if message is not None:
             failed.append(i)
             print(f"case {i}: {preset} {'x'.join(map(str, grid))} "
                   f"c=({coeffs[0]:.3g}, {coeffs[1]:.3g}, {coeffs[2]:.3g}) "
                   f"dt={dt:.3g}: {message}")
-    print(f"{len(cases)} cases of {STEPS} steps, seed {args.seed}, "
+    print(f"{len(cases)} cases of {STEPS} steps, seed {SEED}, "
           f"in {time.perf_counter() - start:.1f} s")
     print(f"failures: {len(failed)}")
     print(f"failing cases: {failed}")

@@ -18,8 +18,8 @@ import numpy as np
 from .checks import run_property_suite
 from .config import (ConfigError, ConvergenceConfig, RunConfig, convergence_study,
                      load_config_file, preset_initial)
-from .diagnostics import (DiagnosticsRecord, equilibrium_composition, l1_distance,
-                          relative_entropy)
+from .diagnostics import (DiagnosticsRecord, equilibrium_composition, l1_level_args,
+                          l1_level_error, relative_entropy)
 from .mesh import disjoint_union, uniform_interval
 from .scheme import NonConvergence, StateField, num_time_steps, run
 
@@ -139,15 +139,15 @@ def cmd_convergence(config: RunConfig, grids=None, ref_n=None, out_dir=None) -> 
     meshes = [uniform_interval(g) for g in sizes]
     union, offsets = disjoint_union(meshes)
     dt = config.time.dt
-    # per study grid: its cells in the union and its distance to the reference
-    terms = [(offsets[j], offsets[j + 1], l1_distance(meshes[j], meshes[0]))
+    # per study grid: its cells in the union and its L1 grid arguments
+    terms = [(offsets[j], offsets[j + 1], l1_level_args(meshes[j], meshes[0]))
              for j in map(sizes.index, grids)]
     errors = [0.0] * len(grids)
 
     def sink(t, state, fluxes, stats):
         ref = state.values[:, :offsets[1]]
-        for i, (a, b, distance) in enumerate(terms):
-            errors[i] += dt * distance(state.values[:, a:b], ref)
+        for i, (a, b, grid) in enumerate(terms):
+            errors[i] += dt * l1_level_error(state.values[:, a:b], ref, *grid)
 
     u0 = preset_initial(config.initial, union, config.species.n)
     run(config.species, u0, dt, config.time.t_end, sink)

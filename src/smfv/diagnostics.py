@@ -106,22 +106,27 @@ def _restrict(values, coarse_shape, factors):
     return blocks.mean(axis=tuple(range(2, len(split) + 1, 2))).reshape(n, -1)
 
 
-def l1_distance(coarse_mesh: Mesh, ref_mesh: Mesh):
-    """The L1 distance of one time level between nested uniform grids, as a function.
+def l1_level_args(coarse_mesh: Mesh, ref_mesh: Mesh):
+    """The grid arguments ``(shape, factors, measures)`` of :func:`l1_level_error`.
 
-    Returns ``distance(uc, uf)``: sum_K m_K |uc_K - (R uf)_K| over the
-    cells K of ``coarse_mesh``, where R restricts values on ``ref_mesh`` to
-    the coarse grid by exact averaging over the nested subcells.  The
-    restriction factors are checked and computed once, here.
+    ``shape`` and ``measures`` are those of ``coarse_mesh``; ``factors``
+    are the restriction factors from ``ref_mesh``, checked and computed
+    here, once per pair of grids.
     """
     shape = coarse_mesh.grid_shape
     factors = _restriction_factors(shape, ref_mesh.grid_shape)
-    measures = coarse_mesh.cell_measures
+    return shape, factors, coarse_mesh.cell_measures
 
-    def distance(uc, uf):
-        return float((np.abs(uc - _restrict(uf, shape, factors)) * measures).sum())
 
-    return distance
+def l1_level_error(uc, uf, shape, factors, measures) -> float:
+    """L1 distance of one time level between nested uniform grids.
+
+    Returns sum_K m_K |uc_K - (R uf)_K| over the coarse cells K, where R
+    restricts the reference values ``uf`` to the coarse grid by exact
+    averaging over the nested subcells.  The grid arguments come from
+    :func:`l1_level_args`.
+    """
+    return float((np.abs(uc - _restrict(uf, shape, factors)) * measures).sum())
 
 
 def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
@@ -129,7 +134,7 @@ def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
 
     The reference is restricted to the coarse grid by exact averaging over
     the nested subcells, then the cellwise L1 distance of
-    :func:`l1_distance` is accumulated with rectangle weights dt_p over the
+    :func:`l1_level_error` is accumulated with rectangle weights dt_p over the
     shared step times.  Restricted to the coarse-grid representations this
     is a metric: symmetric and zero exactly when the restricted fields
     coincide cellwise at every step.
@@ -138,10 +143,10 @@ def l1_space_time_error(coarse: SampledRun, ref: SampledRun) -> float:
         raise ValueError("runs live on meshes of different dimension")
     if len(coarse.dts) != len(ref.dts) or not np.array_equal(coarse.dts, ref.dts):
         raise ValueError("runs must share identical time grids")
-    distance = l1_distance(coarse.mesh, ref.mesh)
+    grid = l1_level_args(coarse.mesh, ref.mesh)
     acc = 0.0
     for dt_p, uc, uf in zip(coarse.dts, coarse.states, ref.states):
-        acc += float(dt_p) * distance(uc, uf)
+        acc += float(dt_p) * l1_level_error(uc, uf, *grid)
     return acc
 
 

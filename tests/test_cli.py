@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -251,42 +252,31 @@ def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
     assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
 
 
-@pytest.mark.parametrize("mesh", [uniform_interval(1100), uniform_rectangle(30, 20)],
-                         ids=["interval", "rectangle"])
-def test_snapshot_is_savetxts_table(tmp_path, mesh):
-    # byte for byte what np.savetxt writes for the same table and formats,
-    # over several blocks of rows and a partial last one
-    rng = np.random.default_rng(4)
-    shape = (3, mesh.num_cells)
-    values = rng.random(shape) * 10.0 ** rng.uniform(-320, 3, shape)
-    values[:, 0] = [0.0, -0.0, 5e-324]
-    state = StateField(mesh, values)
-    _write_snapshot(tmp_path, state, 1e-5)
-    table = np.column_stack([np.arange(mesh.num_cells), mesh.cell_centers, values.T])
-    coords = ["x", "y"][: mesh.dimension]
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
-                   delimiter=",", header=",".join(["cell"] + coords + ["u_1", "u_2", "u_3"]),
-                   comments="")
-    assert (tmp_path / "u_t1e-05.csv").read_bytes() == reference.read_bytes()
-
-
-@pytest.mark.parametrize("mesh", [uniform_interval(7), uniform_rectangle(3, 4)],
-                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("mesh", [uniform_interval(7), uniform_rectangle(3, 4),
+                                  uniform_interval(1100), uniform_rectangle(30, 20)],
+                         ids=["interval", "rectangle", "interval-blocks", "rectangle-blocks"])
 def test_snapshot_matches_per_value_reference(tmp_path, mesh):
-    # one formatted string per value, as the writer's rows must read
+    # one formatted string per value, as the writer's rows must read, over
+    # one or several blocks of rows; these are the bytes np.savetxt writes
     rng = np.random.default_rng(9)
     shape = (3, mesh.num_cells)
-    values = rng.random(shape) * 10.0 ** rng.uniform(-300, 2, shape)
+    values = rng.random(shape) * 10.0 ** rng.uniform(-320, 3, shape)
     values[:, 0] = [0.0, 1e-12, 1.0]
+    values[:, 1] = [-0.0, 5e-324, 1.0]
     _write_snapshot(tmp_path, StateField(mesh, values), 0.25)
     coords = ["x", "y"][: mesh.dimension]
-    lines = [",".join(["cell"] + coords + ["u_1", "u_2", "u_3"])]
+    header = ",".join(["cell"] + coords + ["u_1", "u_2", "u_3"])
+    lines = [header]
     for k in range(mesh.num_cells):
         cols = [f"{c:.17g}" for c in list(mesh.cell_centers[k]) + list(values[:, k])]
         lines.append(",".join([str(k)] + cols))
-    assert (tmp_path / "u_t0.25.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    expected = "\n".join(lines) + "\n"
+    assert (tmp_path / "u_t0.25.csv").read_bytes() == expected.encode()
+    table = np.column_stack([np.arange(mesh.num_cells), mesh.cell_centers, values.T])
+    savetxt = io.StringIO()
+    np.savetxt(savetxt, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
+               delimiter=",", header=header, comments="")
+    assert savetxt.getvalue() == expected
 
 
 class TestFitDecayRate:
