@@ -36,16 +36,29 @@ linear in the cell sums, free of the compositions, and solved by s = 1
 when the old sums are 1.  Newton therefore keeps every cell sum at its
 old value and factors only the Jacobian reduced to the first n - 1
 species, with u_n = s - sum_{j<n} u_j; volume filling holds by
-construction of the update.  One CSC matrix of (n-1) x (n-1) blocks is
-built per run and refilled in place for every factor.  Its unknowns are
+construction of the update.  The reduced Jacobian, of (n-1) x (n-1)
+blocks, is stored once per run and refilled in place for every factor,
+in one of two ways chosen once per run from the mesh's structure.
+
+On a chain mesh, whose every interior edge joins two consecutive cells
+(an interval, a disjoint union of intervals, a one-cell-thick rectangle,
+a mesh without edges), the two-point flux makes the Jacobian block
+tridiagonal: in the natural cell-major order its half-bandwidth is
+2(n-1) - 1.  It is stored in LAPACK's band storage and factored by the
+banded LU with partial pivoting, ``dgbtrf``, and solved by ``dgbtrs``
+(Anderson et al., LAPACK Users' Guide, SIAM 1999, section 2.4), which on
+such a matrix cost a fraction of SuperLU's fixed per-column work.
+
+On any other mesh the Jacobian is one CSC matrix whose unknowns are
 numbered once per run in SuperLU's symmetric minimum-degree order on
 A^T + A, which suits the structurally symmetric two-point-flux Jacobian,
-so each factor is SuperLU's in the natural order of that matrix, and two
-gathers take the residual into the order and the solution out of it.
-SuperLU runs with unit panels and no relaxed supernodes
-(``SUPERLU_SETTINGS``): the Jacobian's supernodes are narrow, and on the
-benchmark workloads these settings took 11-49% less time than SuperLU's
-defaults for the same factors, with the same fill and the same order.
+so each factor is SuperLU's in the natural order of that matrix.  SuperLU
+runs with unit panels and no relaxed supernodes (``SUPERLU_SETTINGS``):
+the Jacobian's supernodes are narrow, and on the 70x70 blocks workload
+these settings took 21% less time than SuperLU's defaults for the same
+factors, with the same fill and the same order.  On both paths two
+gathers take the residual into the matrix's order and the solution out
+of it; a chain's order is the identity.
 
 Within a step the iteration is a chord (Shamanskii) method (Kelley,
 Solving Nonlinear Equations with Newton's Method, SIAM 2003): each step
@@ -78,6 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import Mesh
 from .model import SpeciesSystem
@@ -95,9 +109,9 @@ MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
 # (Demmel et al., SIAM J. Matrix Anal. Appl. 20, 1999) cost more than they
 # save.  Unit panels without relaxation left L+U fill and the order
 # unchanged and, refactoring the Jacobians of the benchmark workloads, took
-# 21% less time at 70x70 (31 factors), 49% less on the 1D convergence union
-# and 11% less at N=64; the order's incomplete factor at 70x70 took 9 ms in
-# place of 15.  Wide panels are avoided: panel_size=32 with the default
+# 21% less time at 70x70 (31 factors), and 49% less on the 1D convergence
+# union and 11% less at N=64, which now take the band LU; the order's
+# incomplete factor at 70x70 took 9 ms in place of 15.  Wide panels are avoided: panel_size=32 with the default
 # relaxation ended a 70x70 run with a segmentation fault at interpreter exit.
 SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
@@ -388,15 +402,29 @@ def residual(system: SpeciesSystem, u_new: StateField, u_old: StateField,
     return _residual_values(system, u_new.mesh, u_new.values, u_old.values, dt)[0]
 
 
-def _jacobian_pattern(mesh, n, ordered=False):
-    """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
+def _entry_keys(mesh, n, stride):
+    """The key row + stride * column of every raw Jacobian entry, with n x n blocks.
 
     Unknown ordering is cell-major: flat index K * n + i.  The raw entries
     are the (K, K), (K, L), (L, K) and (L, L) blocks of the interior edges,
     each in the (n, n, E) layout of :func:`_edge_systems`, followed by the
-    n diagonal entries of every cell.  Returns ``(matrix, slot, perm)``:
-    ``matrix`` is canonical with ``np.intc`` index arrays, as SuperLU takes
-    them, and summing the raw entries by ``slot`` gives its ``data``.
+    n diagonal entries of every cell.
+    """
+    k, l = mesh.edge_cell_k, mesh.edge_cell_l
+    i = np.arange(n)
+    rows = np.stack([k, k, l, l])[:, None, None, :] * n + i[:, None, None]
+    cols = np.stack([k, l, k, l])[:, None, None, :] * n + i[:, None]
+    return np.concatenate([(cols * stride + rows).ravel(),
+                           np.arange(mesh.num_cells * n) * (stride + 1)])
+
+
+def _jacobian_pattern(mesh, n, ordered=False):
+    """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
+
+    The raw entries are those of :func:`_entry_keys`.  Returns
+    ``(matrix, slot, perm)``: ``matrix`` is canonical with ``np.intc`` index
+    arrays, as SuperLU takes them, and summing the raw entries by ``slot``
+    gives its ``data``.
 
     ``perm`` is None, or with ``ordered`` a fill-reducing order: unknown q
     is then row and column ``perm[q]`` of the matrix, which SuperLU is to
@@ -409,13 +437,8 @@ def _jacobian_pattern(mesh, n, ordered=False):
     and costs a fraction of a full factor.
     """
     size = mesh.num_cells * n
-    k, l = mesh.edge_cell_k, mesh.edge_cell_l
-    i = np.arange(n)
-    rows = np.stack([k, k, l, l])[:, None, None, :] * n + i[:, None, None]
-    cols = np.stack([k, l, k, l])[:, None, None, :] * n + i[:, None]
     # column-major keys: sorting them gives the CSC order
-    keys = np.concatenate([(cols * size + rows).ravel(), np.arange(size) * (size + 1)])
-    unique, slot = np.unique(keys, return_inverse=True)
+    unique, slot = np.unique(_entry_keys(mesh, n, size), return_inverse=True)
 
     def csc(keys, data):
         indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.intc)
@@ -435,12 +458,37 @@ def _jacobian_pattern(mesh, n, ordered=False):
     return csc(unique, np.zeros(len(unique))), slot, perm
 
 
+def _band_width(n):
+    """Half-bandwidth kl = ku of a chain mesh's Jacobian with n x n blocks, cell-major."""
+    return 2 * n - 1
+
+
+def _band_pattern(mesh, n):
+    """LAPACK band storage of a chain mesh's Jacobian, zeroed, and the slot of every raw entry.
+
+    On a chain mesh every interior edge joins cells K and K +- 1, so with
+    n x n blocks in the cell-major order of :func:`_entry_keys` entry
+    (r, c) is nonzero only for |r - c| <= kl = ku = 2n - 1.  It is stored
+    at row kl + ku + r - c, column c of a (2 kl + ku + 1, n |T|) array in
+    Fortran order, as LAPACK's ``dgbtrf`` takes it: the first kl rows hold
+    the factor's fill from row interchanges.  That is memory offset
+    2 kl + r + (ldab - 1) c, ldab = 3 kl + 1.  Returns ``(band, slot,
+    perm)`` like :func:`_jacobian_pattern`, with ``perm`` the identity:
+    summing the raw entries by ``slot`` into the band's memory fills it.
+    """
+    kl = _band_width(n)
+    ldab = 3 * kl + 1
+    band = np.zeros((ldab, mesh.num_cells * n), order="F")
+    return band, _entry_keys(mesh, n, ldab - 1) + 2 * kl, np.arange(band.shape[1])
+
+
 def _jacobian_matrix(system, mesh, edges, dt, pattern):
-    """Exact derivative of the residual w.r.t. the new state, CSC block-sparse.
+    """Exact derivative of the residual w.r.t. the new state, block-sparse or banded.
 
     ``edges`` are the state's terms from :func:`_edge_fluxes` and
-    ``pattern`` the ``(matrix, slot)`` pair from :func:`_jacobian_pattern`,
-    whose matrix is refilled in place and returned.  Differentiating
+    ``pattern`` the ``(matrix, slot, perm)`` of :func:`_jacobian_pattern`,
+    or of :func:`_band_pattern`, whose matrix or band is refilled in place
+    and returned.  Differentiating
     S J = -(u_L - u_K)/d_sigma, S = c* I + Abar(u_sigma), through the jump
     and the edge compositions gives, with the state's edge inverses
     S^-1 and P = S^-1 G, G = d(Abar(u_sigma) J)/du_sigma at fixed J,
@@ -462,7 +510,7 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     _, da, db = _log_mean_with_partials(uk, ul)
     n = system.n
     matrix, slot, _ = pattern
-    b = matrix.shape[0] // mesh.num_cells
+    b = matrix.shape[1] // mesh.num_cells
     weighted = mesh.edge_measure * flux
     # m_sigma G[j, m] = m_sigma d(Abar(s) J)_j / d s_m at fixed J
     gmat = system.c_bar[:, :, None] * weighted[:, None, :]
@@ -480,7 +528,11 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
 
     raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
                           np.repeat(mesh.cell_measures / dt, b)])
-    matrix.data = np.bincount(slot, weights=raw, minlength=matrix.nnz)
+    if isinstance(matrix, np.ndarray):  # band storage, filled in its Fortran order
+        data = np.bincount(slot, weights=raw, minlength=matrix.size)
+        matrix[...] = data.reshape(-1, len(matrix)).T
+    else:
+        matrix.data = np.bincount(slot, weights=raw, minlength=matrix.nnz)
     return matrix
 
 
@@ -518,11 +570,16 @@ def _project_values(values):
 
 
 class _StepPlan:
-    """What every step of one run on one mesh shares: the reduced Jacobian's pattern.
+    """What every step of one run on one mesh shares: the reduced Jacobian's storage.
 
-    The pattern is in a fill-reducing order, computed once; ``gathers``
-    take a residual into that order and a solution out of it.  Both are
-    built at their first use, inside the first step.
+    ``chain`` is decided once, from the mesh: whether every interior edge
+    joins two consecutive cells, as on an interval, a disjoint union of
+    intervals, a one-cell-thick rectangle or a mesh without edges.  A
+    chain's Jacobian is banded in the natural cell-major order and is
+    stored and factored as a band by LAPACK; any other mesh's is a CSC
+    pattern in a fill-reducing order, factored by SuperLU.  ``gathers``
+    take a residual into the pattern's order and a solution out of it.
+    All three are built at their first use, inside the first step.
     """
 
     def __init__(self, mesh, n):
@@ -530,7 +587,13 @@ class _StepPlan:
         self.n = n
 
     @functools.cached_property
+    def chain(self):
+        return bool(np.all(np.abs(self.mesh.edge_cell_l - self.mesh.edge_cell_k) == 1))
+
+    @functools.cached_property
     def pattern(self):
+        if self.chain:
+            return _band_pattern(self.mesh, self.n - 1)
         return _jacobian_pattern(self.mesh, self.n - 1, ordered=True)
 
     @functools.cached_property
@@ -547,6 +610,25 @@ class _StepPlan:
         into = np.empty_like(perm)
         into[perm] = (np.arange(cells)[:, None] + cells * np.arange(b)).ravel()
         return into, perm.reshape(cells, b).T
+
+    def factor(self, matrix):
+        """LU factor of the refilled pattern; returns the function that solves with it.
+
+        The solve function may overwrite its right-hand side.  A factor
+        with an exactly zero pivot raises ``RuntimeError``, as SuperLU does.
+        """
+        if self.chain:
+            # partial pivoting (dgbtrf) within the band; the factor
+            # overwrites the band, which is refilled before the next one
+            kl = _band_width(self.n - 1)
+            lu, ipiv, info = lapack.dgbtrf(matrix, kl, kl, overwrite_ab=True)
+            if info > 0:
+                raise RuntimeError(f"band LU factor is exactly singular: pivot {info} is zero")
+            return lambda rhs: lapack.dgbtrs(lu, kl, kl, rhs, ipiv, overwrite_b=True)[0]
+        # The order is fixed per run, so SuperLU orders nothing here.  Its
+        # own symbolic reuse (options={"Fact": "SamePattern"}) crashes the
+        # process in scipy 1.17.1 and is not used.
+        return spla.splu(matrix, permc_spec="NATURAL", **SUPERLU_SETTINGS).solve
 
 
 def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=None):
@@ -584,21 +666,17 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     delta = np.empty_like(x)
     res_norm = math.inf
     iterations = factors = 0
-    lu = None
+    solve = None
     try:
         res, edges = _residual_values(system, mesh, x, u_old.values, dt)
         res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
-            stale = lu is not None
+            stale = solve is not None
             if not stale:
-                # The order is fixed per run, so SuperLU orders nothing here.
-                # Its own symbolic reuse (options={"Fact": "SamePattern"})
-                # crashes the process in scipy 1.17.1 and is not used.
-                lu = spla.splu(_jacobian_matrix(system, mesh, edges, dt, plan.pattern),
-                               permc_spec="NATURAL", **SUPERLU_SETTINGS)
+                solve = plan.factor(_jacobian_matrix(system, mesh, edges, dt, plan.pattern))
                 factors += 1
-            delta[:reduced] = lu.solve(-res.ravel()[into])[out_of]
+            delta[:reduced] = solve(-res.ravel()[into])[out_of]
             delta[reduced] = -delta[:reduced].sum(axis=0)
             if float(np.abs(delta).max()) < NEWTON_TOL:
                 x = x + delta
@@ -618,7 +696,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
             # only a full update that contracts enough keeps the LU; a kept
             # LU's update that brings no decrease leaves x, to be refactored
             if not cand_norm <= CHORD_CONTRACTION * res_norm or step < 1.0:
-                lu = None
+                solve = None
             if cand_norm < res_norm:
                 x, (res, edges), res_norm = cand, trial, cand_norm
         else:
@@ -626,7 +704,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     except NonConvergence:
         raise
     except RuntimeError as exc:
-        # SuperLU reports a failed factorisation or solve as RuntimeError.
+        # A failed factorisation or solve is reported as RuntimeError.
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())

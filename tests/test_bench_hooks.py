@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` rebinds module attributes by name; a renamed target
 is silently skipped there and only shows as ``trace.missing_hooks``.  Its
-LU figures come from the ``scipy.sparse.linalg.splu`` hook, so the scheme
-must factor through that attribute.
+LU figures come from the ``scipy.sparse.linalg.splu`` hook, so every factor
+on a non-chain mesh must go through that attribute.  A chain mesh's band
+factors (LAPACK's ``dgbtrf``) do not, and the tracer does not see them.
 """
 
 import importlib.util

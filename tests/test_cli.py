@@ -352,17 +352,37 @@ class TestMainEntry:
         assert main(["run", "--config", str(bad)]) == 2
 
     def test_lu_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a 2D mesh is no chain: its factors are SuperLU's
         import smfv.scheme
 
         def failing_splu(*args, **kwargs):
             raise RuntimeError("failed to factorize matrix")
 
         monkeypatch.setattr(smfv.scheme.spla, "splu", failing_splu)
-        cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
+        doc = uniform_doc(tmp_path / "out")
+        doc["mesh"] = {"dimension": 2, "Nx": 4, "Ny": 3}
+        cfg = write_config(tmp_path / "cfg.json", doc)
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("aborted:")
         assert "failed to factorize matrix" in err
+
+    def test_band_lu_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a 1D mesh is a chain: LAPACK's band factor reports the zero pivot
+        # of an all-zero band as info = 1
+        import smfv.scheme
+
+        dgbtrf = smfv.scheme.lapack.dgbtrf
+
+        def zero_band(ab, kl, ku, **kwargs):
+            return dgbtrf(np.zeros_like(ab, order="F"), kl, ku, **kwargs)
+
+        monkeypatch.setattr(smfv.scheme.lapack, "dgbtrf", zero_band)
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(tmp_path / "out"))
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted:")
+        assert "band LU factor is exactly singular: pivot 1 is zero" in err
 
     def test_stalled_damping_exit_code(self, tmp_path, monkeypatch, capsys):
         import smfv.scheme

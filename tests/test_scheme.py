@@ -486,9 +486,10 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("mesh", [uniform_interval(64), uniform_rectangle(12, 10)],
                              ids=["interval", "rectangle"])
     def test_plan_order_is_superlus_minimum_degree(self, mesh, n):
-        # the run's one order is the perm_c SuperLU's symmetric minimum-degree
-        # ordering gives the natural-order reduced Jacobian, and the plan's
-        # matrix is that Jacobian's pattern with rows and columns permuted
+        # the order of a non-chain run is the perm_c SuperLU's symmetric
+        # minimum-degree ordering gives the natural-order reduced Jacobian,
+        # and the ordered pattern is that Jacobian's with rows and columns
+        # permuted; built directly, so that intervals stay covered
         import smfv.scheme
 
         coeffs = [[0.0, 0.5], [0.5, 0.0]] if n == 2 else [[0.0, 0.1, 0.2],
@@ -498,7 +499,7 @@ class TestNewtonLinearSolve:
         rng = np.random.default_rng(n)
         state = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
         natural = _reduced(jacobian(system, state, 1e-3), n)
-        matrix, _, perm = smfv.scheme._StepPlan(mesh, n).pattern
+        matrix, _, perm = smfv.scheme._jacobian_pattern(mesh, n - 1, ordered=True)
         assert np.array_equal(np.sort(perm), np.arange(natural.shape[0]))
         superlu = scipy.sparse.linalg.splu(natural, permc_spec="MMD_AT_PLUS_A")
         assert np.array_equal(perm, superlu.perm_c)
@@ -575,6 +576,53 @@ class TestNewtonLinearSolve:
             state, _, stats = newton_step(system_2d, state, dt)
             assert np.array_equal(state.values, shared_state.values)
             assert stats == shared_stats
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mesh", [
+        uniform_interval(1), uniform_interval(9),
+        disjoint_union([uniform_interval(3), uniform_interval(1), uniform_interval(6)])[0],
+        uniform_rectangle(1, 6), uniform_rectangle(6, 1)],
+        ids=["interval-1", "interval-9", "union", "rectangle-1x6", "rectangle-6x1"])
+    def test_chain_band_solve_matches_spsolve(self, mesh, n, monkeypatch):
+        # a chain's factor is LAPACK's band LU of the natural-order reduced
+        # Jacobian, with no SuperLU call, and its solve is that of spsolve
+        import smfv.scheme
+
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("a chain's Jacobian went to SuperLU")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_superlu)
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", no_superlu)
+        rng = np.random.default_rng(10 * n + mesh.num_cells)
+        coeffs = rng.uniform(0.05, 2.0, (n, n))
+        coeffs = np.triu(coeffs, 1) + np.triu(coeffs, 1).T
+        system = build_system(coeffs)
+        state = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
+        dt = 1e-3
+        plan = smfv.scheme._StepPlan(mesh, n)
+        assert plan.chain
+        band, _, perm = plan.pattern
+        assert np.array_equal(perm, np.arange(mesh.num_cells * (n - 1)))
+        edges = smfv.scheme._edge_fluxes(system, mesh, state.values)
+        solve = plan.factor(smfv.scheme._jacobian_matrix(system, mesh, edges, dt,
+                                                         plan.pattern))
+        natural = _reduced(jacobian(system, state, dt), n)
+        for _ in range(2):
+            rhs = rng.standard_normal(natural.shape[0])
+            reference = scipy.sparse.linalg.spsolve(natural, rhs)
+            solution = solve(rhs.copy())
+            assert np.abs(solution - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5), (8, 8)],
+                             ids=["2x2", "3x2", "2x5", "8x8"])
+    def test_non_chain_meshes_select_superlu(self, shape):
+        import smfv.scheme
+
+        for mesh in (uniform_rectangle(*shape),
+                     disjoint_union([uniform_rectangle(1, 4), uniform_rectangle(*shape)])[0]):
+            plan = smfv.scheme._StepPlan(mesh, 3)
+            assert not plan.chain
+            assert scipy.sparse.issparse(plan.pattern[0])
 
     def test_one_matrix_refilled_per_step(self, system_2d, monkeypatch):
         # every factor is the exact reduced Jacobian of the iterate it was
@@ -1008,14 +1056,19 @@ class TestRun:
             assert e_new + dt * diss - e_old <= 1e-10 * (1.0 + abs(e_old))
             before = state
 
-    def test_pattern_built_once_per_run(self, system_1d, monkeypatch):
-        # built and ordered inside the first step, not before it, by one
-        # incomplete factor; every step still goes through the module's
-        # newton_step, where the benchmark's tracer hooks in
+    @staticmethod
+    def _builds_per_run(system, monkeypatch, u0, name, unused):
+        """Count, per step, the pattern builds by ``name`` and the ``spilu`` orders.
+
+        Runs five steps, then one step without a plan; ``unused`` names the
+        other path's pattern function, which must not be called.  Returns
+        ``(built, orders, steps)``: the calls of ``name`` and ``spilu`` and,
+        for each step of the run, their counts when the step began.
+        """
         import smfv.scheme
 
         built, orders, steps = [], [], []
-        pattern, step = smfv.scheme._jacobian_pattern, smfv.scheme.newton_step
+        pattern, step = getattr(smfv.scheme, name), smfv.scheme.newton_step
         spilu = scipy.sparse.linalg.spilu
 
         def counted_pattern(*args, **kwargs):
@@ -1030,19 +1083,45 @@ class TestRun:
             steps.append((len(built), len(orders)))
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(smfv.scheme, "_jacobian_pattern", counted_pattern)
+        def other_path(*args, **kwargs):
+            raise AssertionError(f"{unused} was called")
+
+        monkeypatch.setattr(smfv.scheme, name, counted_pattern)
+        monkeypatch.setattr(smfv.scheme, unused, other_path)
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted_spilu)
         monkeypatch.setattr(smfv.scheme, "newton_step", counted_step)
-        mesh = uniform_interval(8)
-        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        run(system_1d, u0, 1e-3, 5e-3)
+        run(system, u0, 1e-3, 5e-3)
+        per_step = list(steps)
+        smfv.scheme.newton_step(system, u0, 1e-3)
+        return built, orders, per_step
+
+    def test_pattern_built_once_per_run(self, system_1d, monkeypatch):
+        # a mesh that is no chain: built and ordered inside the first step,
+        # not before it, by one incomplete factor; every step still goes
+        # through the module's newton_step, where the benchmark's tracer
+        # hooks in
+        mesh = uniform_rectangle(3, 3)
+        u0 = StateField(mesh, np.random.default_rng(8).dirichlet(np.ones(3), size=9).T)
+        built, orders, steps = self._builds_per_run(
+            system_1d, monkeypatch, u0, "_jacobian_pattern", "_band_pattern")
         assert steps == [(0, 0)] + [(1, 1)] * 4
         assert [(args[0] is mesh, args[1:], kwargs)
-                for args, kwargs in built] == [(True, (2,), {"ordered": True})]
+                for args, kwargs in built[:1]] == [(True, (2,), {"ordered": True})]
         assert orders[0]["permc_spec"] == "MMD_AT_PLUS_A"
         assert {key: orders[0][key] for key in SUPERLU_SETTINGS} == SUPERLU_SETTINGS
-        smfv.scheme.newton_step(system_1d, u0, 1e-3)
         assert (len(built), len(orders)) == (2, 2)
+
+    def test_band_slots_built_once_per_run(self, system_1d, monkeypatch):
+        # a chain builds its band slots inside the first step and orders
+        # nothing: no spilu call
+        mesh = uniform_interval(8)
+        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        built, orders, steps = self._builds_per_run(
+            system_1d, monkeypatch, u0, "_band_pattern", "_jacobian_pattern")
+        assert steps == [(0, 0)] + [(1, 0)] * 4
+        assert [(args[0] is mesh, args[1:], kwargs)
+                for args, kwargs in built[:1]] == [(True, (2,), {})]
+        assert (len(built), len(orders)) == (2, 0)
 
     def test_sink_reads_fluxes_of_its_state(self, system_1d):
         # computed at the first read, from the step's projected state, once
