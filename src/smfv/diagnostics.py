@@ -24,9 +24,10 @@ from .scheme import FluxField, StateField, StepStats
 def entropy(state: StateField) -> float:
     """Entropy sum_K m_K sum_i u log u over the state's mesh, in [-m_Omega log n, 0]."""
     u = state.values
-    if np.any(u < 0.0):
+    low = u.min()
+    if low < 0.0:
         raise ValueError("entropy requires nonnegative volume fractions")
-    logs = np.log(np.where(u > 0.0, u, 1.0))  # 0 log 0 := 0
+    logs = np.log(u if low > 0.0 else np.where(u > 0.0, u, 1.0))  # 0 log 0 := 0
     return float((state.mesh.cell_measures * (u * logs)).sum())
 
 
@@ -66,10 +67,14 @@ def relative_entropy(state: StateField, m) -> float:
     if np.any(m <= 0.0):
         raise ValueError("relative entropy requires strictly positive m")
     u = state.values
-    if np.any(u < 0.0):
+    low = u.min()
+    if low < 0.0:
         raise ValueError("relative entropy requires nonnegative volume fractions")
-    logs = np.log(np.where(u > 0.0, u, 1.0)) - np.log(m)[:, None]
-    terms = np.where(u > 0.0, u * logs, 0.0)
+    if low > 0.0:  # the projected states of a run: no zero entry to mask
+        terms = u * (np.log(u) - np.log(m)[:, None])
+    else:
+        logs = np.log(np.where(u > 0.0, u, 1.0)) - np.log(m)[:, None]
+        terms = np.where(u > 0.0, u * logs, 0.0)
     return float((state.mesh.cell_measures * terms).sum())
 
 

@@ -37,8 +37,10 @@ when the old sums are 1.  Newton therefore keeps every cell sum at its
 old value and factors only the Jacobian reduced to the first n - 1
 species, with u_n = s - sum_{j<n} u_j; volume filling holds by
 construction of the update.  The reduced Jacobian, of (n-1) x (n-1)
-blocks, is stored once per run and refilled in place for every factor,
-in one of two ways chosen once per run from the mesh's structure.
+blocks, is stored once per run, in one of two ways chosen once per run
+from the mesh's structure, and refilled in place for every factor: its
+raw block entries are zeroed and summed, by ``np.add.at``, into the
+storage itself, so a factor allocates no temporary of the matrix's size.
 
 On a chain mesh, whose every interior edge joins two consecutive cells
 (an interval, a disjoint union of intervals, a one-cell-thick rectangle,
@@ -60,21 +62,31 @@ factors, with the same fill and the same order.  On both paths two
 gathers take the residual into the matrix's order and the solution out
 of it; a chain's order is the identity.
 
+The first step of a run starts its iteration at the old state; every
+later step starts at the linear extrapolation 2 u^p - u^(p-1) of the last
+two states (Hairer and Wanner, Solving Ordinary Differential Equations
+II, on starting values for the Newton iteration), projected onto the
+simplex and scaled to the old cell sums.  Near equilibrium that start
+saves one solve in three.  Where the iteration from it fails, for
+whatever reason, the step is solved again from the old state, which is
+the iteration without extrapolation: on high-contrast data the
+extrapolation can overshoot where the old state does not.
+
 Within a step the iteration is a chord (Shamanskii) method (Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003): each step
-factors at its first iterate and keeps that LU while full updates at
-least halve the residual norm (``CHORD_CONTRACTION``).  A halving drops
-the LU, and so does a weaker contraction; a kept LU whose full update
-does not lower the residual is refactored at the same iterate.  Reuse
-never crosses a step: every step's first update is a full Newton update,
-which keeps the accepted states within rounding of full Newton's, whereas
-a factor carried over from the previous step moved final states by
-1.2e-12.  The first update below ``NEWTON_TOL`` is taken in full and ends
-the iteration; other updates from a fresh LU are halved until the
-residual norm over all n species decreases.  The converged state is
-projected onto the unit simplex's interior by flooring at
-``PROJECTION_FLOOR`` and renormalising; its fluxes are computed only if
-a caller reads them.
+Solving Nonlinear Equations with Newton's Method, SIAM 2003): each
+attempt factors at its first iterate and keeps that LU while full
+updates at least halve the residual norm (``CHORD_CONTRACTION``).  A
+halving drops the LU, and so does a weaker contraction; a kept LU whose
+full update does not lower the residual is refactored at the same
+iterate.  Reuse never crosses an attempt: every attempt's first update
+is a full Newton update, which keeps the accepted states within rounding
+of full Newton's, whereas a factor carried over from the previous step
+moved final states by 1.2e-12.  The first update below ``NEWTON_TOL`` is
+taken in full and ends the iteration; other updates from a fresh LU are
+halved until the residual norm over all n species decreases.  The
+converged state is projected onto the unit simplex's interior by
+flooring at ``PROJECTION_FLOOR`` and renormalising; its fluxes are
+computed only if a caller reads them.
 
 The logarithmic mean keeps the scheme entropy stable: cell compositions
 stay positive, species masses are conserved, and the discrete entropy
@@ -217,7 +229,8 @@ class StepStats:
     """Per-step solver metadata reported alongside the new state.
 
     ``newton_iterations`` counts linear solves, ``lu_factors`` the LU
-    factorisations among them; a solve with a kept factor makes the first
+    factorisations among them, over both attempts of a step that is solved
+    again from its old state; a solve with a kept factor makes the first
     exceed the second.
     """
 
@@ -526,13 +539,16 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     if b < n:
         dk, dl = dk[:, :b] - dk[:, b:], dl[:, :b] - dl[:, b:]
 
-    raw = np.concatenate([dk.ravel(), dl.ravel(), (-dk).ravel(), (-dl).ravel(),
-                          np.repeat(mesh.cell_measures / dt, b)])
-    if isinstance(matrix, np.ndarray):  # band storage, filled in its Fortran order
-        data = np.bincount(slot, weights=raw, minlength=matrix.size)
-        matrix[...] = data.reshape(-1, len(matrix)).T
-    else:
-        matrix.data = np.bincount(slot, weights=raw, minlength=matrix.nnz)
+    # summed into the storage itself, in the order of the raw entries: the
+    # band's Fortran memory (a view) or the CSC data
+    out = matrix.T.reshape(-1) if isinstance(matrix, np.ndarray) else matrix.data
+    out[:] = 0.0
+    m = dk.size
+    np.add.at(out, slot[:m], dk.ravel())
+    np.add.at(out, slot[m:2 * m], dl.ravel())
+    np.subtract.at(out, slot[2 * m:3 * m], dk.ravel())
+    np.subtract.at(out, slot[3 * m:4 * m], dl.ravel())
+    np.add.at(out, slot[4 * m:].reshape(-1, b), (mesh.cell_measures / dt)[:, None])
     return matrix
 
 
@@ -631,61 +647,40 @@ class _StepPlan:
         return spla.splu(matrix, permc_spec="NATURAL", **SUPERLU_SETTINGS).solve
 
 
-def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=None):
-    """One implicit step on the mesh of ``u_old``: chord-Newton solve and projection.
+def _chord_newton(system, plan, x, old_values, dt, counts):
+    """The chord-Newton root of the step from ``old_values``, iterated from ``x``.
 
-    The update keeps every cell sum at its old value: it solves the Jacobian
-    reduced to the first n - 1 species against their residual rows and sets
-    delta_n = -sum_{i<n} delta_i.  The summed equation, linear in the cell
-    sums, then holds whenever it holds for the old state.
-
-    The step factors the reduced Jacobian at its first iterate and keeps
-    the LU after a full update whose residual norm, over all n species, is
-    at most ``CHORD_CONTRACTION`` times the previous one.  Any halving, or a
-    weaker contraction, drops it, and the next iterate is factored afresh.
-    A full update from a kept LU that does not lower the residual norm is
-    rejected without halving: the LU is refactored at the same iterate,
-    whose residual and edge terms are known, and the system solved again.
-    The LU never outlives the step, so every step starts with a full Newton
-    update.  An update with infinity norm below ``NEWTON_TOL``, from a fresh
-    or a kept LU, is taken in full and ends the iteration; any other from a
-    fresh LU is halved until the residual norm drops.
-
-    Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
-    projected state, computed at the first read of their values; ``stats``
-    carries the number of linear solves (``newton_iterations``), of LU
-    factors, and the largest per-cell deviation of the species sum from one
-    measured before the projection.  Raises :class:`NonConvergence` when the
-    iteration budget or the halvings run out, or a linear solve fails.
+    Returns the converged iterate before the projection.  ``counts`` holds
+    the running totals ``[solves, factors]`` and is incremented in place,
+    so that the work of a failed attempt is counted too.  Raises
+    :class:`NonConvergence` when the iteration budget or the halvings run
+    out, or a factor or solve fails.
     """
-    _check_dt(dt)
-    mesh = u_old.mesh
-    plan = _StepPlan(mesh, system.n) if _plan is None else _plan
+    mesh = plan.mesh
     reduced = system.n - 1
-    x = u_old.values.copy()
     delta = np.empty_like(x)
     res_norm = math.inf
-    iterations = factors = 0
+    iterations = 0
     solve = None
     try:
-        res, edges = _residual_values(system, mesh, x, u_old.values, dt)
+        res, edges = _residual_values(system, mesh, x, old_values, dt)
         res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = solve is not None
             if not stale:
                 solve = plan.factor(_jacobian_matrix(system, mesh, edges, dt, plan.pattern))
-                factors += 1
+                counts[1] += 1
             delta[:reduced] = solve(-res.ravel()[into])[out_of]
             delta[reduced] = -delta[:reduced].sum(axis=0)
+            counts[0] += 1
             if float(np.abs(delta).max()) < NEWTON_TOL:
-                x = x + delta
-                break
+                return x + delta
 
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
                 cand = x + step * delta
-                trial = _residual_values(system, mesh, cand, u_old.values, dt)
+                trial = _residual_values(system, mesh, cand, old_values, dt)
                 cand_norm = float(np.abs(trial[0]).max())
                 if cand_norm < res_norm or stale:
                     break
@@ -699,18 +694,70 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
                 solve = None
             if cand_norm < res_norm:
                 x, (res, edges), res_norm = cand, trial, cand_norm
-        else:
-            raise NonConvergence(iterations, res_norm)
+        raise NonConvergence(iterations, res_norm)
     except NonConvergence:
         raise
     except RuntimeError as exc:
         # A failed factorisation or solve is reported as RuntimeError.
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
+
+def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=None,
+                _previous=None):
+    """One implicit step on the mesh of ``u_old``: chord-Newton solve and projection.
+
+    The update keeps every cell sum at its old value: it solves the Jacobian
+    reduced to the first n - 1 species against their residual rows and sets
+    delta_n = -sum_{i<n} delta_i.  The summed equation, linear in the cell
+    sums, then holds whenever it holds for the old state.
+
+    The iteration starts at ``u_old``.  :func:`run` also passes, from its
+    second step on, the state before ``u_old`` as ``_previous``; the
+    iteration then starts at the linear extrapolation 2 u_old - _previous,
+    projected onto the simplex and scaled to the old cell sums, and if that
+    attempt raises :class:`NonConvergence`, for whatever reason, the step
+    is solved once more from ``u_old``.  The stats count both attempts.
+
+    The step factors the reduced Jacobian at its first iterate and keeps
+    the LU after a full update whose residual norm, over all n species, is
+    at most ``CHORD_CONTRACTION`` times the previous one.  Any halving, or a
+    weaker contraction, drops it, and the next iterate is factored afresh.
+    A full update from a kept LU that does not lower the residual norm is
+    rejected without halving: the LU is refactored at the same iterate,
+    whose residual and edge terms are known, and the system solved again.
+    The LU never outlives the attempt, so every attempt starts with a full
+    Newton update.  An update with infinity norm below ``NEWTON_TOL``, from a
+    fresh or a kept LU, is taken in full and ends the iteration; any other
+    from a fresh LU is halved until the residual norm drops.  Each factor
+    refills the plan's one matrix in place.
+
+    Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
+    projected state, computed at the first read of their values; ``stats``
+    carries the number of linear solves (``newton_iterations``), of LU
+    factors, and the largest per-cell deviation of the species sum from one
+    measured before the projection.  Raises :class:`NonConvergence` when the
+    iteration budget or the halvings run out, or a linear solve fails, in
+    the iteration from ``u_old``.
+    """
+    _check_dt(dt)
+    mesh = u_old.mesh
+    plan = _StepPlan(mesh, system.n) if _plan is None else _plan
+    counts = [0, 0]
+    x = None
+    if _previous is not None:
+        sums = u_old.values.sum(axis=0)
+        start = project_simplex(2.0 * u_old.values - _previous.values) * sums
+        try:
+            x = _chord_newton(system, plan, start, u_old.values, dt, counts)
+        except NonConvergence:
+            pass  # solved again from u_old below
+    if x is None:
+        x = _chord_newton(system, plan, u_old.values, u_old.values, dt, counts)
+
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
     state = StateField(mesh, _project_values(x))
     return state, FluxField._of_state(system, state), StepStats(
-        iterations, pre_projection_dev, factors)
+        counts[0], pre_projection_dev, counts[1])
 
 
 def num_time_steps(dt: float, t_end: float) -> int:
@@ -727,23 +774,27 @@ def run(system: SpeciesSystem, u0: StateField, dt: float, t_end: float,
         sink=None) -> StateField:
     """Advance the implicit scheme from ``u0`` over ceil(T/dt) steps of size dt.
 
-    Every step stays on the mesh of ``u0``.  After each step the optional
-    ``sink`` callback receives ``(t_p, state, fluxes, stats)``.  A Newton
-    failure aborts the run (no adaptive stepping); the raised
-    :class:`NonConvergence` carries the failing step index and time.
+    Every step stays on the mesh of ``u0``; from the second on, it is given
+    the state before its old one, from which :func:`newton_step` takes its
+    extrapolated start.  After each step the optional ``sink`` callback
+    receives ``(t_p, state, fluxes, stats)``.  A Newton failure aborts the
+    run (no adaptive stepping); the raised :class:`NonConvergence` carries
+    the failing step index and time.
     """
     _check_dt(dt)
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
-    state = u0
+    state, previous = u0, None
     plan = _StepPlan(u0.mesh, system.n)
     for p in range(1, num_time_steps(dt, t_end) + 1):
         try:
-            state, fluxes, stats = newton_step(system, state, dt, _plan=plan)
+            new, fluxes, stats = newton_step(system, state, dt, _plan=plan,
+                                             _previous=previous)
         except NonConvergence as exc:
             exc.step_index = p
             exc.time = p * dt
             raise
+        state, previous = new, state
         if sink is not None:
             sink(p * dt, state, fluxes, stats)
     return state

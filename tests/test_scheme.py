@@ -565,15 +565,17 @@ class TestNewtonLinearSolve:
 
     def test_shared_plan_matches_fresh_plans(self, system_2d):
         # a run's one plan gives, to the bit, the states and counts of steps
-        # that each order and build their pattern afresh
+        # that each order and build their pattern afresh, given the previous
+        # state as the run gives it
         mesh = uniform_rectangle(8, 8)
         dt = 1e-5
         shared = []
         run(system_2d, _blocks_2d(mesh), dt, 3 * dt,
             sink=lambda t, s, f, stats: shared.append((s, stats)))
-        state = _blocks_2d(mesh)
+        state, previous = _blocks_2d(mesh), None
         for shared_state, shared_stats in shared:
-            state, _, stats = newton_step(system_2d, state, dt)
+            new, _, stats = newton_step(system_2d, state, dt, _previous=previous)
+            state, previous = new, state
             assert np.array_equal(state.values, shared_state.values)
             assert stats == shared_stats
 
@@ -966,15 +968,15 @@ class TestNewtonSolve:
 
     def test_late_steps_factor_once(self, system_1d):
         # smooth1d at N=64 and dt = 1e-4, the entropy-decay run: near
-        # equilibrium one LU serves every solve of a step
+        # equilibrium, started from the extrapolated state, one LU serves the
+        # two solves of a step; started from the old state, steps take three
         mesh = uniform_interval(64)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         steps = []
         run(system_1d, u0, 1e-4, 0.02, sink=lambda t, s, f, stats: steps.append(stats))
         late = steps[100:]
         assert len(late) == 100
-        assert all(stats.lu_factors == 1 for stats in late)
-        assert all(stats.newton_iterations >= 2 for stats in late)
+        assert all((stats.newton_iterations, stats.lu_factors) == (2, 1) for stats in late)
 
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
         import smfv.scheme
@@ -1248,15 +1250,11 @@ HIGH_CONTRAST = [[0.0, 0.01, 0.2], [0.01, 0.0, 20.0], [0.2, 20.0, 0.0]]
 CHORD_REGRESSION = [[0.0, 0.0147, 1.68], [0.0147, 0.0, 0.941], [1.68, 0.941, 0.0]]
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergence,
-                   reason="Newton stalls on the log mean's zero branch")
-@pytest.mark.parametrize("coeffs, shape, dt", [
-    (HIGH_CONTRAST, (8,), 1e-4),
-    (HIGH_CONTRAST, (8, 8), 1e-5),
-    (CHORD_REGRESSION, (6, 6), 1.08e-5),
-], ids=["nonsmooth1d-8", "blocks2d-8x8", "blocks2d-6x6-chord"])
-def test_high_contrast_steps_keep_invariants(coeffs, shape, dt):
-    system = build_system(coeffs)
+def _assert_three_steps_keep_invariants(system, shape, dt):
+    """Run three steps of nonsmooth1d (1D ``shape``) or the blocks data (2D).
+
+    Each step must end finite, projected and entropy stable.
+    """
     if len(shape) == 1:
         u0 = preset_initial(InitialConfig("nonsmooth1d"), uniform_interval(*shape), 3)
     else:
@@ -1267,6 +1265,7 @@ def test_high_contrast_steps_keep_invariants(coeffs, shape, dt):
     assert len(steps) == 3
     before = u0
     for state, diss in steps:
+        assert np.all(np.isfinite(state.values))
         assert state.min_fraction() >= PROJECTION_FLOOR
         assert state.sum_deviation() <= 1e-15
         drift = np.abs(state.mass_vector - u0.mass_vector) / u0.mass_vector
@@ -1274,3 +1273,43 @@ def test_high_contrast_steps_keep_invariants(coeffs, shape, dt):
         e_old, e_new = entropy(before), entropy(state)
         assert e_new + dt * diss - e_old <= 1e-10 * (1.0 + abs(e_old))
         before = state
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="Newton stalls on the log mean's zero branch")
+@pytest.mark.parametrize("coeffs, shape, dt", [
+    (HIGH_CONTRAST, (8,), 1e-4),
+    (HIGH_CONTRAST, (8, 8), 1e-5),
+    (CHORD_REGRESSION, (6, 6), 1.08e-5),
+], ids=["nonsmooth1d-8", "blocks2d-8x8", "blocks2d-6x6-chord"])
+def test_high_contrast_steps_keep_invariants(coeffs, shape, dt):
+    _assert_three_steps_keep_invariants(build_system(coeffs), shape, dt)
+
+
+@pytest.mark.parametrize("c12, c13, c23, shape, dt", [
+    (0.005188124881933273, 0.0011713570427690921, 0.14772572217222374, (17,),
+     0.0064712154501544135),
+    (0.36380468640100705, 0.00131845710025919, 0.006559042661859763, (5, 4),
+     0.026127248033168213),
+], ids=["nonsmooth1d-17", "blocks2d-5x4"])
+def test_failed_extrapolated_start_is_solved_from_the_old_state(
+        monkeypatch, c12, c13, c23, shape, dt):
+    # cases 101 and 64 of scripts/high_contrast_sweep.py: the iteration from
+    # the extrapolated start fails in a later step, which only the solve
+    # from the old state rescues
+    import smfv.scheme
+
+    system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
+    failed = []
+    chord_newton = smfv.scheme._chord_newton
+
+    def recorded(*args):
+        try:
+            return chord_newton(*args)
+        except NonConvergence:
+            failed.append(args[2] is not args[3])  # from the extrapolated start
+            raise
+
+    monkeypatch.setattr(smfv.scheme, "_chord_newton", recorded)
+    _assert_three_steps_keep_invariants(system, shape, dt)
+    assert failed and all(failed)
