@@ -13,10 +13,15 @@ on 4..32 cells.  The case runs ``smfv.scheme.run`` for three steps.  It
 fails if Newton raises ``NonConvergence``; any other exception ends the
 sweep.  The script prints every failing case, the summed linear solves
 and LU factors of the passing cases (from the ``StepStats`` each step
-hands the ``run`` sink), and then the failure count and the failing case
-ids, so two source trees can be compared by their last two lines and a
-solver change reports its cost next to them.  The 300 cases take about
-6 s on a 2-core VM with Python 3.11.
+hands the ``run`` sink), the failure count and the failing case ids, so a
+solver change reports its cost next to them.
+
+The sweep is a gate: ``ACCEPTED_FAILURES`` holds the ids of the cases
+known to fail.  The last two lines list the failing cases outside that set
+(``new failures:``) and the accepted ones that now pass (``rescued:``), and
+the script exits 1 when there is a new failure.  A change that rescues
+cases shrinks the set; none may grow it.  The 300 cases take about 6 s on
+a 2-core VM with Python 3.11.
 """
 
 from __future__ import annotations
@@ -39,6 +44,12 @@ CASES = 300
 STEPS = 3
 BLOCKS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "blocks2d.json"
 PRESETS = ("blocks2d", "nonsmooth1d", "smooth1d")
+ACCEPTED_FAILURES = frozenset({
+    2, 14, 22, 24, 33, 43, 49, 54, 57, 58, 62, 81, 85, 88, 97, 100, 111, 117, 122,
+    123, 134, 144, 151, 157, 160, 161, 162, 164, 173, 181, 182, 186, 189, 192, 193,
+    196, 200, 204, 210, 216, 222, 225, 242, 251, 253, 256, 262, 267, 269, 275, 280,
+    286, 290, 291, 293, 297,
+})
 
 
 def draw_case(rng):
@@ -103,7 +114,10 @@ def main():
     print(f"passing cases: {solves} solves, {factors} factors")
     print(f"failures: {len(failed)}")
     print(f"failing cases: {failed}")
-    return 0
+    new = sorted(set(failed) - ACCEPTED_FAILURES)
+    print(f"new failures: {new}")
+    print(f"rescued: {sorted(ACCEPTED_FAILURES - set(failed))}")
+    return 1 if new else 0
 
 
 if __name__ == "__main__":

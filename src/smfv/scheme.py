@@ -81,10 +81,29 @@ full update does not lower the residual is refactored at the same
 iterate.  Reuse never crosses an attempt: every attempt's first update
 is a full Newton update, which keeps the accepted states within rounding
 of full Newton's, whereas a factor carried over from the previous step
-moved final states by 1.2e-12.  The first update below ``NEWTON_TOL`` is
-taken in full and ends the iteration; other updates from a fresh LU are
-halved until the residual norm over all n species decreases.  The
-converged state is projected onto the unit simplex's interior by
+moved final states by 1.2e-12.
+
+An update is taken in full and ends the iteration when its infinity norm
+is below ``NEWTON_TOL``, or when the error it leaves is estimated below
+``NEWTON_TOL``; other updates from a fresh LU are halved until the
+residual norm over all n species decreases.  The estimate is error
+oriented (Deuflhard, Newton Methods for Nonlinear Problems, Springer
+2004, ch. 2): rate/(1 - rate) times the update's norm.  It applies only
+to the update that follows a full Newton update, one from a fresh LU
+accepted without halving, and its rate is the larger of theta, the ratio
+of the two updates' norms, and the largest relative change |delta|/u that
+the Newton update made to any volume fraction.  The log mean is monotone
+and homogeneous of degree one, so that change bounds the relative change
+of every edge composition, and with it how far the factored Jacobian is
+from the current one, which sets the chord's contraction.  Theta alone,
+Newton's quadratic contraction, understated the error left by factors of
+600 and more on the blocks data and on high-contrast cases near zero
+volume fractions, and so did theta of two updates from a kept LU.  Near
+equilibrium the estimate ends a step at its second update, whose norm is
+still above ``NEWTON_TOL``: the convergence study's union takes two
+solves on each step after the first.
+
+The converged state is projected onto the unit simplex's interior by
 flooring at ``PROJECTION_FLOOR`` and renormalising; its fluxes are
 computed only if a caller reads them.
 
@@ -108,7 +127,7 @@ from scipy.linalg import lapack
 from .mesh import Mesh
 from .model import SpeciesSystem
 
-NEWTON_TOL = 1e-12          # infinity norm of the final Newton update
+NEWTON_TOL = 1e-12          # bound on the final update's infinity norm or on its estimated error
 MAX_NEWTON_ITERS = 50
 MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
 CHORD_CONTRACTION = 0.5     # largest residual-norm ratio of a full update that keeps the LU
@@ -123,8 +142,9 @@ MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
 # unchanged and, refactoring the Jacobians of the benchmark workloads, took
 # 21% less time at 70x70 (31 factors), and 49% less on the 1D convergence
 # union and 11% less at N=64, which now take the band LU; the order's
-# incomplete factor at 70x70 took 9 ms in place of 15.  Wide panels are avoided: panel_size=32 with the default
-# relaxation ended a 70x70 run with a segmentation fault at interpreter exit.
+# incomplete factor at 70x70 took 9 ms in place of 15.  Wide panels are
+# avoided: panel_size=32 with the default relaxation ended a 70x70 run with
+# a segmentation fault at interpreter exit.
 SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
 # The log-mean partials come from the series where u = f^2 < _SERIES_MAX_U:
@@ -662,6 +682,7 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     res_norm = math.inf
     iterations = 0
     solve = None
+    newton = None  # (norm, relative change) of the last update, if a full Newton update
     try:
         res, edges = _residual_values(system, mesh, x, old_values, dt)
         res_norm = float(np.abs(res).max())
@@ -674,8 +695,15 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             delta[:reduced] = solve(-res.ravel()[into])[out_of]
             delta[reduced] = -delta[:reduced].sum(axis=0)
             counts[0] += 1
-            if float(np.abs(delta).max()) < NEWTON_TOL:
+            delta_norm = float(np.abs(delta).max())
+            if delta_norm < NEWTON_TOL:
                 return x + delta
+            if newton is not None:
+                # rate/(1 - rate) |delta| estimates the error left after this
+                # update; a rate >= 1 never passes
+                rate = max(delta_norm / newton[0], newton[1])
+                if rate * delta_norm < (1.0 - rate) * NEWTON_TOL:
+                    return x + delta
 
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
@@ -692,7 +720,14 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             # LU's update that brings no decrease leaves x, to be refactored
             if not cand_norm <= CHORD_CONTRACTION * res_norm or step < 1.0:
                 solve = None
+            newton = None
             if cand_norm < res_norm:
+                if not stale and step == 1.0:
+                    # a quotient that overflows reads inf, which no estimate passes
+                    with np.errstate(over="ignore"):
+                        change = (float((np.abs(delta) / cand).max()) if cand.min() > 0.0
+                                  else math.inf)
+                    newton = (delta_norm, change)
                 x, (res, edges), res_norm = cand, trial, cand_norm
         raise NonConvergence(iterations, res_norm)
     except NonConvergence:
@@ -726,10 +761,12 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     rejected without halving: the LU is refactored at the same iterate,
     whose residual and edge terms are known, and the system solved again.
     The LU never outlives the attempt, so every attempt starts with a full
-    Newton update.  An update with infinity norm below ``NEWTON_TOL``, from a
-    fresh or a kept LU, is taken in full and ends the iteration; any other
-    from a fresh LU is halved until the residual norm drops.  Each factor
-    refills the plan's one matrix in place.
+    Newton update.  An update, from a fresh or a kept LU, is taken in full
+    and ends the iteration when its infinity norm is below ``NEWTON_TOL`` or,
+    if it follows a full Newton update, when the error it is estimated to
+    leave is (see the module docstring); any other from a fresh LU is halved
+    until the residual norm drops.  Each factor refills the plan's one
+    matrix in place.
 
     Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
     projected state, computed at the first read of their values; ``stats``

@@ -978,6 +978,51 @@ class TestNewtonSolve:
         assert len(late) == 100
         assert all((stats.newton_iterations, stats.lu_factors) == (2, 1) for stats in late)
 
+    def test_convergence_union_stops_on_the_error_estimate(self, system_1d):
+        # the convergence study's union (reference 1024, grids 16..128) on
+        # smooth1d at dt = 1e-4: from the extrapolated start the second
+        # update contracts the first so far that the error left is below
+        # NEWTON_TOL, although the update itself is not; a third solve would
+        # move the state by rounding only
+        union, _ = disjoint_union([uniform_interval(g) for g in (1024, 16, 32, 64, 128)])
+        u0 = preset_initial(InitialConfig("smooth1d"), union, 3)
+        steps = []
+        run(system_1d, u0, 1e-4, 0.006, sink=lambda t, s, f, stats: steps.append(stats))
+        assert len(steps) == 60
+        assert all((stats.newton_iterations, stats.lu_factors) == (2, 1)
+                   for stats in steps[1:])
+
+    @pytest.mark.parametrize("shape, dt", [((4, 4), 1e-5), ((8,), 1e-4)],
+                             ids=["blocks2d-4x4", "nonsmooth1d-8"])
+    def test_error_estimate_stop_is_within_rounding_of_a_tight_tolerance(
+            self, system_1d, system_2d, monkeypatch, shape, dt):
+        # 20 steps iterated to updates below 1e-15: every state the estimate
+        # accepts lies within 1e-12 of them, from the blocks data's exact
+        # zeros and from the nonsmooth profile.  With the rate taken as the
+        # contraction of the two updates alone the states moved by 3.5e-9
+        # and 5.2e-12 here; with the estimate also after a kept LU's update,
+        # by 2.0e-12 on the 1D case
+        import smfv.scheme
+
+        if len(shape) == 2:
+            system, u0 = system_2d, _blocks_2d(uniform_rectangle(*shape))
+        else:
+            system = system_1d
+            u0 = preset_initial(InitialConfig("nonsmooth1d"), uniform_interval(*shape), 3)
+
+        def states():
+            seen = []
+            run(system, u0, dt, 20 * dt,
+                sink=lambda t, s, f, stats: seen.append((s.values, stats.newton_iterations)))
+            assert len(seen) == 20
+            return seen
+
+        default = states()
+        monkeypatch.setattr(smfv.scheme, "NEWTON_TOL", 1e-15)
+        tight = states()
+        assert sum(n for _, n in tight) > sum(n for _, n in default)
+        assert max(np.abs(a - b).max() for (a, _), (b, _) in zip(default, tight)) <= 1e-12
+
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
         import smfv.scheme
 
