@@ -11,10 +11,10 @@ three initial data: the paper's blocks of ``configs/blocks2d.json`` on an
 Nx x Ny grid with Nx, Ny in 4..8, or the nonsmooth1d or smooth1d profile
 on 4..32 cells.  The case runs ``smfv.scheme.run`` for three steps.  It
 fails if Newton raises ``NonConvergence``; any other exception ends the
-sweep.  The script prints every failing case, the summed linear solves
-and LU factors of the passing cases (from the ``StepStats`` each step
-hands the ``run`` sink), the failure count and the failing case ids, so a
-solver change reports its cost next to them.
+sweep.  The script prints every failing case, the summed linear solves,
+LU factors and residual evaluations of the passing cases (from the
+``StepStats`` each step hands the ``run`` sink), the failure count and the
+failing case ids, so a solver change reports its cost next to them.
 
 The sweep is a gate: ``ACCEPTED_FAILURES`` holds the ids of the cases
 known to fail.  The last two lines list the failing cases outside that set
@@ -65,11 +65,11 @@ def draw_case(rng):
 
 
 def run_case(preset, grid, coeffs, dt, blocks):
-    """Run three steps; return ``(message, solves, factors)``.
+    """Run three steps; return ``(message, solves, factors, residuals)``.
 
-    ``message`` is None or that of the NonConvergence; ``solves`` and
-    ``factors`` sum the steps' ``StepStats``.  ``blocks`` is the
-    ``InitialConfig`` used for the blocks2d preset.
+    ``message`` is None or that of the NonConvergence; the counts sum the
+    steps' ``StepStats``.  ``blocks`` is the ``InitialConfig`` used for the
+    blocks2d preset.
     """
     c12, c13, c23 = coeffs
     system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
@@ -79,11 +79,12 @@ def run_case(preset, grid, coeffs, dt, blocks):
         mesh = uniform_interval(*grid)
         initial = InitialConfig(preset)
     u0 = preset_initial(initial, mesh, system.n)
-    counts = [0, 0]
+    counts = [0, 0, 0]
 
     def sink(t, state, fluxes, stats):
         counts[0] += stats.newton_iterations
         counts[1] += stats.lu_factors
+        counts[2] += stats.residual_evaluations
 
     try:
         run(system, u0, dt, STEPS * dt, sink=sink)
@@ -98,12 +99,11 @@ def main():
     cases = [draw_case(rng) for _ in range(CASES)]
     start = time.perf_counter()
     failed = []
-    solves = factors = 0
+    cost = np.zeros(3, dtype=int)
     for i, (preset, grid, coeffs, dt) in enumerate(cases):
-        message, case_solves, case_factors = run_case(preset, grid, coeffs, dt, blocks)
+        message, *case_cost = run_case(preset, grid, coeffs, dt, blocks)
         if message is None:
-            solves += case_solves
-            factors += case_factors
+            cost += case_cost
         else:
             failed.append(i)
             print(f"case {i}: {preset} {'x'.join(map(str, grid))} "
@@ -111,7 +111,8 @@ def main():
                   f"dt={dt:.3g}: {message}")
     print(f"{len(cases)} cases of {STEPS} steps, seed {SEED}, "
           f"in {time.perf_counter() - start:.1f} s")
-    print(f"passing cases: {solves} solves, {factors} factors")
+    print(f"passing cases: {cost[0]} solves, {cost[1]} factors, "
+          f"{cost[2]} residual evaluations")
     print(f"failures: {len(failed)}")
     print(f"failing cases: {failed}")
     new = sorted(set(failed) - ACCEPTED_FAILURES)

@@ -88,20 +88,26 @@ is below ``NEWTON_TOL``, or when the error it leaves is estimated below
 ``NEWTON_TOL``; other updates from a fresh LU are halved until the
 residual norm over all n species decreases.  The estimate is error
 oriented (Deuflhard, Newton Methods for Nonlinear Problems, Springer
-2004, ch. 2): rate/(1 - rate) times the update's norm.  It applies only
-to the update that follows a full Newton update, one from a fresh LU
-accepted without halving, and its rate is the larger of theta, the ratio
-of the two updates' norms, and the largest relative change |delta|/u that
-the Newton update made to any volume fraction.  The log mean is monotone
-and homogeneous of degree one, so that change bounds the relative change
-of every edge composition, and with it how far the factored Jacobian is
-from the current one, which sets the chord's contraction.  Theta alone,
-Newton's quadratic contraction, understated the error left by factors of
-600 and more on the blocks data and on high-contrast cases near zero
-volume fractions, and so did theta of two updates from a kept LU.  Near
-equilibrium the estimate ends a step at its second update, whose norm is
-still above ``NEWTON_TOL``: the convergence study's union takes two
-solves on each step after the first.
+2004, ch. 2): rate/(1 - rate) times the update's norm.  The rate of a
+Newton update, one from a fresh LU, is rho, the largest relative change
+|delta|/u it makes to any volume fraction of the iterate it produces
+(infinite if that iterate has an entry <= 0).  The log mean is monotone
+and homogeneous of degree one, so rho bounds the relative change of every
+edge composition, and with it the Jacobian's relative drift over the
+update: the Kantorovich quantity h, with which a Newton update leaves an
+error of about (h/2) |delta|.  That test comes before any trial residual,
+so a step that its first update ends costs one residual, one factor and
+one solve.  The update that follows a full Newton update, one from a
+fresh LU accepted without halving, is estimated also with the larger of
+theta, the ratio of the two updates' norms, and that Newton update's rho;
+an update from a kept LU is estimated only so.  Theta alone, Newton's
+quadratic contraction, understated the error left by factors of 600 and
+more on the blocks data and on high-contrast cases near zero volume
+fractions, and so did theta of two updates from a kept LU.  In the
+entropy-decay run (N=64, dt = 1e-4) every step from the 555th on ends at
+its first update, of 5.8e-7 and less, which leaves at most 1.3e-15; on the
+convergence study's union steps 2 to 60 take two solves each, the second
+ended by the estimate with theta.
 
 The converged state is projected onto the unit simplex's interior by
 flooring at ``PROJECTION_FLOOR`` and renormalising; its fluxes are
@@ -127,7 +133,7 @@ from scipy.linalg import lapack
 from .mesh import Mesh
 from .model import SpeciesSystem
 
-NEWTON_TOL = 1e-12          # bound on the final update's infinity norm or on its estimated error
+NEWTON_TOL = 1e-12          # bound on the last update's norm or on the error estimated to remain
 MAX_NEWTON_ITERS = 50
 MAX_DAMPING_HALVINGS = 30   # halvings without decrease before a step fails
 CHORD_CONTRACTION = 0.5     # largest residual-norm ratio of a full update that keeps the LU
@@ -249,14 +255,16 @@ class StepStats:
     """Per-step solver metadata reported alongside the new state.
 
     ``newton_iterations`` counts linear solves, ``lu_factors`` the LU
-    factorisations among them, over both attempts of a step that is solved
-    again from its old state; a solve with a kept factor makes the first
-    exceed the second.
+    factorisations among them and ``residual_evaluations`` the residuals
+    evaluated, line-search trials included, over both attempts of a step
+    that is solved again from its old state; a solve with a kept factor
+    makes the first exceed the second.
     """
 
     newton_iterations: int
     pre_projection_sum_deviation: float
     lu_factors: int
+    residual_evaluations: int
 
 
 def _log_mean_with_partials(a, b, partials=True):
@@ -671,10 +679,10 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     """The chord-Newton root of the step from ``old_values``, iterated from ``x``.
 
     Returns the converged iterate before the projection.  ``counts`` holds
-    the running totals ``[solves, factors]`` and is incremented in place,
-    so that the work of a failed attempt is counted too.  Raises
-    :class:`NonConvergence` when the iteration budget or the halvings run
-    out, or a factor or solve fails.
+    the running totals ``[solves, factors, residual evaluations]`` and is
+    incremented in place, so that the work of a failed attempt is counted
+    too.  Raises :class:`NonConvergence` when the iteration budget or the
+    halvings run out, or a factor or solve fails.
     """
     mesh = plan.mesh
     reduced = system.n - 1
@@ -685,6 +693,7 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     newton = None  # (norm, relative change) of the last update, if a full Newton update
     try:
         res, edges = _residual_values(system, mesh, x, old_values, dt)
+        counts[2] += 1
         res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
@@ -696,23 +705,34 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             delta[reduced] = -delta[:reduced].sum(axis=0)
             counts[0] += 1
             delta_norm = float(np.abs(delta).max())
+            cand = x + delta
             if delta_norm < NEWTON_TOL:
-                return x + delta
+                return cand
+            # rate/(1 - rate) |delta| estimates the error left after this
+            # update; a rate >= 1 never passes
             if newton is not None:
-                # rate/(1 - rate) |delta| estimates the error left after this
-                # update; a rate >= 1 never passes
                 rate = max(delta_norm / newton[0], newton[1])
                 if rate * delta_norm < (1.0 - rate) * NEWTON_TOL:
-                    return x + delta
+                    return cand
+            if not stale:
+                # a Newton update's rate is bounded by its largest relative
+                # change; a quotient that overflows reads inf, which no
+                # estimate passes
+                with np.errstate(over="ignore"):
+                    change = (float((np.abs(delta) / cand).max()) if cand.min() > 0.0
+                              else math.inf)
+                if change * delta_norm < (1.0 - change) * NEWTON_TOL:
+                    return cand
 
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
-                cand = x + step * delta
                 trial = _residual_values(system, mesh, cand, old_values, dt)
+                counts[2] += 1
                 cand_norm = float(np.abs(trial[0]).max())
                 if cand_norm < res_norm or stale:
                     break
                 step *= 0.5
+                cand = x + step * delta
             else:
                 raise NonConvergence(iterations, res_norm, reason="no residual "
                                      f"decrease in {MAX_DAMPING_HALVINGS} halvings")
@@ -723,10 +743,6 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             newton = None
             if cand_norm < res_norm:
                 if not stale and step == 1.0:
-                    # a quotient that overflows reads inf, which no estimate passes
-                    with np.errstate(over="ignore"):
-                        change = (float((np.abs(delta) / cand).max()) if cand.min() > 0.0
-                                  else math.inf)
                     newton = (delta_norm, change)
                 x, (res, edges), res_norm = cand, trial, cand_norm
         raise NonConvergence(iterations, res_norm)
@@ -762,24 +778,26 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     whose residual and edge terms are known, and the system solved again.
     The LU never outlives the attempt, so every attempt starts with a full
     Newton update.  An update, from a fresh or a kept LU, is taken in full
-    and ends the iteration when its infinity norm is below ``NEWTON_TOL`` or,
-    if it follows a full Newton update, when the error it is estimated to
-    leave is (see the module docstring); any other from a fresh LU is halved
-    until the residual norm drops.  Each factor refills the plan's one
-    matrix in place.
+    and ends the iteration when its infinity norm is below ``NEWTON_TOL``,
+    or when the error it is estimated to leave is (see the module
+    docstring): an update from a fresh LU by its own largest relative
+    change, before its trial residual is evaluated, and an update that
+    follows a full Newton update also by the contraction of the two.  Any
+    other update from a fresh LU is halved until the residual norm drops.
+    Each factor refills the plan's one matrix in place.
 
     Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
     projected state, computed at the first read of their values; ``stats``
     carries the number of linear solves (``newton_iterations``), of LU
-    factors, and the largest per-cell deviation of the species sum from one
-    measured before the projection.  Raises :class:`NonConvergence` when the
-    iteration budget or the halvings run out, or a linear solve fails, in
-    the iteration from ``u_old``.
+    factors and of residual evaluations, and the largest per-cell deviation
+    of the species sum from one measured before the projection.  Raises
+    :class:`NonConvergence` when the iteration budget or the halvings run
+    out, or a linear solve fails, in the iteration from ``u_old``.
     """
     _check_dt(dt)
     mesh = u_old.mesh
     plan = _StepPlan(mesh, system.n) if _plan is None else _plan
-    counts = [0, 0]
+    counts = [0, 0, 0]
     x = None
     if _previous is not None:
         sums = u_old.values.sum(axis=0)
@@ -794,7 +812,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
     state = StateField(mesh, _project_values(x))
     return state, FluxField._of_state(system, state), StepStats(
-        counts[0], pre_projection_dev, counts[1])
+        counts[0], pre_projection_dev, counts[1], counts[2])
 
 
 def num_time_steps(dt: float, t_end: float) -> int:

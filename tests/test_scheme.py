@@ -811,6 +811,7 @@ class TestNewtonSolve:
         steps = []
         run(system_1d, u0, 1e-4, t_end, sink=lambda t, s, f, stats: steps.append(stats))
         assert calls[0] == sum(stats.newton_iterations for stats in steps)
+        assert calls[0] == sum(stats.residual_evaluations for stats in steps)
         assert max(stats.lu_factors for stats in steps) <= 3
 
     def test_one_edge_evaluation_per_newton_state(self, system_1d, monkeypatch):
@@ -978,6 +979,21 @@ class TestNewtonSolve:
         assert len(late) == 100
         assert all((stats.newton_iterations, stats.lu_factors) == (2, 1) for stats in late)
 
+    def test_near_equilibrium_steps_take_one_solve(self, system_1d):
+        # the entropy-decay run, smooth1d at N=64 and dt = 1e-4, through
+        # t = 0.2: from step 555 on the first update, 5.8e-7 and less,
+        # changes no volume fraction by more than 1.7e-6 relative, so the
+        # error it leaves is estimated below NEWTON_TOL before any trial
+        # residual
+        mesh = uniform_interval(64)
+        u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
+        steps = []
+        run(system_1d, u0, 1e-4, 0.2, sink=lambda t, s, f, stats: steps.append(stats))
+        late = steps[599:]
+        assert len(late) == 1401
+        assert all((stats.newton_iterations, stats.lu_factors, stats.residual_evaluations)
+                   == (1, 1, 1) for stats in late)
+
     def test_convergence_union_stops_on_the_error_estimate(self, system_1d):
         # the convergence study's union (reference 1024, grids 16..128) on
         # smooth1d at dt = 1e-4: from the extrapolated start the second
@@ -992,23 +1008,28 @@ class TestNewtonSolve:
         assert all((stats.newton_iterations, stats.lu_factors) == (2, 1)
                    for stats in steps[1:])
 
-    @pytest.mark.parametrize("shape, dt", [((4, 4), 1e-5), ((8,), 1e-4)],
-                             ids=["blocks2d-4x4", "nonsmooth1d-8"])
+    @pytest.mark.parametrize("preset, shape, dt",
+                             [("blocks2d", (4, 4), 1e-5), ("nonsmooth1d", (8,), 1e-4),
+                              ("smooth1d", (64,), 1e-4)],
+                             ids=["blocks2d-4x4", "nonsmooth1d-8", "smooth1d-64"])
     def test_error_estimate_stop_is_within_rounding_of_a_tight_tolerance(
-            self, system_1d, system_2d, monkeypatch, shape, dt):
+            self, system_1d, system_2d, monkeypatch, preset, shape, dt):
         # 20 steps iterated to updates below 1e-15: every state the estimate
         # accepts lies within 1e-12 of them, from the blocks data's exact
-        # zeros and from the nonsmooth profile.  With the rate taken as the
-        # contraction of the two updates alone the states moved by 3.5e-9
-        # and 5.2e-12 here; with the estimate also after a kept LU's update,
-        # by 2.0e-12 on the 1D case
+        # zeros, from the nonsmooth profile and, on smooth1d, from the state
+        # at t = 0.06 of the entropy-decay run, where steps stop at their
+        # first update.  With the rate taken as the contraction of the two
+        # updates alone the states moved by 3.5e-9 and 5.2e-12 here; with the
+        # estimate also after a kept LU's update, by 2.0e-12 on nonsmooth1d
         import smfv.scheme
 
-        if len(shape) == 2:
+        if preset == "blocks2d":
             system, u0 = system_2d, _blocks_2d(uniform_rectangle(*shape))
         else:
             system = system_1d
-            u0 = preset_initial(InitialConfig("nonsmooth1d"), uniform_interval(*shape), 3)
+            u0 = preset_initial(InitialConfig(preset), uniform_interval(*shape), 3)
+        if preset == "smooth1d":
+            u0 = run(system, u0, dt, 0.06)
 
         def states():
             seen = []
@@ -1021,6 +1042,9 @@ class TestNewtonSolve:
         monkeypatch.setattr(smfv.scheme, "NEWTON_TOL", 1e-15)
         tight = states()
         assert sum(n for _, n in tight) > sum(n for _, n in default)
+        if preset == "smooth1d":
+            # steps that the first update ends, where 1e-15 takes another
+            assert any(n == 1 < m for (_, n), (_, m) in zip(default, tight))
         assert max(np.abs(a - b).max() for (a, _), (b, _) in zip(default, tight)) <= 1e-12
 
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
