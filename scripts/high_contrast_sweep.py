@@ -14,7 +14,10 @@ fails if Newton raises ``NonConvergence``; any other exception ends the
 sweep.  The script prints every failing case, the summed linear solves,
 LU factors and residual evaluations of the passing cases (from the
 ``StepStats`` each step hands the ``run`` sink), the failure count and the
-failing case ids, so a solver change reports its cost next to them.
+failing case ids, so a solver change reports its cost next to them.  It
+also prints the SHA-256 digest of the passing cases' final states, their
+bytes in case order: two trees whose digests match computed the same
+states to the bit.
 
 The sweep is a gate: ``ACCEPTED_FAILURES`` holds the ids of the cases
 known to fail.  The last two lines list the failing cases outside that set
@@ -26,6 +29,7 @@ a 2-core VM with Python 3.11.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -65,11 +69,11 @@ def draw_case(rng):
 
 
 def run_case(preset, grid, coeffs, dt, blocks):
-    """Run three steps; return ``(message, solves, factors, residuals)``.
+    """Run three steps; return ``(message, final, solves, factors, residuals)``.
 
-    ``message`` is None or that of the NonConvergence; the counts sum the
-    steps' ``StepStats``.  ``blocks`` is the ``InitialConfig`` used for the
-    blocks2d preset.
+    ``message`` is None or that of the NonConvergence, ``final`` None or the
+    final state's values; the counts sum the steps' ``StepStats``.
+    ``blocks`` is the ``InitialConfig`` used for the blocks2d preset.
     """
     c12, c13, c23 = coeffs
     system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
@@ -87,10 +91,10 @@ def run_case(preset, grid, coeffs, dt, blocks):
         counts[2] += stats.residual_evaluations
 
     try:
-        run(system, u0, dt, STEPS * dt, sink=sink)
+        final = run(system, u0, dt, STEPS * dt, sink=sink)
     except NonConvergence as exc:
-        return str(exc), *counts
-    return None, *counts
+        return str(exc), None, *counts
+    return None, final.values, *counts
 
 
 def main():
@@ -100,10 +104,12 @@ def main():
     start = time.perf_counter()
     failed = []
     cost = np.zeros(3, dtype=int)
+    digest = hashlib.sha256()
     for i, (preset, grid, coeffs, dt) in enumerate(cases):
-        message, *case_cost = run_case(preset, grid, coeffs, dt, blocks)
+        message, final, *case_cost = run_case(preset, grid, coeffs, dt, blocks)
         if message is None:
             cost += case_cost
+            digest.update(final.tobytes())
         else:
             failed.append(i)
             print(f"case {i}: {preset} {'x'.join(map(str, grid))} "
@@ -113,6 +119,7 @@ def main():
           f"in {time.perf_counter() - start:.1f} s")
     print(f"passing cases: {cost[0]} solves, {cost[1]} factors, "
           f"{cost[2]} residual evaluations")
+    print(f"final states sha256: {digest.hexdigest()}")
     print(f"failures: {len(failed)}")
     print(f"failing cases: {failed}")
     new = sorted(set(failed) - ACCEPTED_FAILURES)

@@ -23,7 +23,10 @@ The cases:
   t = 0.2, 2,000 steps, as ``perfbench``'s decay1d workload.
 
 The script prints every case's distance and its steps' linear solves at
-both tolerances.  A case whose tight run raises ``NonConvergence`` has
+both tolerances, and the SHA-256 digest of the final states of every
+case's runs, their bytes in case order, the shipped run's before the
+tight run's: two trees whose digests match computed the same states to
+the bit.  A case whose tight run raises ``NonConvergence`` has
 an infinite distance: near rounding level the residual of a fine grid no
 longer decreases, and the 1e-15 iteration can stall.
 
@@ -42,6 +45,7 @@ about 7 s on a 2-core VM with Python 3.11.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import time
@@ -94,14 +98,16 @@ def trajectory(system, u0, dt, steps):
     return states, solves[0]
 
 
-def distance(system, u0, dt, steps):
+def distance(system, u0, dt, steps, digest):
     """``(max |delta u|, solves, tight solves)`` of one case.
 
+    Adds the bytes of the final state of each run that ends to ``digest``.
     Raises ``NonConvergence`` if the run at the shipped tolerance does;
     where the tight run does, the distance and its solves are infinite.
     """
     shipped = smfv.scheme.NEWTON_TOL
     states, solves = trajectory(system, u0, dt, steps)
+    digest.update(states[-1].tobytes())
     smfv.scheme.NEWTON_TOL = TIGHT_TOL
     try:
         tight, tight_solves = trajectory(system, u0, dt, steps)
@@ -109,6 +115,7 @@ def distance(system, u0, dt, steps):
         return math.inf, solves, math.inf
     finally:
         smfv.scheme.NEWTON_TOL = shipped
+    digest.update(tight[-1].tobytes())
     far = max(float(np.abs(a - b).max()) for a, b in zip(states, tight))
     return far, solves, tight_solves
 
@@ -117,9 +124,10 @@ def main():
     start = time.perf_counter()
     further, rescued, failed = [], [], []
     largest = 0.0
+    digest = hashlib.sha256()
     for name, system, u0, dt, steps in cases():
         try:
-            far, solves, tight_solves = distance(system, u0, dt, steps)
+            far, solves, tight_solves = distance(system, u0, dt, steps, digest)
         except smfv.scheme.NonConvergence as exc:
             failed.append(name)
             print(f"{name}: {exc}")
@@ -134,6 +142,7 @@ def main():
         if far < math.inf:
             largest = max(largest, far)
     print(f"cases in {time.perf_counter() - start:.1f} s; largest finite distance {largest:.2e}")
+    print(f"final states sha256: {digest.hexdigest()}")
     print(f"further: {further}")
     print(f"rescued: {rescued}")
     print(f"failed: {failed}")

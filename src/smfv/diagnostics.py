@@ -64,7 +64,7 @@ def relative_entropy(state: StateField, m) -> float:
     m = np.asarray(m, dtype=float)
     if m.shape != (state.values.shape[0],):
         raise ValueError("m must be one composition value per species")
-    if np.any(m <= 0.0):
+    if (m <= 0.0).any():
         raise ValueError("relative entropy requires strictly positive m")
     u = state.values
     low = u.min()

@@ -85,18 +85,30 @@ class Mesh:
     def cell_edge_incidence(self, rows: int) -> np.ndarray:
         """The bins of per-cell sums over cell and edge terms, for ``rows`` rows at once.
 
-        Each of the ``rows`` rows holds one term per cell, then one per
-        interior edge for its K cell, then one per edge for its L cell.
+        The terms are laid out as three (rows, .) arrays, each row-major:
+        one term per row and cell, then one per row and interior edge for
+        its K cell, then one per row and edge for its L cell.
         ``np.bincount`` by the returned index, shape (rows * (N + 2E),),
         sums the terms of row r and cell c into bin r * N + c, in that
         order.  Built once per mesh and row count.
         """
         built = self.__dict__.setdefault("_incidence", {})
         if rows not in built:
-            cells = np.concatenate([np.arange(self.num_cells), self.edge_cell_k,
-                                    self.edge_cell_l])
-            built[rows] = (cells + self.num_cells * np.arange(rows)[:, None]).ravel()
+            cells = [np.arange(self.num_cells), self.edge_cell_k, self.edge_cell_l]
+            offsets = self.num_cells * np.arange(rows)[:, None]
+            built[rows] = np.concatenate([(c + offsets).ravel() for c in cells])
         return built[rows]
+
+    def edge_sides(self, rows: int) -> np.ndarray:
+        """Flat indices of both cells of every interior edge, shape (2, rows, E).
+
+        For a C-ordered array ``values`` of shape (rows, N),
+        ``values.ravel().take(index)`` gathers, in one call, every edge's K
+        cell values into its entry 0 and its L cell values into entry 1,
+        each a contiguous (rows, E) array.  The index is a view of the
+        edge part of :meth:`cell_edge_incidence`.
+        """
+        return self.cell_edge_incidence(rows)[rows * self.num_cells:].reshape(2, rows, -1)
 
 
 def _uniform_grid(shape: tuple) -> Mesh:

@@ -15,14 +15,20 @@ which needs no threshold near a == b.  Boundary faces carry zero flux.
 The nonlinear system is solved by Newton iteration with an analytic
 block-sparse Jacobian, exact also for nearly equal cell values through the
 series of Ismail and Roe (J. Comput. Phys. 228, 2009) for the log-mean
-partials.  Each Newton state's log means, edge matrices and fluxes are
-computed once and shared by the residual and the Jacobian; the log-mean
-partials are computed only for the states whose Jacobian is factored.
+partials.  Each Newton state's edge pass does each piece of work once: one
+gather of the cell values either side of every edge, one gap, log1p term
+and log mean, and one set of edge matrices, inverses and fluxes, shared by
+the residual and the Jacobian.  The log-mean partials are computed only
+for the states whose Jacobian is factored, from that state's gap, log1p
+term and log mean, and each of their branches (the series, the closed
+form, the zero branch) only if some edge takes it: near equilibrium every
+edge takes the series.
 
 The edge matrices S = c* I + Abar(u_sigma) are stored as an (n, n, E)
 structure of arrays, one contiguous length-E vector per entry, and
 inverted together by Gauss-Jordan elimination with a Python loop over
-the n pivots only.  The flux is S^-1 applied to the jump, and the
+the n pivots only: each pivot updates the rows above it, and then those
+below it, as one slice each.  The flux is S^-1 applied to the jump, and the
 Jacobian's flux blocks are S^-1/d_sigma minus S^-1 G times the log-mean
 partials, so the one inverse serves both and the edge terms need no
 LAPACK call.  No pivoting is needed: S is <= 0 off the diagonal and each
@@ -39,8 +45,9 @@ species, with u_n = s - sum_{j<n} u_j; volume filling holds by
 construction of the update.  The reduced Jacobian, of (n-1) x (n-1)
 blocks, is stored once per run, in one of two ways chosen once per run
 from the mesh's structure, and refilled in place for every factor: its
-raw block entries are zeroed and summed, by ``np.add.at``, into the
-storage itself, so a factor allocates no temporary of the matrix's size.
+storage is zeroed, and its raw block entries, laid out in one array in a
+fixed order, are summed into the storage itself by one ``np.add.at``, so
+no second matrix is assembled.
 
 On a chain mesh, whose every interior edge joins two consecutive cells
 (an interval, a disjoint union of intervals, a one-cell-thick rectangle,
@@ -267,6 +274,76 @@ class StepStats:
     residual_evaluations: int
 
 
+def _log_mean_terms(a, b):
+    """The log mean of two arrays of one shape, with the terms its partials reuse.
+
+    Returns ``(lam, d, ell)``: the log mean lam = |d| / ell, with the gap
+    d = a - b and ell = log1p(|d| / min(a, b)).  See
+    :func:`_log_mean_with_partials` for the formula and its branches;
+    :func:`_log_mean_partials` takes the three terms.
+    """
+    # Non-positive arguments give 0/0 and logs below -1, and a subnormal
+    # min(a, b) an overflow; the where-masks discard them.
+    with np.errstate(all="ignore"):
+        d = a - b
+        gap = np.abs(d)
+        low = np.minimum(a, b)
+        ell = np.log1p(gap / low)
+        lam = np.where(low > 0.0, a, 0.0)
+        np.divide(gap, ell, out=lam, where=ell > 0.0)
+    return lam, d, ell
+
+
+def _log_mean_partials(a, b, lam, d, ell):
+    """The log mean's partials ``(da, db)`` from the terms of :func:`_log_mean_terms`.
+
+    Each branch of :func:`_log_mean_with_partials` is evaluated only if
+    some entry takes it: the closed form is skipped where every u is below
+    ``_SERIES_MAX_U``, as on all edges near equilibrium, the series where
+    none is, and the zero-branch masks where every lam is positive.  Every
+    entry gets the bits of the formula that evaluates both branches
+    everywhere.
+    """
+    # a == b gives an infinite 1/L^2, an overflowed quotient an infinite L,
+    # and zero arguments 0/0; the branch and zero masks discard them.
+    with np.errstate(all="ignore"):
+        s = a + b
+        f = d / s
+        u = f * f
+        every = u.max(initial=0.0) < _SERIES_MAX_U
+        if not every:
+            series = u < _SERIES_MAX_U
+            big_l = np.copysign(ell, d)
+            inv_l2 = 1.0 / (big_l * big_l)
+            da = big_l - d / a
+            da *= inv_l2
+            db = d / b
+            db -= big_l
+            db *= inv_l2
+        if every or series.any():
+            # w = 4 F'(u) by Horner's rule, in place; r = lam/s = 1/(2F), so
+            # w r^2 = F'/F^2
+            w = _SERIES_DF[-1] * u + _SERIES_DF[-2]
+            for coeff in _SERIES_DF[-3::-1]:
+                w *= u
+                w += coeff
+            r = lam / s
+            w *= r * r
+            u *= w
+            u += r
+            f *= w
+            if every:
+                da, db = u - f, u + f
+            else:
+                da = np.where(series, u - f, da)
+                db = np.where(series, u + f, db)
+    # lam is 0 exactly on the zero branch and where the quotient overflows
+    if not lam.min(initial=math.inf) > 0.0:
+        nonzero = lam > 0.0
+        da, db = np.where(nonzero, da, 0.0), np.where(nonzero, db, 0.0)
+    return da, db
+
+
 def _log_mean_with_partials(a, b, partials=True):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
@@ -288,51 +365,18 @@ def _log_mean_with_partials(a, b, partials=True):
     sum_k u^k/(2k + 1), with partials 1/(2F) -/+ (f -/+ u) F'/F^2, and
     1/(2F) is taken as the log mean over a + b.
 
-    Returns ``(lam, da, db)``, or with ``partials`` false only ``lam``, the
-    same to the bit, without the work of the partials.
+    This is the composition of the scheme's two kernels,
+    :func:`_log_mean_terms` and :func:`_log_mean_partials`, which an edge
+    evaluation calls apart: the log mean at every Newton state, the
+    partials from its terms at the factored ones.  Returns ``(lam, da,
+    db)``, or with ``partials`` false only ``lam``, the same to the bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    # Non-positive arguments give 0/0 and logs below -1, a subnormal min(a, b)
-    # an overflow to an infinite L and a == b an infinite 1/L^2; the
-    # where-masks discard them.
-    with np.errstate(all="ignore"):
-        d = a - b
-        gap = np.abs(d)
-        low = np.minimum(a, b)
-        pos = low > 0.0
-        ell = np.log1p(gap / low)
-        lam = np.where(pos, a, 0.0)
-        np.divide(gap, ell, out=lam, where=ell > 0.0)
-        if not partials:
-            return lam
-        s = a + b
-        f = d / s
-        u = f * f
-        # w = 4 F'(u) by Horner's rule, in place; r = lam/s = 1/(2F), so
-        # w r^2 = F'/F^2
-        w = _SERIES_DF[-1] * u + _SERIES_DF[-2]
-        for coeff in _SERIES_DF[-3::-1]:
-            w *= u
-            w += coeff
-        r = lam / s
-        w *= r * r
-        big_l = np.copysign(ell, d)
-        inv_l2 = 1.0 / (big_l * big_l)
-        da = big_l - d / a
-        da *= inv_l2
-        db = d / b
-        db -= big_l
-        db *= inv_l2
-        series = u < _SERIES_MAX_U
-        u *= w
-        u += r
-        f *= w
-        da = np.where(series, u - f, da)
-        db = np.where(series, u + f, db)
-    # lam is 0 exactly on the zero branch and where the quotient overflows
-    nonzero = lam > 0.0
-    return lam, np.where(nonzero, da, 0.0), np.where(nonzero, db, 0.0)
+    lam, d, ell = _log_mean_terms(a, b)
+    if not partials:
+        return lam
+    return (lam, *_log_mean_partials(a, b, lam, d, ell))
 
 
 def log_mean(a, b):
@@ -354,7 +398,7 @@ def _edge_systems(system, lam):
     sums to c*.
     """
     n = system.n
-    mats = -(system.c_bar[:, :, None] * lam[:, None, :])
+    mats = (-system.c_bar)[:, :, None] * lam[:, None, :]
     # the diagonal through a strided view; c_bar's diagonal is zero
     mats.reshape(n * n, -1)[::n + 1] = system.c_bar @ lam + system.c_star
     return mats
@@ -363,47 +407,50 @@ def _edge_systems(system, lam):
 def _edge_inverse(mats):
     """Inverse of every matrix of an (n, n, E) stack, by Gauss-Jordan elimination.
 
-    The Python loop runs over the n pivots and the rows only; each
-    operation acts on whole length-E vectors.  No pivoting is needed for
-    the matrices of :func:`_edge_systems`: they are <= 0 off the diagonal
-    with column sums c*, so the first pivot is >= c*, and eliminating it
-    leaves a Schur complement that is again <= 0 off the diagonal with
-    column sums c* (1 - S_kj / S_kk) >= c*.  By induction every pivot is
-    >= c* > 0; for such column-diagonally dominant matrices elimination
-    without pivoting is stable (growth factor at most 2).
+    The Python loop runs over the n pivots only: each pivot's row is
+    scaled, and the rows above it and the rows below it are updated as one
+    slice each, with, row by row, the arithmetic of a loop over the rows.
+    No pivoting is needed for the matrices of :func:`_edge_systems`: they
+    are <= 0 off the diagonal with column sums c*, so the first pivot is
+    >= c*, and eliminating it leaves a Schur complement that is again <= 0
+    off the diagonal with column sums c* (1 - S_kj / S_kk) >= c*.  By
+    induction every pivot is >= c* > 0; for such column-diagonally dominant
+    matrices elimination without pivoting is stable (growth factor at most
+    2).
     """
     inv = mats.copy()
     n = inv.shape[0]
+    # one buffer for the products of every update: fresh temporaries of that
+    # size cost page faults at large E
+    products = np.empty((n - 1,) + inv.shape[1:])
     for k in range(n):
         row = inv[k]
         inv_pivot = 1.0 / row[k]
         row[k] = 1.0
         row *= inv_pivot
-        for i in range(n):
-            if i != k:
-                other = inv[i]
-                factor = other[k].copy()
-                other[k] = 0.0
-                other -= factor * row
+        for others in (inv[:k], inv[k + 1:]):
+            if len(others):
+                update = np.multiply(others[:, k, None], row, out=products[:len(others)])
+                others[:, k] = 0.0
+                others -= update
     return inv
 
 
 def _edge_fluxes(system, mesh, values):
     """Edge terms of a cell state from one log mean and one inverse per edge.
 
-    Returns ``(flux, inv, uk, ul)``: the fluxes J = -S^-1 (u_L - u_K)/d_sigma,
+    Returns ``(flux, inv, terms)``: the fluxes J = -S^-1 (u_L - u_K)/d_sigma,
     shape (n, E), the inverses of S = c* I + Abar(u_sigma) from
     :func:`_edge_inverse`, shape (n, n, E), which the Jacobian blocks reuse,
-    and the cell values either side of every edge, shape (n, E), from which
-    the Jacobian takes the log-mean partials.
+    and the arguments and terms of the log mean, ``(uk, ul, lam, d, ell)``,
+    each of shape (n, E), from which the Jacobian takes its partials.  The
+    jump u_K - u_L is the log mean's d.
     """
-    # np.take gathers into C order, unlike values[:, index]
-    uk = np.take(values, mesh.edge_cell_k, axis=1)
-    ul = np.take(values, mesh.edge_cell_l, axis=1)
-    lam = _log_mean_with_partials(uk, ul, partials=False)
+    uk, ul = values.ravel().take(mesh.edge_sides(len(values)))
+    lam, d, ell = _log_mean_terms(uk, ul)
     inv = _edge_inverse(_edge_systems(system, lam))
-    rhs = (uk - ul) / mesh.edge_distance
-    return np.einsum("ijE,jE->iE", inv, rhs), inv, uk, ul
+    flux = np.einsum("ijE,jE->iE", inv, d / mesh.edge_distance)
+    return flux, inv, (uk, ul, lam, d, ell)
 
 
 def _residual_values(system, mesh, values, old_values, dt):
@@ -415,11 +462,16 @@ def _residual_values(system, mesh, values, old_values, dt):
     """
     edges = _edge_fluxes(system, mesh, values)
     n, cells = values.shape
-    weighted = mesh.edge_measure * edges[0]
-    terms = np.concatenate([mesh.cell_measures * (values - old_values) / dt,
-                            weighted, -weighted], axis=1)
-    res = np.bincount(mesh.cell_edge_incidence(n), weights=terms.ravel(),
-                      minlength=n * cells)
+    incidence = mesh.cell_edge_incidence(n)
+    terms = np.empty(len(incidence))
+    time_terms = terms[:n * cells].reshape(n, cells)
+    weighted, entering = terms[n * cells:].reshape(2, n, -1)
+    np.subtract(values, old_values, out=time_terms)
+    time_terms *= mesh.cell_measures
+    time_terms /= dt
+    np.multiply(mesh.edge_measure, edges[0], out=weighted)
+    np.negative(weighted, out=entering)
+    res = np.bincount(incidence, weights=terms, minlength=n * cells)
     return res.reshape(n, cells), edges
 
 
@@ -538,45 +590,52 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
         dJ/du_L = -S^-1/d_sigma - P diag(dlam/du_L),
 
     so no further solve is needed.  The log-mean partials are computed here,
-    from the cell values the edge terms carry: the residual, which most
-    states only need, does without them.  All blocks are built in the
-    (n, n, E) layout, one length-E vector per entry.
+    by :func:`_log_mean_partials` from the log-mean terms the edge terms
+    carry: the residual, which most states only need, does without them.
+    All blocks are built in the (n, n, E) layout, one length-E vector per
+    entry: -G with the sign of cbar folded in, -P by one ``np.einsum``,
+    and m_sigma dJ/du_K and m_sigma dJ/du_L from them.
 
     With blocks of size b = n - 1 the pattern holds the reduction to the
     first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j: rows
     i < n and columns dF/du_j - dF/du_n for j < n.  The time-derivative
     diagonal is unchanged by it.
     """
-    flux, inv, uk, ul = edges
-    _, da, db = _log_mean_with_partials(uk, ul)
+    flux, inv, (uk, ul, lam, d, ell) = edges
+    da, db = _log_mean_partials(uk, ul, lam, d, ell)
     n = system.n
     matrix, slot, _ = pattern
     b = matrix.shape[1] // mesh.num_cells
     weighted = mesh.edge_measure * flux
-    # m_sigma G[j, m] = m_sigma d(Abar(s) J)_j / d s_m at fixed J
-    gmat = system.c_bar[:, :, None] * weighted[:, None, :]
-    idx = np.arange(n)
-    gmat[idx, idx] = -(system.c_bar @ weighted)
-    head = inv[:b]
-    prod = head[:, 0, None] * gmat[0]  # m_sigma P, rows i < b
-    for j in range(1, n):
-        prod += head[:, j, None] * gmat[j]
-    tau = mesh.edge_tau * head
-    dk = tau - prod * da  # m_sigma dJ/du_K
-    dl = -(tau + prod * db)  # m_sigma dJ/du_L
-    if b < n:
-        dk, dl = dk[:, :b] - dk[:, b:], dl[:, :b] - dl[:, b:]
+    # -m_sigma G[j, m] = -m_sigma d(Abar(s) J)_j / d s_m at fixed J
+    gmat = (-system.c_bar)[:, :, None] * weighted[:, None, :]
+    gmat.reshape(n * n, -1)[::n + 1] = system.c_bar @ weighted
+    prod = np.einsum("ijE,jmE->imE", inv[:b], gmat)  # -m_sigma P, rows i < b
+    del gmat
+    tau = mesh.edge_tau * inv[:b]
 
+    # the raw entries in their order: the (K, K), (K, L), (L, K) and (L, L)
+    # blocks, then the time derivative of every cell's b unknowns
+    m = b * b * mesh.num_interior_edges
+    raw = np.empty(len(slot))
+    blocks = raw[:4 * m].reshape(4, b, b, -1)
+    # m_sigma dJ/du_K = -m_sigma P dlam/du_K + tau S^-1, then m_sigma dJ/du_L
+    # = -m_sigma P dlam/du_L - tau S^-1, each reduced into its block
+    full = np.empty_like(prod)
+    for block, partial, add_tau in ((blocks[0], da, np.add), (blocks[1], db, np.subtract)):
+        np.multiply(prod, partial, out=full)
+        add_tau(full, tau, out=full)
+        if b < n:
+            np.subtract(full[:, :b], full[:, b:], out=block)
+        else:
+            block[...] = full
+    np.negative(blocks[:2], out=blocks[2:])
+    np.divide(mesh.cell_measures[:, None], dt, out=raw[4 * m:].reshape(-1, b))
     # summed into the storage itself, in the order of the raw entries: the
     # band's Fortran memory (a view) or the CSC data
     out = matrix.T.reshape(-1) if isinstance(matrix, np.ndarray) else matrix.data
     out[:] = 0.0
-    m = dk.size
-    np.add.at(out, slot[:m], dk.ravel())
-    np.add.at(out, slot[m:2 * m], dl.ravel())
-    np.subtract.at(out, slot[2 * m:3 * m], dk.ravel())
-    np.subtract.at(out, slot[3 * m:4 * m], dl.ravel())
-    np.add.at(out, slot[4 * m:].reshape(-1, b), (mesh.cell_measures / dt)[:, None])
+    np.add.at(out, slot, raw)
     return matrix
 
 
@@ -600,7 +659,8 @@ def project_simplex(u) -> np.ndarray:
     floor after normalisation.
     """
     v = np.maximum(np.asarray(u, dtype=float), PROJECTION_FLOOR)
-    return v / v.sum(axis=0)
+    v /= v.sum(axis=0)
+    return v
 
 
 def _project_values(values):
@@ -610,7 +670,8 @@ def _project_values(values):
     the floor; the final clamp keeps every entry at or above the floor while
     moving cell sums away from one by at most a few units of n*floor^2.
     """
-    return np.maximum(project_simplex(values), PROJECTION_FLOOR)
+    v = project_simplex(values)
+    return np.maximum(v, PROJECTION_FLOOR, out=v)
 
 
 class _StepPlan:
@@ -699,12 +760,17 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = solve is not None
             if not stale:
-                solve = plan.factor(_jacobian_matrix(system, mesh, edges, dt, plan.pattern))
+                matrix = _jacobian_matrix(system, mesh, edges, dt, plan.pattern)
+                # a freshly factored iterate is left by the line search and
+                # never factored again, so its edge terms are released
+                edges = None
+                solve = plan.factor(matrix)
                 counts[1] += 1
             delta[:reduced] = solve(-res.ravel()[into])[out_of]
             delta[reduced] = -delta[:reduced].sum(axis=0)
             counts[0] += 1
-            delta_norm = float(np.abs(delta).max())
+            size = np.abs(delta)
+            delta_norm = float(size.max())
             cand = x + delta
             if delta_norm < NEWTON_TOL:
                 return cand
@@ -718,11 +784,15 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
                 # a Newton update's rate is bounded by its largest relative
                 # change; a quotient that overflows reads inf, which no
                 # estimate passes
-                with np.errstate(over="ignore"):
-                    change = (float((np.abs(delta) / cand).max()) if cand.min() > 0.0
-                              else math.inf)
+                if cand.min() > 0.0:
+                    with np.errstate(over="ignore"):
+                        size /= cand
+                    change = float(size.max())
+                else:
+                    change = math.inf
                 if change * delta_norm < (1.0 - change) * NEWTON_TOL:
                     return cand
+            del size  # the line search, which holds two states' edge terms, sets the peak
 
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
@@ -745,6 +815,7 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
                 if not stale and step == 1.0:
                     newton = (delta_norm, change)
                 x, (res, edges), res_norm = cand, trial, cand_norm
+            del trial  # a rejected trial's edge terms are not kept
         raise NonConvergence(iterations, res_norm)
     except NonConvergence:
         raise
@@ -800,8 +871,8 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     counts = [0, 0, 0]
     x = None
     if _previous is not None:
-        sums = u_old.values.sum(axis=0)
-        start = project_simplex(2.0 * u_old.values - _previous.values) * sums
+        start = project_simplex(2.0 * u_old.values - _previous.values)
+        start *= u_old.values.sum(axis=0)
         try:
             x = _chord_newton(system, plan, start, u_old.values, dt, counts)
         except NonConvergence:

@@ -211,3 +211,17 @@ class TestDisjointUnion:
         coarse = SampledRun(uniform_interval(2), [1.0], [np.full((3, 2), 1.0 / 3.0)])
         with pytest.raises(ValueError, match="tensor grids"):
             l1_space_time_error(coarse, ref)
+
+
+@pytest.mark.parametrize("mesh", [
+    uniform_interval(1), uniform_interval(7), uniform_rectangle(4, 3),
+    disjoint_union([uniform_rectangle(3, 1), uniform_rectangle(2, 2)])[0]],
+    ids=["single-cell", "interval", "rectangle", "union"])
+def test_edge_sides_gather_both_cells(mesh):
+    # one gather gives every edge's K and L cell values, each contiguous
+    values = np.arange(3 * mesh.num_cells, dtype=float).reshape(3, -1)
+    uk, ul = values.ravel().take(mesh.edge_sides(3))
+    assert np.array_equal(uk, values[:, mesh.edge_cell_k])
+    assert np.array_equal(ul, values[:, mesh.edge_cell_l])
+    assert uk.flags.c_contiguous and ul.flags.c_contiguous
+    assert mesh.edge_sides(3).base is mesh.cell_edge_incidence(3)  # a view, built once

@@ -13,9 +13,10 @@ from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
 from smfv.mesh import Mesh, disjoint_union, uniform_interval, uniform_rectangle, validate
 from smfv.model import build_system, mat_Abar, mat_B
-from smfv.scheme import (CHORD_CONTRACTION, NEWTON_TOL, PROJECTION_FLOOR, SUPERLU_SETTINGS,
-                         NonConvergence, StateField, _edge_fluxes, _edge_inverse, _edge_systems,
-                         _log_mean_with_partials,
+from smfv.scheme import (_SERIES_DF, _SERIES_MAX_U, CHORD_CONTRACTION, NEWTON_TOL,
+                         PROJECTION_FLOOR, SUPERLU_SETTINGS, FluxField, NonConvergence,
+                         StateField, _edge_fluxes, _edge_inverse, _edge_systems,
+                         _log_mean_partials, _log_mean_terms, _log_mean_with_partials,
                          jacobian, log_mean, newton_step, num_time_steps,
                          project_simplex, residual, run)
 
@@ -114,6 +115,78 @@ class TestLogMean:
         assert np.count_nonzero(lam == 0.0) >= 4  # the overflow branch is reached
 
 
+def _both_branch_partials(a, b):
+    """The log-mean partials with both branches evaluated on every entry, then masked."""
+    with np.errstate(all="ignore"):
+        d = a - b
+        low = np.minimum(a, b)
+        ell = np.log1p(np.abs(d) / low)
+        lam = np.where(ell > 0.0, np.abs(d) / ell, np.where(low > 0.0, a, 0.0))
+        s = a + b
+        f = d / s
+        u = f * f
+        w = _SERIES_DF[-1] * u + _SERIES_DF[-2]
+        for coeff in _SERIES_DF[-3::-1]:
+            w = w * u + coeff
+        r = lam / s
+        w = w * (r * r)
+        big_l = np.copysign(ell, d)
+        inv_l2 = 1.0 / (big_l * big_l)
+        series = u < _SERIES_MAX_U
+        da = np.where(series, (u * w + r) - f * w, (big_l - d / a) * inv_l2)
+        db = np.where(series, (u * w + r) + f * w, (d / b - big_l) * inv_l2)
+    nonzero = lam > 0.0
+    return np.where(nonzero, da, 0.0), np.where(nonzero, db, 0.0)
+
+
+class TestLogMeanPartials:
+    """The partials kernel, which evaluates a branch only where some entry takes it."""
+
+    @staticmethod
+    def _pairs(kind, rng):
+        a = rng.uniform(1e-8, 1.0, size=(3, 40))
+        near = a * (1.0 + rng.choice((-1.0, 1.0), size=a.shape)
+                    * 10.0 ** rng.uniform(-16.0, -1.5, size=a.shape))
+        far = a * 10.0 ** rng.uniform(0.5, 12.0, size=a.shape)
+        if kind == "all-series":
+            return a, near
+        if kind == "no-series":
+            return a, far
+        if kind == "mixed":
+            return a, np.where(rng.random(a.shape) < 0.5, near, far)
+        if kind == "zero-branch":
+            b = np.where(rng.random(a.shape) < 0.5, near, far)
+            b[0, :10], b[1, :10], a[2, :10] = 0.0, -b[1, :10], 0.0
+            a[0, 10:20] = b[0, 10:20] = 0.0
+            return a, b
+        if kind == "subnormal":
+            a[:, :6] = [5e-324, 5e-324, 1e-310, 1e-310, 2e-309, 5e-324]
+            b = near.copy()
+            b[:, :6] = [1.0, 1e-323, 0.5, 1.1e-310, 1e-300, 5e-324]
+            return a, b
+        return np.zeros((3, 0)), np.zeros((3, 0))
+
+    @pytest.mark.parametrize("kind", ["all-series", "no-series", "mixed", "zero-branch",
+                                      "subnormal", "no-edges"])
+    def test_bits_of_the_both_branch_formula(self, kind):
+        rng = np.random.default_rng(7)
+        for a, b in (self._pairs(kind, rng), self._pairs(kind, rng)[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                da, db = _log_mean_partials(a, b, *_log_mean_terms(a, b))
+            want_a, want_b = _both_branch_partials(a, b)
+            assert da.shape == db.shape == a.shape
+            assert np.array_equal(da, want_a) and np.array_equal(db, want_b)
+            with np.errstate(invalid="ignore"):
+                series = ((a - b) / (a + b)) ** 2 < _SERIES_MAX_U
+            if kind == "all-series":
+                assert series.all()
+            elif kind == "no-series":
+                assert not series.any()
+            elif kind in ("mixed", "zero-branch"):
+                assert series.any() and not series.all()
+
+
 class TestEdgeFractions:
     """log_mean on composition vectors, the edge compositions u_sigma."""
 
@@ -208,7 +281,32 @@ def _leading_pivots(mats):
     return np.array([minors[k + 1] / minors[k] for k in range(stack.shape[1])])
 
 
+def _row_by_row_inverse(mats):
+    """Gauss-Jordan elimination with a loop over the pivots and over the other rows."""
+    inv = mats.copy()
+    n = inv.shape[0]
+    for k in range(n):
+        row = inv[k]
+        inv_pivot = 1.0 / row[k]
+        row[k] = 1.0
+        row *= inv_pivot
+        for i in range(n):
+            if i != k:
+                factor = inv[i, k].copy()
+                inv[i, k] = 0.0
+                inv[i] -= factor * row
+    return inv
+
+
 class TestEdgeInverse:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_row_by_row_elimination(self, n):
+        # the sliced updates do, row by row, the loop's arithmetic
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            mats = _edge_systems(_wide_system(rng, n), _extreme_compositions(rng, n, 40))
+            assert np.array_equal(_edge_inverse(mats), _row_by_row_inverse(mats))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_lapack(self, n):
         # relative 1e-13, widened beyond kappa_1(S) = 100: two backward-stable
@@ -675,6 +773,17 @@ class TestEdgelessMesh:
         assert fluxes.values.shape == (3, 0)
         assert stats.newton_iterations == 1
 
+    def test_residual_is_time_term(self, system_1d, mesh):
+        u_old = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
+        u_new = StateField(mesh, np.array([[0.5], [0.25], [0.25]]))
+        res = residual(system_1d, u_new, u_old, 0.1)
+        assert np.array_equal(res, mesh.cell_measures * (u_new.values - u_old.values) / 0.1)
+
+    def test_log_mean_of_no_edges(self, mesh):
+        empty = np.zeros((3, mesh.num_interior_edges))
+        assert log_mean(empty, empty).shape == (3, 0)
+        assert all(out.shape == (3, 0) for out in _log_mean_with_partials(empty, empty))
+
     def test_diagnostics_vanish(self, system_1d, mesh):
         u_old = StateField(mesh, np.array([[0.25], [0.25], [0.5]]))
         state, fluxes, _ = newton_step(system_1d, u_old, 0.1)
@@ -820,20 +929,18 @@ class TestNewtonSolve:
         # mean, without partials, at its first read
         import smfv.scheme
 
-        calls = {"log_mean": 0, "partials": 0, "_residual_values": 0}
-        log_mean_with_partials = smfv.scheme._log_mean_with_partials
-        residual_values = smfv.scheme._residual_values
+        calls = {"_log_mean_terms": 0, "_log_mean_partials": 0, "_residual_values": 0}
 
-        def counted_log_mean(a, b, partials=True):
-            calls["partials" if partials else "log_mean"] += 1
-            return log_mean_with_partials(a, b, partials)
+        def counted(name):
+            original = getattr(smfv.scheme, name)
 
-        def counted_residual(*args):
-            calls["_residual_values"] += 1
-            return residual_values(*args)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
 
-        monkeypatch.setattr(smfv.scheme, "_log_mean_with_partials", counted_log_mean)
-        monkeypatch.setattr(smfv.scheme, "_residual_values", counted_residual)
+        for name in calls:
+            monkeypatch.setattr(smfv.scheme, name, counted(name))
         mesh = uniform_interval(16)
         state = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         plan = smfv.scheme._StepPlan(mesh, 3)
@@ -841,39 +948,46 @@ class TestNewtonSolve:
             calls.update(dict.fromkeys(calls, 0))
             state, fluxes, stats = newton_step(system_1d, state, 1e-4, _plan=plan)
             assert calls["_residual_values"] > stats.lu_factors >= 1
-            assert calls["log_mean"] == calls["_residual_values"]
-            assert calls["partials"] == stats.lu_factors
+            assert calls["_log_mean_terms"] == calls["_residual_values"]
+            assert calls["_log_mean_partials"] == stats.lu_factors
             assert fluxes.values is fluxes.values
-            assert calls["log_mean"] == calls["_residual_values"] + 1
-            assert calls["partials"] == stats.lu_factors
+            assert calls["_log_mean_terms"] == calls["_residual_values"] + 1
+            assert calls["_log_mean_partials"] == stats.lu_factors
 
     def test_partials_are_those_of_the_factored_state(self, system_2d, monkeypatch):
         # the partials the Jacobian computes from the edge terms equal, to
         # the bit, a direct evaluation at the state the factor is made at;
-        # the log mean without partials equals the one with them
+        # the log mean of every state equals the one evaluated with them
         import smfv.scheme
 
         factored = _factored_states(monkeypatch)
-        log_mean_with_partials = smfv.scheme._log_mean_with_partials
-        seen = []
+        log_mean_terms = smfv.scheme._log_mean_terms
+        log_mean_partials = smfv.scheme._log_mean_partials
+        means, seen = [], []
 
-        def recorded(a, b, partials=True):
-            out = log_mean_with_partials(a, b, partials)
-            if partials:
-                seen.append(out)
-            else:
-                assert np.array_equal(out, log_mean_with_partials(a, b)[0])
+        def recorded_terms(a, b):
+            out = log_mean_terms(a, b)
+            means.append((a.copy(), b.copy(), out[0]))
             return out
 
-        monkeypatch.setattr(smfv.scheme, "_log_mean_with_partials", recorded)
+        def recorded_partials(*args):
+            out = log_mean_partials(*args)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(smfv.scheme, "_log_mean_terms", recorded_terms)
+        monkeypatch.setattr(smfv.scheme, "_log_mean_partials", recorded_partials)
         mesh = uniform_rectangle(6, 5)
         _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-4)
         monkeypatch.undo()
         assert len(seen) == len(factored) == stats.lu_factors > 2
         k, l = mesh.edge_cell_k, mesh.edge_cell_l
         for (values, _), got in zip(factored, seen):
-            expected = _log_mean_with_partials(values[:, k], values[:, l])
+            expected = _log_mean_with_partials(values[:, k], values[:, l])[1:]
             assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        assert len(means) == stats.residual_evaluations
+        for a, b, lam in means:
+            assert np.array_equal(lam, _log_mean_with_partials(a, b)[0])
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_reduced_solve_satisfies_every_species(self, monkeypatch, n):
@@ -1311,6 +1425,22 @@ class TestFluxField:
                                      np.log(ul) - np.log(uk)) / d_sigma
             worst = max(worst, float(np.abs(j - j_ref).max()))
         assert worst < 1e-10
+
+    def test_public_paths_on_exact_zeros_raise_no_warning(self, system_2d):
+        # the blocks data hold exact zeros, where the log mean takes its
+        # zero branch; no public path warns there, a lazy flux read included
+        mesh = uniform_rectangle(4, 4)
+        u0 = _blocks_2d(mesh)
+        assert u0.min_fraction() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual(system_2d, u0, u0, 1e-4)
+            jacobian(system_2d, u0, 1e-4)
+            zero_fluxes = FluxField._of_state(system_2d, u0).values
+            log_mean(u0.values[:, :-1], u0.values[:, 1:])
+            _, fluxes, _ = newton_step(system_2d, u0, 1e-4)
+            assert np.all(np.isfinite(fluxes.values))
+        assert np.all(np.isfinite(zero_fluxes))
 
 
 # Coefficients at which Newton leaves the positive orthant and stalls on the
