@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import smfv.checks
-from smfv.cli import (_write_snapshot, cmd_check, cmd_convergence, cmd_entropy_decay,
-                      cmd_run, fit_decay_rate, main)
+from smfv.cli import (_SNAPSHOT_ROWS, _write_snapshot, cmd_check, cmd_convergence,
+                      cmd_entropy_decay, cmd_run, fit_decay_rate, main)
 from smfv.config import ConfigError, load_config, preset_initial
-from smfv.diagnostics import SampledRun, l1_space_time_error
+from smfv.diagnostics import (SampledRun, equilibrium_composition, l1_space_time_error,
+                              relative_entropy)
 from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle
 from smfv.scheme import StateField, run
 
@@ -202,6 +203,27 @@ class TestCmdEntropyDecay:
         assert fit["slope"] < 0.0
         assert fit["r_squared"] >= 0.99
 
+    def test_entropy_column_is_relative_entropy_to_the_bit(self, tmp_path):
+        # the blocks data has exact zeros at t = 0; the steps' states do not
+        doc = {
+            "mesh": {"dimension": 2, "Nx": 10, "Ny": 10},
+            "species": {"c": [[0, 0.1, 0.2], [0.1, 0, 2.0], [0.2, 2.0, 0]]},
+            "initial": {"preset": "blocks2d", "blocks": [
+                {"species": 0, "box": [0.0, 0.5, 0.0, 0.5]},
+                {"species": 1, "box": [0.5, 1.0, 0.0, 0.5]}]},
+            "time": {"dt": 1e-4, "T": 5e-4},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        config = load_config(doc)
+        assert cmd_entropy_decay(config) == 0
+        u0 = preset_initial(config.initial, config.mesh.build(), config.species.n)
+        assert u0.min_fraction() == 0.0
+        m = equilibrium_composition(u0)
+        states = [u0]
+        run(config.species, u0, 1e-4, 5e-4, lambda t, s, f, stats: states.append(s))
+        _, rows = read_csv(tmp_path / "out" / "entropy.csv")
+        assert [r[1] for r in rows] == [f"{relative_entropy(s, m):.17g}" for s in states]
+
     def test_slower_diffusion_slows_decay(self, tmp_path):
         fast_doc = smooth_doc(tmp_path / "fast", dt=2e-3, t_end=0.1, n_cells=12)
         slow_doc = smooth_doc(tmp_path / "slow", dt=2e-3, t_end=0.1, n_cells=12)
@@ -252,17 +274,37 @@ def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
     assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
 
 
-@pytest.mark.parametrize("mesh", [uniform_interval(7), uniform_rectangle(3, 4),
-                                  uniform_interval(1100), uniform_rectangle(30, 20)],
-                         ids=["interval", "rectangle", "interval-blocks", "rectangle-blocks"])
-def test_snapshot_matches_per_value_reference(tmp_path, mesh):
-    # one formatted string per value, as the writer's rows must read, over
-    # one or several blocks of rows; these are the bytes np.savetxt writes
-    rng = np.random.default_rng(9)
-    shape = (3, mesh.num_cells)
+def _spread_values(rng, cells):
+    shape = (3, cells)
     values = rng.random(shape) * 10.0 ** rng.uniform(-320, 3, shape)
     values[:, 0] = [0.0, 1e-12, 1.0]
     values[:, 1] = [-0.0, 5e-324, 1.0]
+    return values
+
+
+def _tied_values(rng, cells):
+    # exact 0/1 fractions, as in the blocks data, with runs of repeated
+    # values, -0.0 among 0.0, across the first boundary between row blocks
+    values = np.zeros((3, cells))
+    values[rng.integers(0, 3, cells), np.arange(cells)] = 1.0
+    tied = slice(_SNAPSHOT_ROWS - 12, _SNAPSHOT_ROWS + 18)
+    values[:, tied] = rng.random((3, 1))
+    values[1, _SNAPSHOT_ROWS - 3:_SNAPSHOT_ROWS + 3] = -0.0
+    values[2, _SNAPSHOT_ROWS - 1:_SNAPSHOT_ROWS + 1] = 0.1 + 0.2
+    return values
+
+
+@pytest.mark.parametrize("mesh, draw", [(uniform_interval(7), _spread_values),
+                                        (uniform_rectangle(3, 4), _spread_values),
+                                        (uniform_interval(1100), _spread_values),
+                                        (uniform_rectangle(30, 20), _spread_values),
+                                        (uniform_rectangle(30, 20), _tied_values)],
+                         ids=["interval", "rectangle", "interval-blocks", "rectangle-blocks",
+                              "rectangle-tied"])
+def test_snapshot_matches_per_value_reference(tmp_path, mesh, draw):
+    # one formatted string per value, as the writer's rows must read, over
+    # one or several blocks of rows; these are the bytes np.savetxt writes
+    values = draw(np.random.default_rng(9), mesh.num_cells)
     _write_snapshot(tmp_path, StateField(mesh, values), 0.25)
     coords = ["x", "y"][: mesh.dimension]
     header = ",".join(["cell"] + coords + ["u_1", "u_2", "u_3"])

@@ -1161,6 +1161,27 @@ class TestNewtonSolve:
             assert any(n == 1 < m for (_, n), (_, m) in zip(default, tight))
         assert max(np.abs(a - b).max() for (a, _), (b, _) in zip(default, tight)) <= 1e-12
 
+    @pytest.mark.parametrize("mesh", [uniform_interval(8), uniform_rectangle(3, 3)],
+                             ids=["band", "superlu"])
+    def test_failed_first_factor_reports_the_residual_norm(self, system_1d, monkeypatch,
+                                                           mesh):
+        import scipy.linalg.lapack
+
+        def singular_band(ab, kl, ku, overwrite_ab=False):
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+        def singular_superlu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular_band)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_superlu)
+        u0 = StateField(mesh, np.linspace(0.1, 0.5, 3 * mesh.num_cells).reshape(3, -1))
+        with pytest.raises(NonConvergence, match="singular") as info:
+            newton_step(system_1d, u0, 1e-3)
+        assert info.value.iterations == 1
+        assert info.value.residual_norm == np.abs(residual(system_1d, u0, u0, 1e-3)).max()
+        assert info.value.residual_norm > 0.0
+
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
         import smfv.scheme
 
