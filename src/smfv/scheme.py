@@ -650,16 +650,15 @@ def jacobian(system: SpeciesSystem, u_new: StateField, dt: float):
                             dt, _jacobian_pattern(mesh, system.n))
 
 
-def project_simplex(u, out=None) -> np.ndarray:
+def project_simplex(u) -> np.ndarray:
     """Floor the components at ``PROJECTION_FLOOR``, renormalise each column to unit sum.
 
     ``u`` holds one composition per column (a 1D vector is one composition).
     Returns strict-interior simplex points.  Note that when the floored sum
     exceeds one, a floored component lands one part in 1/floor below the
-    floor after normalisation.  The result is written to ``out`` if given,
-    which may be ``u`` itself.
+    floor after normalisation.
     """
-    v = np.maximum(np.asarray(u, dtype=float), PROJECTION_FLOOR, out=out)
+    v = np.maximum(np.asarray(u, dtype=float), PROJECTION_FLOOR)
     v /= v.sum(axis=0)
     return v
 
@@ -749,13 +748,14 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     mesh = plan.mesh
     reduced = system.n - 1
     delta = np.empty_like(x)
+    res_norm = math.inf
     iterations = 0
     solve = None
     newton = None  # (norm, relative change) of the last update, if a full Newton update
-    res, edges = _residual_values(system, mesh, x, old_values, dt)
-    counts[2] += 1
-    res_norm = None  # taken when the line search or a failure first needs it
     try:
+        res, edges = _residual_values(system, mesh, x, old_values, dt)
+        counts[2] += 1
+        res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = solve is not None
@@ -766,7 +766,7 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
                 edges = None
                 solve = plan.factor(matrix)
                 counts[1] += 1
-            delta[:reduced] = solve(-res.ravel().take(into)).take(out_of)
+            delta[:reduced] = solve(-res.ravel()[into])[out_of]
             delta[reduced] = -delta[:reduced].sum(axis=0)
             counts[0] += 1
             size = np.abs(delta)
@@ -794,8 +794,6 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
                     return cand
             del size  # the line search, which holds two states' edge terms, sets the peak
 
-            if res_norm is None:
-                res_norm = float(np.abs(res).max())
             step = 1.0
             for _h in range(MAX_DAMPING_HALVINGS + 1):
                 trial = _residual_values(system, mesh, cand, old_values, dt)
@@ -823,8 +821,6 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
         raise
     except RuntimeError as exc:
         # A failed factorisation or solve is reported as RuntimeError.
-        if res_norm is None:
-            res_norm = float(np.abs(res).max())
         raise NonConvergence(iterations, res_norm, reason=str(exc)) from exc
 
 
@@ -875,9 +871,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     counts = [0, 0, 0]
     x = None
     if _previous is not None:
-        start = np.multiply(u_old.values, 2.0)
-        start -= _previous.values
-        project_simplex(start, out=start)
+        start = project_simplex(2.0 * u_old.values - _previous.values)
         start *= u_old.values.sum(axis=0)
         try:
             x = _chord_newton(system, plan, start, u_old.values, dt, counts)
