@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

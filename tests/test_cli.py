@@ -440,6 +440,32 @@ class TestMainEntry:
         assert err.startswith("aborted:")
         assert "no residual decrease in 30 halvings" in err
 
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    @pytest.mark.parametrize("fault", ["mesh", "factor"])
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys, command, fault):
+        # injected: a real request too large to grant may be granted under
+        # memory overcommit, and the process then killed
+        import smfv.mesh
+        import smfv.scheme
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape "
+                              "(40000000000, 2) and data type float64")
+
+        if fault == "mesh":
+            monkeypatch.setattr(smfv.mesh, "_uniform_grid", exhausted)
+        else:
+            monkeypatch.setattr(smfv.scheme._StepPlan, "factor", exhausted)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", smooth_doc(out, n_cells=8))
+        argv = [command, "--config", cfg]
+        if command == "convergence":
+            argv += ["--grids", "4,8", "--ref", "16"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 596. GiB")
+        assert err.count("\n") == 1
+
     def test_high_contrast_solver_failure_exit_code(self, tmp_path, capsys):
         # a genuine Newton failure, unpatched, ends in a typed error
         doc = uniform_doc(tmp_path / "out", dt=1e-4, t_end=1e-3)

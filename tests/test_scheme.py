@@ -305,7 +305,10 @@ class TestEdgeInverse:
         rng = np.random.default_rng(40 + n)
         for _ in range(10):
             mats = _edge_systems(_wide_system(rng, n), _extreme_compositions(rng, n, 40))
-            assert np.array_equal(_edge_inverse(mats), _row_by_row_inverse(mats))
+            work = mats.copy()  # inverted in place
+            inv = _edge_inverse(work)
+            assert inv is work
+            assert np.array_equal(inv, _row_by_row_inverse(mats))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_lapack(self, n):
@@ -316,7 +319,7 @@ class TestEdgeInverse:
             mats = _edge_systems(_wide_system(rng, n), _extreme_compositions(rng, n, 40))
             stack = mats.transpose(2, 0, 1)
             ref = np.linalg.solve(stack, np.broadcast_to(np.eye(n), stack.shape))
-            inv = _edge_inverse(mats).transpose(2, 0, 1)
+            inv = _edge_inverse(mats.copy()).transpose(2, 0, 1)
             rel = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
             assert np.all(rel <= 1e-15 * np.maximum(np.linalg.cond(stack, 1), 100.0))
             backward = np.abs(stack @ inv - np.eye(n)).max(axis=(1, 2))
@@ -513,32 +516,39 @@ def _captured_factors(monkeypatch, context=None):
 
 
 def _factored_states(monkeypatch):
-    """Patch the residual and the Jacobian; returns the states the Jacobian is built at.
+    """Patch the edge terms and the Jacobian; returns the states the Jacobian is built at.
 
-    Each Jacobian call is matched to its state by the identity of the edge
-    terms it receives, which the residual of that state returned.  Entries
-    are ``(values, later)``, where ``later`` counts the states evaluated
-    after it and before the call: candidates that were rejected.
+    Returns ``(factored, evaluated)``, where ``evaluated`` holds the state of
+    every edge evaluation, in order.  Each Jacobian call is matched to its
+    state by the values either side of every edge in the edge terms it
+    receives, which locate the first edge evaluation of that state.  Entries
+    of ``factored`` are ``(values, later)``, where ``later`` counts the
+    evaluations of other states after that one and before the call:
+    candidates that were rejected.  A recomputation of the state's own edge
+    terms is not counted.
     """
     import smfv.scheme
 
     evaluated, factored = [], []
-    residual_values = smfv.scheme._residual_values
+    edge_fluxes = smfv.scheme._edge_fluxes
     jacobian_matrix = smfv.scheme._jacobian_matrix
 
-    def recorded(system, mesh, values, old_values, dt):
-        res, edges = residual_values(system, mesh, values, old_values, dt)
-        evaluated.append((edges, values.copy()))
-        return res, edges
+    def recorded(system, mesh, values):
+        edges = edge_fluxes(system, mesh, values)
+        evaluated.append(values.copy())
+        return edges
 
     def located(system, mesh, edges, dt, pattern):
-        later = next(i for i, (seen, _) in enumerate(reversed(evaluated)) if seen is edges)
-        factored.append((evaluated[-1 - later][1], later))
+        uk, ul = edges[2][:2]
+        sides = mesh.edge_sides(len(uk))
+        same = [np.array_equal(values.ravel().take(sides), (uk, ul)) for values in evaluated]
+        first = same.index(True)
+        factored.append((evaluated[first], same[first + 1:].count(False)))
         return jacobian_matrix(system, mesh, edges, dt, pattern)
 
-    monkeypatch.setattr(smfv.scheme, "_residual_values", recorded)
+    monkeypatch.setattr(smfv.scheme, "_edge_fluxes", recorded)
     monkeypatch.setattr(smfv.scheme, "_jacobian_matrix", located)
-    return factored
+    return factored, evaluated
 
 
 def _blocks_2d(mesh):
@@ -729,7 +739,7 @@ class TestNewtonLinearSolve:
         # made at, and the chord solves outnumber the factors
         import smfv.scheme
 
-        factored = _factored_states(monkeypatch)
+        factored, _ = _factored_states(monkeypatch)
         calls = _captured_factors(monkeypatch, context=lambda: factored[-1][0])
         mesh = uniform_rectangle(6, 5)
         u_old = _blocks_2d(mesh)
@@ -960,7 +970,7 @@ class TestNewtonSolve:
         # the log mean of every state equals the one evaluated with them
         import smfv.scheme
 
-        factored = _factored_states(monkeypatch)
+        factored, evaluated = _factored_states(monkeypatch)
         log_mean_terms = smfv.scheme._log_mean_terms
         log_mean_partials = smfv.scheme._log_mean_partials
         means, seen = [], []
@@ -985,7 +995,10 @@ class TestNewtonSolve:
         for (values, _), got in zip(factored, seen):
             expected = _log_mean_with_partials(values[:, k], values[:, l])[1:]
             assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-        assert len(means) == stats.residual_evaluations
+        # one log mean per edge evaluation: every residual, and the iterate
+        # a kept LU's rejected update recomputes to refactor
+        refactored = sum(later > 0 for _, later in factored)
+        assert len(means) == len(evaluated) == stats.residual_evaluations + refactored
         for a, b, lam in means:
             assert np.array_equal(lam, _log_mean_with_partials(a, b)[0])
 
@@ -1022,13 +1035,58 @@ class TestNewtonSolve:
         drift = np.abs(state.mass_vector - u_old.mass_vector) / u_old.mass_vector
         assert drift.max() < 1e-12
 
+    def test_lu_or_earlier_edge_terms_alive_at_each_edge_evaluation(self, system_2d,
+                                                                     monkeypatch):
+        # blocks data on 6x5 at dt = 1e-4: the step halves updates and rejects
+        # one kept LU's update.  At every edge evaluation at most one of a
+        # live LU and the edge terms of another evaluation is alive: a
+        # halving drops the LU and the rejected trial, a kept LU's trial runs
+        # without its iterate's edge terms, which are recomputed after the
+        # rejection
+        import weakref
+
+        import smfv.scheme
+
+        class Factor:
+            """A SuperLU factor whose lifetime a weak set follows."""
+
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        factors, inverses, alive = weakref.WeakSet(), [], []
+        splu = scipy.sparse.linalg.splu
+        edge_fluxes = smfv.scheme._edge_fluxes
+
+        def tracked_splu(*args, **kwargs):
+            factor = Factor(splu(*args, **kwargs))
+            factors.add(factor)
+            return factor
+
+        def tracked_edges(system, mesh, values):
+            alive.append(len(factors) + sum(ref() is not None for ref in inverses))
+            edges = edge_fluxes(system, mesh, values)
+            inverses.append(weakref.ref(edges[1]))
+            return edges
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+        monkeypatch.setattr(smfv.scheme, "_edge_fluxes", tracked_edges)
+        mesh = uniform_rectangle(6, 5)
+        _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-4)
+        assert stats.residual_evaluations > stats.newton_iterations > stats.lu_factors > 2
+        assert max(alive) == 1
+        assert len(alive) == stats.residual_evaluations + 1
+
     def test_kept_factor_without_decrease_is_refactored(self, system_1d, monkeypatch):
         # nonsmooth1d on 8 cells at dt = 1e-5: one full update from a kept LU
         # does not lower the residual; it is rejected without halving and the
-        # iterate it started from is factored afresh from its known edge terms
+        # iterate it started from is factored afresh, from its edge terms
+        # recomputed once, which is not a residual evaluation
         import smfv.scheme
 
-        factored = _factored_states(monkeypatch)
+        factored, evaluated = _factored_states(monkeypatch)
         pre = []
         project = smfv.scheme._project_values
 
@@ -1044,6 +1102,7 @@ class TestNewtonSolve:
         assert [later for _, later in factored].count(1) == 1
         assert all(later <= 1 for _, later in factored)
         assert len(factored) == stats.lu_factors < stats.newton_iterations
+        assert len(evaluated) == stats.residual_evaluations + 1
         res = residual(system_1d, StateField(mesh, pre[0]), u_old, dt)
         assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
         assert state.min_fraction() >= PROJECTION_FLOOR
