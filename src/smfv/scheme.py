@@ -357,7 +357,7 @@ def _log_mean_partials(a, b, lam, d, ell):
     return da, db
 
 
-def _log_mean_with_partials(a, b, partials=True):
+def _log_mean_with_partials(a, b):
     """Vectorised log mean and its partial derivatives w.r.t. both arguments.
 
     The log mean is computed as |a - b| / log1p(|a - b| / min(a, b)), which
@@ -382,13 +382,11 @@ def _log_mean_with_partials(a, b, partials=True):
     :func:`_log_mean_terms` and :func:`_log_mean_partials`, which an edge
     evaluation calls apart: the log mean at every Newton state, the
     partials from its terms at the factored ones.  Returns ``(lam, da,
-    db)``, or with ``partials`` false only ``lam``, the same to the bit.
+    db)``; :func:`log_mean` is ``lam`` alone, the same to the bit.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lam, d, ell = _log_mean_terms(a, b)
-    if not partials:
-        return lam
     return (lam, *_log_mean_partials(a, b, lam, d, ell))
 
 
@@ -398,7 +396,7 @@ def log_mean(a, b):
     Zero where either argument is non-positive; otherwise it lies between
     min(a, b) and max(a, b).
     """
-    return _log_mean_with_partials(a, b, partials=False)[()]
+    return _log_mean_terms(np.asarray(a, dtype=float), np.asarray(b, dtype=float))[0][()]
 
 
 def _edge_systems(system, lam):

@@ -214,12 +214,16 @@ def test_criterion_8_matrix_algebra_properties():
     check("criterion 8: matrix algebra properties, 1000 instances each", ok, detail)
 
 
-def test_criterion_9_jacobian_vs_finite_differences():
+def test_criterion_9_jacobian_vs_finite_differences(system_1d, system_2d):
+    # random systems, then the coefficients of the 1D and the 2D experiments
     rng = np.random.default_rng(43)
-    result = check_jacobian_fd(rng, count=100)
+    results = [check_jacobian_fd(rng, count=100)]
+    results += [check_jacobian_fd(rng, count=10, extra_system=s)
+                for s in (system_1d, system_2d)]
     check("criterion 9: analytic Jacobian vs central differences <= 1e-5",
-          result.passed, f"worst relative error {result.worst:.3e} "
-                         f"over {result.samples} states")
+          all(r.passed for r in results),
+          f"worst relative error {max(r.worst for r in results):.3e} "
+          f"over {sum(r.samples for r in results)} states")
 
 
 def test_criterion_10_small_instance_oracle():
@@ -238,6 +242,7 @@ def test_criterion_10_small_instance_oracle():
         return 0.5 * (a - 0.25) / dt + j[0]
 
     lo, hi = 1e-12, 1.0 - 1e-12
+    bracketed = scalar_residual(lo) < 0.0 < scalar_residual(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if scalar_residual(mid) <= 0.0:
@@ -247,8 +252,12 @@ def test_criterion_10_small_instance_oracle():
     oracle = 0.5 * (lo + hi)
     state, _, _ = newton_step(system, u_old, dt)
     err = abs(state.values[0, 0] - oracle)
+    # the root in closed form: with c12 = 1, Abar = 0 and J_1 = -(1 - 2a)/0.5
+    closed = abs(state.values[0, 0] - 3.25 / 9.0)
     check("criterion 10: 2-cell implicit step matches bisection oracle to 1e-10",
-          err <= 1e-10, f"|newton - oracle| = {err:.3e}")
+          bracketed and err <= 1e-10 and closed <= 1e-10,
+          f"|newton - oracle| = {err:.3e}, |newton - 3.25/9| = {closed:.3e}, "
+          f"bracketed={bracketed}")
 
 
 def test_criterion_11_flux_formula_equivalence():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smfv.checks
+from _probe import SolverProbe
 from smfv.cli import (_SNAPSHOT_ROWS, _write_snapshot, cmd_check, cmd_convergence,
                       cmd_entropy_decay, cmd_run, fit_decay_rate, main)
 from smfv.config import ConfigError, load_config, preset_initial
@@ -235,43 +236,41 @@ class TestCmdEntropyDecay:
         assert abs(slow["slope"]) < abs(fast["slope"])
 
 
-def _run_entropy_decay(out):
-    cmd_entropy_decay(load_config(smooth_doc(out)))
+def _entropy_decay(out):
+    config = load_config(smooth_doc(out))
+    return config, config.mesh.build(), lambda: cmd_entropy_decay(config)
 
 
-def _run_convergence(out):
-    cmd_convergence(load_config(smooth_doc(out, dt=2e-3, n_cells=8)), grids=(4, 8), ref_n=32)
+def _convergence(out):
+    config = load_config(smooth_doc(out, dt=2e-3, n_cells=8))
+    union, _ = disjoint_union([uniform_interval(n) for n in (32, 4, 8)])
+    return config, union, lambda: cmd_convergence(config, grids=(4, 8), ref_n=32)
 
 
-def _run_every_fourth_row(out):
+def _every_fourth_row(out):
     doc = smooth_doc(out, t_end=1e-2)
     doc["output"]["diagnostics_every"] = 4
-    cmd_run(load_config(doc))
+    config = load_config(doc)
+    return config, config.mesh.build(), lambda: cmd_run(config)
 
 
 # the run writes rows with fluxes at steps 4, 8 and the final step 10
-@pytest.mark.parametrize("command, reads", [(_run_entropy_decay, 0), (_run_convergence, 0),
-                                            (_run_every_fourth_row, 3)],
+@pytest.mark.parametrize("command, reads", [(_entropy_decay, 0), (_convergence, 0),
+                                            (_every_fourth_row, 3)],
                          ids=["entropy-decay", "convergence", "run"])
 def test_fluxes_evaluated_only_when_read(tmp_path, monkeypatch, command, reads):
-    # every edge evaluation serves a residual, except one per flux a row reads
-    import smfv.scheme
-
-    calls = {"_edge_fluxes": 0, "_residual_values": 0}
-
-    def counted(name):
-        original = getattr(smfv.scheme, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(smfv.scheme, name, counted(name))
-    command(tmp_path / "out")
-    assert calls["_residual_values"] > 0
-    assert calls["_edge_fluxes"] == calls["_residual_values"] + reads
+    # every edge evaluation serves a residual of the command's steps, as the
+    # same steps run without a sink count them, except one per flux a row
+    # reads
+    config, mesh, call = command(tmp_path / "out")
+    steps = []
+    run(config.species, preset_initial(config.initial, mesh, 3), config.time.dt,
+        config.time.t_end, sink=lambda t, s, f, stats: steps.append(stats))
+    residuals = sum(stats.residual_evaluations for stats in steps)
+    probe = SolverProbe(monkeypatch, config.time.dt)
+    call()
+    assert residuals > 0
+    assert len(probe.evaluations) == residuals + reads
 
 
 def _spread_values(rng, cells):
@@ -334,6 +333,10 @@ class TestFitDecayRate:
         status, slope, r2, points = fit_decay_rate([0.0, 1.0], [0.0, 1e-18], 0.5)
         assert status == "already at equilibrium"
         assert slope is None
+
+    def test_one_time_in_window(self):
+        assert fit_decay_rate([0.0, 1.0, 1.0], [0.5, 0.2, 0.1], 0.5) == (
+            "insufficient data in fit window", None, None, 2)
 
 
 class TestCmdCheck:

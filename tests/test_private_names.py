@@ -4,7 +4,9 @@ A ``_private`` function, class or constant is not part of the public API, so
 nothing outside ``src/smfv`` may keep it alive; one that no module of the
 package references is dead code.  So is a parameter its function never
 reads, unless a calling protocol fixes it.  Nor does a function take a
-``mesh`` beside a ``StateField``, which carries its own.
+``mesh`` beside a ``StateField``, which carries its own.  And tests patch
+only a listed few names of ``smfv.scheme``, so that renaming a private
+function breaks no test that does not call it.
 """
 
 import ast
@@ -102,3 +104,64 @@ def test_no_function_takes_a_mesh_beside_a_state():
                     and "StateField" in _annotation_names(fn)):
                 both.append(f"{path.name}:{fn.name}")
     assert both == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+# The names of smfv.scheme, and of its classes, that tests may patch, each
+# with its reason.  The probe's two seams observe the solver; every other
+# count or record a test needs comes from them, StepStats or the outputs.
+_PATCHABLE = {
+    "_edge_fluxes": "probe seam: every edge pass, and a flat residual's edge terms",
+    "_StepPlan.factor": "probe seam: every LU factor; also an injected MemoryError",
+    "_residual_values": "injected fault: a flat residual that no update lowers",
+    "NEWTON_TOL": "constant: a tighter stop",
+    "MAX_NEWTON_ITERS": "constant: a smaller iteration budget",
+}
+
+
+def _imports(tree):
+    """A namespace with the modules and names a test file imports, anywhere in it."""
+    namespace = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0):
+            exec(compile(ast.Module([node], []), "<imports>", "exec"), namespace)
+    return namespace
+
+
+def _patched_scheme_names(path):
+    """The ``smfv.scheme`` names a test file patches by ``monkeypatch.setattr``."""
+    import smfv.scheme
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    namespace = _imports(tree)
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "setattr" and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "monkeypatch"):
+            continue
+        target, name = call.args[0], call.args[1] if len(call.args) > 2 else None
+        where = f"{path.name}:{call.lineno}"
+        if isinstance(target, ast.Constant):  # the "module.attribute" form
+            owner_path, _, attribute = target.value.rpartition(".")
+            owner, name = eval(owner_path, namespace), ast.Constant(attribute)
+        else:
+            try:
+                owner = eval(compile(ast.Expression(target), where, "eval"), namespace)
+            except NameError:
+                raise AssertionError(f"{where}: the patched object is not a module "
+                                     "or class the file imports") from None
+        if owner is smfv.scheme:
+            prefix = ""
+        elif isinstance(owner, type) and owner.__module__ == "smfv.scheme":
+            prefix = f"{owner.__name__}."
+        else:
+            continue
+        assert isinstance(name, ast.Constant), f"{where}: a non-literal attribute name"
+        yield prefix + name.value
+
+
+def test_tests_patch_only_the_seams():
+    patched = {name for path in sorted(TESTS.glob("*.py"))
+               for name in _patched_scheme_names(path)}
+    assert patched == set(_PATCHABLE)

@@ -8,16 +8,17 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smfv.scheme
+from _probe import SolverProbe
 from smfv.checks import finite_difference_jacobian
 from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
-from smfv.mesh import Mesh, disjoint_union, uniform_interval, uniform_rectangle, validate
-from smfv.model import build_system, mat_Abar, mat_B
+from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle
+from smfv.model import build_system
 from smfv.scheme import (_SERIES_DF, _SERIES_MAX_U, CHORD_CONTRACTION, NEWTON_TOL,
                          PROJECTION_FLOOR, SUPERLU_SETTINGS, FluxField, NonConvergence,
                          StateField, _edge_fluxes, _edge_inverse, _edge_systems,
-                         _log_mean_partials, _log_mean_terms, _log_mean_with_partials,
-                         jacobian, log_mean, newton_step, num_time_steps,
+                         _log_mean_with_partials, jacobian, log_mean, newton_step, num_time_steps,
                          project_simplex, residual, run)
 
 
@@ -43,16 +44,18 @@ class TestLogMean:
         assert lam <= max(a, b) * (1.0 + 1e-14)
 
     def test_log_mean_alone_is_that_with_partials(self):
-        # one implementation: without partials it returns the same log mean
-        # to the bit, on both branches, at equal arguments and at zeros
+        # one implementation: the log mean alone, of arrays or of scalars, is
+        # that of the composition with the partials to the bit, on both
+        # branches, at equal arguments and at zeros
         rng = np.random.default_rng(9)
         a = rng.uniform(1e-8, 1.0, size=400)
         b = np.concatenate([a[:100] * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0, size=100)),
                             rng.uniform(1e-8, 1.0, size=100), a[200:300],
                             np.zeros(50), -a[350:]])
-        lam = _log_mean_with_partials(a, b, partials=False)
-        assert np.array_equal(lam, _log_mean_with_partials(a, b)[0])
-        assert np.array_equal(lam, log_mean(a, b))
+        lam = _log_mean_with_partials(a, b)[0]
+        assert np.array_equal(smfv.scheme._log_mean_terms(a, b)[0], lam)
+        assert np.array_equal(log_mean(a, b), lam)
+        assert np.array_equal([log_mean(x, y) for x, y in zip(a.tolist(), b.tolist())], lam)
 
     def test_partials_at_equal_arguments(self):
         a = np.array([0.3])
@@ -173,7 +176,8 @@ class TestLogMeanPartials:
         for a, b in (self._pairs(kind, rng), self._pairs(kind, rng)[::-1]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                da, db = _log_mean_partials(a, b, *_log_mean_terms(a, b))
+                terms = smfv.scheme._log_mean_terms(a, b)
+                da, db = smfv.scheme._log_mean_partials(a, b, *terms)
             want_a, want_b = _both_branch_partials(a, b)
             assert da.shape == db.shape == a.shape
             assert np.array_equal(da, want_a) and np.array_equal(db, want_b)
@@ -416,24 +420,6 @@ class TestResidual:
 
 
 class TestJacobian:
-    def test_matches_finite_differences_1d(self, system_1d):
-        rng = np.random.default_rng(3)
-        mesh = uniform_interval(4)
-        new = StateField(mesh, rng.uniform(0.05, 1.0, size=(3, 4)))
-        old = StateField(mesh, rng.dirichlet(np.ones(3), size=4).T)
-        analytic = jacobian(system_1d, new, 0.1).toarray()
-        fd = finite_difference_jacobian(system_1d, new, old, 0.1)
-        assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-5
-
-    def test_matches_finite_differences_2d(self, system_2d):
-        rng = np.random.default_rng(4)
-        mesh = uniform_rectangle(3, 2)
-        new = StateField(mesh, rng.uniform(0.05, 1.0, size=(3, 6)))
-        old = StateField(mesh, rng.dirichlet(np.ones(3), size=6).T)
-        analytic = jacobian(system_2d, new, 0.2).toarray()
-        fd = finite_difference_jacobian(system_2d, new, old, 0.2)
-        assert np.abs(analytic - fd).max() / np.abs(fd).max() < 1e-5
-
     @pytest.mark.parametrize("dt", [0.1, 1e-4])
     @pytest.mark.parametrize("shape", [(6,), (3, 3)], ids=["interval", "rectangle"])
     def test_matches_finite_differences_near_constant(self, system_1d, shape, dt):
@@ -496,61 +482,6 @@ class TestJacobian:
         assert np.array_equal(jacobian(system_1d, second, 0.1).toarray(), kept)
 
 
-def _captured_factors(monkeypatch, context=None):
-    """Patch ``scipy.sparse.linalg.splu``; returns the list of its calls.
-
-    Each entry is ``(matrix, copy of the matrix, factor)`` at call time,
-    followed by the result of ``context()`` if that is given.
-    """
-    original = scipy.sparse.linalg.splu
-    calls = []
-
-    def capture(matrix, *args, **kwargs):
-        extra = () if context is None else (context(),)
-        factor = original(matrix, *args, **kwargs)
-        calls.append((matrix, matrix.copy(), factor) + extra)
-        return factor
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
-    return calls
-
-
-def _factored_states(monkeypatch):
-    """Patch the edge terms and the Jacobian; returns the states the Jacobian is built at.
-
-    Returns ``(factored, evaluated)``, where ``evaluated`` holds the state of
-    every edge evaluation, in order.  Each Jacobian call is matched to its
-    state by the values either side of every edge in the edge terms it
-    receives, which locate the first edge evaluation of that state.  Entries
-    of ``factored`` are ``(values, later)``, where ``later`` counts the
-    evaluations of other states after that one and before the call:
-    candidates that were rejected.  A recomputation of the state's own edge
-    terms is not counted.
-    """
-    import smfv.scheme
-
-    evaluated, factored = [], []
-    edge_fluxes = smfv.scheme._edge_fluxes
-    jacobian_matrix = smfv.scheme._jacobian_matrix
-
-    def recorded(system, mesh, values):
-        edges = edge_fluxes(system, mesh, values)
-        evaluated.append(values.copy())
-        return edges
-
-    def located(system, mesh, edges, dt, pattern):
-        uk, ul = edges[2][:2]
-        sides = mesh.edge_sides(len(uk))
-        same = [np.array_equal(values.ravel().take(sides), (uk, ul)) for values in evaluated]
-        first = same.index(True)
-        factored.append((evaluated[first], same[first + 1:].count(False)))
-        return jacobian_matrix(system, mesh, edges, dt, pattern)
-
-    monkeypatch.setattr(smfv.scheme, "_edge_fluxes", recorded)
-    monkeypatch.setattr(smfv.scheme, "_jacobian_matrix", located)
-    return factored, evaluated
-
-
 def _blocks_2d(mesh):
     blocks = [{"species": 0, "box": [0.0, 0.5, 0.0, 0.5]},
               {"species": 0, "box": [0.5, 1.0, 0.5, 1.0]},
@@ -581,12 +512,11 @@ class TestNewtonLinearSolve:
         # First reduced Jacobian of the paper's blocks test at 35x35: L+U nnz
         # is 94,188 with the symmetric minimum-degree ordering against 155,851
         # with SuperLU's default COLAMD, a ratio of 0.604 (0.567 at 70x70).
-        default_splu = scipy.sparse.linalg.splu
-        calls = _captured_factors(monkeypatch)
-        mesh = uniform_rectangle(35, 35)
-        newton_step(system_2d, _blocks_2d(mesh), 1e-5)
-        _, first, factor = calls[0]
-        colamd = default_splu(first)
+        probe = SolverProbe(monkeypatch, 1e-5)
+        newton_step(system_2d, _blocks_2d(uniform_rectangle(35, 35)), 1e-5)
+        first = probe.factors[0].filled
+        factor = scipy.sparse.linalg.splu(first, permc_spec="NATURAL", **SUPERLU_SETTINGS)
+        colamd = scipy.sparse.linalg.splu(first)
         ratio = (factor.L.nnz + factor.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
         assert ratio <= 0.7
 
@@ -598,8 +528,6 @@ class TestNewtonLinearSolve:
         # minimum-degree ordering gives the natural-order reduced Jacobian,
         # and the ordered pattern is that Jacobian's with rows and columns
         # permuted; built directly, so that intervals stay covered
-        import smfv.scheme
-
         coeffs = [[0.0, 0.5], [0.5, 0.0]] if n == 2 else [[0.0, 0.1, 0.2],
                                                         [0.1, 0.0, 2.0],
                                                         [0.2, 2.0, 0.0]]
@@ -621,8 +549,6 @@ class TestNewtonLinearSolve:
         # every numeric factor is SuperLU's, with no ordering of its own and
         # the module's panel and supernode settings, of the plan's matrix;
         # its column permutation stays the identity
-        import smfv.scheme
-
         original = scipy.sparse.linalg.splu
         calls = []
 
@@ -696,8 +622,6 @@ class TestNewtonLinearSolve:
     def test_chain_band_solve_matches_spsolve(self, mesh, n, monkeypatch):
         # a chain's factor is LAPACK's band LU of the natural-order reduced
         # Jacobian, with no SuperLU call, and its solve is that of spsolve
-        import smfv.scheme
-
         def no_superlu(*args, **kwargs):
             raise AssertionError("a chain's Jacobian went to SuperLU")
 
@@ -726,8 +650,6 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5), (8, 8)],
                              ids=["2x2", "3x2", "2x5", "8x8"])
     def test_non_chain_meshes_select_superlu(self, shape):
-        import smfv.scheme
-
         for mesh in (uniform_rectangle(*shape),
                      disjoint_union([uniform_rectangle(1, 4), uniform_rectangle(*shape)])[0]):
             plan = smfv.scheme._StepPlan(mesh, 3)
@@ -737,20 +659,18 @@ class TestNewtonLinearSolve:
     def test_one_matrix_refilled_per_step(self, system_2d, monkeypatch):
         # every factor is the exact reduced Jacobian of the iterate it was
         # made at, and the chord solves outnumber the factors
-        import smfv.scheme
-
-        factored, _ = _factored_states(monkeypatch)
-        calls = _captured_factors(monkeypatch, context=lambda: factored[-1][0])
         mesh = uniform_rectangle(6, 5)
-        u_old = _blocks_2d(mesh)
         dt = 1e-4
+        probe = SolverProbe(monkeypatch, dt)
         plan = smfv.scheme._StepPlan(mesh, 3)
-        _, _, stats = newton_step(system_2d, u_old, dt, _plan=plan)
+        _, _, stats = newton_step(system_2d, _blocks_2d(mesh), dt, _plan=plan)
         monkeypatch.undo()
-        assert len(calls) == stats.lu_factors > 2
+        assert len(probe.factors) == stats.lu_factors > 2
         assert stats.lu_factors < stats.newton_iterations
         order = np.argsort(plan.pattern[2])
-        for matrix, filled, _, values in calls:
+        for factor in probe.factors:
+            matrix, filled = factor.matrix, factor.filled
+            values = probe.evaluations[factor.evaluation].values
             assert matrix is plan.pattern[0]
             assert matrix.format == "csc"
             assert matrix.has_canonical_format
@@ -841,38 +761,6 @@ class TestNewtonSolve:
         assert out.values == pytest.approx(vals, rel=1e-12)
         assert np.abs(fluxes.values).max() < 1e-12
 
-    def test_matches_bisection_oracle(self):
-        # Two cells, two species: volume filling and mass conservation leave a
-        # single unknown a = u_{1,cell0}; bisect its residual independently.
-        system = build_system([[0.0, 1.0], [1.0, 0.0]])
-        mesh = uniform_interval(2)
-        u_old = StateField(mesh, np.array([[0.25, 0.75], [0.75, 0.25]]))
-        dt = 0.1
-        m_cell = 0.5
-        d_sigma = 0.5
-
-        def scalar_residual(a):
-            u_k = np.array([a, 1.0 - a])
-            u_l = np.array([1.0 - a, a])
-            u_sigma = np.array([log_mean(u_k[0], u_l[0]), log_mean(u_k[1], u_l[1])])
-            s = system.c_star * np.eye(2) + mat_Abar(system, u_sigma)
-            j = np.linalg.solve(s, -(u_l - u_k) / d_sigma)
-            return m_cell * (a - 0.25) / dt + 1.0 * j[0]
-
-        lo, hi = 1e-12, 1.0 - 1e-12
-        assert scalar_residual(lo) < 0.0 < scalar_residual(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if scalar_residual(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        oracle = 0.5 * (lo + hi)
-
-        state, fluxes, stats = newton_step(system, u_old, dt)
-        assert state.values[0, 0] == pytest.approx(oracle, abs=1e-10)
-        assert state.values[0, 0] == pytest.approx(3.25 / 9.0, abs=1e-10)
-
     def test_masses_conserved(self, system_1d):
         mesh = uniform_interval(12)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
@@ -896,8 +784,6 @@ class TestNewtonSolve:
         assert final.min_fraction() >= PROJECTION_FLOOR
 
     def test_no_residual_decrease_raises(self, system_1d, monkeypatch):
-        import smfv.scheme
-
         def flat_residual(system, mesh, values, old_values, dt):
             edges = smfv.scheme._edge_fluxes(system, mesh, values)
             return np.ones_like(values), edges
@@ -914,100 +800,77 @@ class TestNewtonSolve:
     def test_one_residual_evaluation_per_iteration(self, system_1d, monkeypatch,
                                                    n_cells, t_end):
         # the smooth1d run at N=128 through t = 0.05 (500 steps) and the first
-        # grid of the convergence study (60 steps at N=16)
-        import smfv.scheme
-
-        calls = [0]
-        original = smfv.scheme._residual_values
-
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(smfv.scheme, "_residual_values", counted)
+        # grid of the convergence study (60 steps at N=16): one edge pass per
+        # residual, and one residual per solve
+        probe = SolverProbe(monkeypatch, 1e-4)
         mesh = uniform_interval(n_cells)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         steps = []
         run(system_1d, u0, 1e-4, t_end, sink=lambda t, s, f, stats: steps.append(stats))
-        assert calls[0] == sum(stats.newton_iterations for stats in steps)
-        assert calls[0] == sum(stats.residual_evaluations for stats in steps)
+        assert len(probe.evaluations) == sum(stats.newton_iterations for stats in steps)
+        assert len(probe.evaluations) == sum(stats.residual_evaluations for stats in steps)
         assert max(stats.lu_factors for stats in steps) <= 3
 
     def test_one_edge_evaluation_per_newton_state(self, system_1d, monkeypatch):
-        # one log mean per residual, its partials only for the states that
-        # are factored; the flux of the projected state costs one more log
-        # mean, without partials, at its first read
-        import smfv.scheme
-
-        calls = {"_log_mean_terms": 0, "_log_mean_partials": 0, "_residual_values": 0}
-
-        def counted(name):
-            original = getattr(smfv.scheme, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(smfv.scheme, name, counted(name))
+        # one edge pass per residual; the flux of the projected state costs
+        # one more, at its first read only
         mesh = uniform_interval(16)
         state = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         plan = smfv.scheme._StepPlan(mesh, 3)
+        probe = SolverProbe(monkeypatch, 1e-4)
         for _ in range(5):
-            calls.update(dict.fromkeys(calls, 0))
+            before, factors = len(probe.evaluations), len(probe.factors)
             state, fluxes, stats = newton_step(system_1d, state, 1e-4, _plan=plan)
-            assert calls["_residual_values"] > stats.lu_factors >= 1
-            assert calls["_log_mean_terms"] == calls["_residual_values"]
-            assert calls["_log_mean_partials"] == stats.lu_factors
+            evaluations = len(probe.evaluations) - before
+            assert evaluations == stats.residual_evaluations > stats.lu_factors >= 1
+            assert len(probe.factors) - factors == stats.lu_factors
             assert fluxes.values is fluxes.values
-            assert calls["_log_mean_terms"] == calls["_residual_values"] + 1
-            assert calls["_log_mean_partials"] == stats.lu_factors
+            assert len(probe.evaluations) - before == evaluations + 1
+
+    @pytest.mark.parametrize("mesh, preset, dt, steps", [
+        (uniform_interval(16), "nonsmooth1d", 1e-3, 4),
+        (uniform_rectangle(6, 5), "blocks2d", 1e-4, 3)], ids=["band", "superlu"])
+    def test_step_stats_count_the_work_done(self, system_1d, system_2d, monkeypatch,
+                                            mesh, preset, dt, steps):
+        # per step, on each LU path: the factors made, the residuals evaluated
+        # (every edge pass but the refactors' recomputations, as no flux is
+        # read) and the solves made; both runs refactor a kept LU's iterate
+        if preset == "blocks2d":
+            system, u0 = system_2d, _blocks_2d(mesh)
+        else:
+            system, u0 = system_1d, preset_initial(InitialConfig(preset), mesh, 3)
+        probe = SolverProbe(monkeypatch, dt)
+        counted = [(0, 0, 0)]
+
+        def sink(t, state, fluxes, stats):
+            done = (len(probe.factors), len(probe.evaluations) - probe.recomputations,
+                    probe.solves)
+            assert tuple(b - a for a, b in zip(counted[-1], done)) == (
+                stats.lu_factors, stats.residual_evaluations, stats.newton_iterations)
+            counted.append(done)
+
+        run(system, u0, dt, steps * dt, sink=sink)
+        assert len(counted) == steps + 1
+        assert probe.recomputations >= 1
 
     def test_partials_are_those_of_the_factored_state(self, system_2d, monkeypatch):
-        # the partials the Jacobian computes from the edge terms equal, to
-        # the bit, a direct evaluation at the state the factor is made at;
-        # the log mean of every state equals the one evaluated with them
-        import smfv.scheme
-
-        factored, evaluated = _factored_states(monkeypatch)
-        log_mean_terms = smfv.scheme._log_mean_terms
-        log_mean_partials = smfv.scheme._log_mean_partials
-        means, seen = [], []
-
-        def recorded_terms(a, b):
-            out = log_mean_terms(a, b)
-            means.append((a.copy(), b.copy(), out[0]))
-            return out
-
-        def recorded_partials(*args):
-            out = log_mean_partials(*args)
-            seen.append(out)
-            return out
-
-        monkeypatch.setattr(smfv.scheme, "_log_mean_terms", recorded_terms)
-        monkeypatch.setattr(smfv.scheme, "_log_mean_partials", recorded_partials)
+        # every factor, the refactor of a kept LU's iterate included, is to
+        # the bit the Jacobian a fresh edge pass at the most recent evaluated
+        # state gives, log-mean terms and partials included: the probe checks
+        # each.  One edge pass per evaluated state, and one more for the
+        # iterate a kept LU's rejected update recomputes to refactor
         mesh = uniform_rectangle(6, 5)
+        probe = SolverProbe(monkeypatch, 1e-4)
         _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-4)
-        monkeypatch.undo()
-        assert len(seen) == len(factored) == stats.lu_factors > 2
-        k, l = mesh.edge_cell_k, mesh.edge_cell_l
-        for (values, _), got in zip(factored, seen):
-            expected = _log_mean_with_partials(values[:, k], values[:, l])[1:]
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-        # one log mean per edge evaluation: every residual, and the iterate
-        # a kept LU's rejected update recomputes to refactor
-        refactored = sum(later > 0 for _, later in factored)
-        assert len(means) == len(evaluated) == stats.residual_evaluations + refactored
-        for a, b, lam in means:
-            assert np.array_equal(lam, _log_mean_with_partials(a, b)[0])
+        assert len(probe.factors) == stats.lu_factors > 2
+        refactored = [probe.evaluations[f.evaluation].repeated for f in probe.factors]
+        assert refactored.count(True) == probe.recomputations == 1
+        assert len(probe.evaluations) == stats.residual_evaluations + 1
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_reduced_solve_satisfies_every_species(self, monkeypatch, n):
         # the LU is (n-1)|T| square, yet the full n-row residual of the
-        # pre-projection iterate vanishes: the eliminated species' too
-        import smfv.scheme
-
+        # returned state vanishes: the eliminated species' too
         rng = np.random.default_rng(n)
         coeffs = rng.uniform(0.1, 2.0, size=(n, n))
         coeffs = coeffs + coeffs.T
@@ -1016,21 +879,13 @@ class TestNewtonSolve:
         mesh = uniform_rectangle(4, 3)
         u_old = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
         dt = 1e-3
-        pre = []
-        project = smfv.scheme._project_values
-
-        def recorded(values):
-            pre.append(values.copy())
-            return project(values)
-
-        monkeypatch.setattr(smfv.scheme, "_project_values", recorded)
-        calls = _captured_factors(monkeypatch)
+        probe = SolverProbe(monkeypatch, dt)
         state, _, stats = newton_step(system, u_old, dt)
-        assert len(calls) == stats.lu_factors
+        assert len(probe.factors) == stats.lu_factors
         assert stats.newton_iterations >= 2
         size = (n - 1) * mesh.num_cells
-        assert all(matrix.shape == (size, size) for matrix, _, _ in calls)
-        res = residual(system, StateField(mesh, pre[0]), u_old, dt)
+        assert all(factor.filled.shape == (size, size) for factor in probe.factors)
+        res = residual(system, state, u_old, dt)
         assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
         drift = np.abs(state.mass_vector - u_old.mass_vector) / u_old.mass_vector
         assert drift.max() < 1e-12
@@ -1043,39 +898,10 @@ class TestNewtonSolve:
         # halving drops the LU and the rejected trial, a kept LU's trial runs
         # without its iterate's edge terms, which are recomputed after the
         # rejection
-        import weakref
-
-        import smfv.scheme
-
-        class Factor:
-            """A SuperLU factor whose lifetime a weak set follows."""
-
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, rhs):
-                return self.lu.solve(rhs)
-
-        factors, inverses, alive = weakref.WeakSet(), [], []
-        splu = scipy.sparse.linalg.splu
-        edge_fluxes = smfv.scheme._edge_fluxes
-
-        def tracked_splu(*args, **kwargs):
-            factor = Factor(splu(*args, **kwargs))
-            factors.add(factor)
-            return factor
-
-        def tracked_edges(system, mesh, values):
-            alive.append(len(factors) + sum(ref() is not None for ref in inverses))
-            edges = edge_fluxes(system, mesh, values)
-            inverses.append(weakref.ref(edges[1]))
-            return edges
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
-        monkeypatch.setattr(smfv.scheme, "_edge_fluxes", tracked_edges)
-        mesh = uniform_rectangle(6, 5)
-        _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-4)
+        probe = SolverProbe(monkeypatch, 1e-4)
+        _, _, stats = newton_step(system_2d, _blocks_2d(uniform_rectangle(6, 5)), 1e-4)
         assert stats.residual_evaluations > stats.newton_iterations > stats.lu_factors > 2
+        alive = [evaluation.alive for evaluation in probe.evaluations]
         assert max(alive) == 1
         assert len(alive) == stats.residual_evaluations + 1
 
@@ -1084,26 +910,24 @@ class TestNewtonSolve:
         # does not lower the residual; it is rejected without halving and the
         # iterate it started from is factored afresh, from its edge terms
         # recomputed once, which is not a residual evaluation
-        import smfv.scheme
-
-        factored, evaluated = _factored_states(monkeypatch)
-        pre = []
-        project = smfv.scheme._project_values
-
-        def recorded(values):
-            pre.append(values.copy())
-            return project(values)
-
-        monkeypatch.setattr(smfv.scheme, "_project_values", recorded)
         mesh = uniform_interval(8)
         u_old = preset_initial(InitialConfig("nonsmooth1d"), mesh, 3)
         dt = 1e-5
+        probe = SolverProbe(monkeypatch, dt)
         state, _, stats = newton_step(system_1d, u_old, dt)
-        assert [later for _, later in factored].count(1) == 1
-        assert all(later <= 1 for _, later in factored)
-        assert len(factored) == stats.lu_factors < stats.newton_iterations
+        monkeypatch.undo()
+        evaluated = [evaluation.values for evaluation in probe.evaluations]
+        rejected = []  # per factor: other states evaluated since its state's first evaluation
+        for factor in probe.factors:
+            at = factor.evaluation
+            first = next(k for k in range(at + 1)
+                         if np.array_equal(evaluated[k], evaluated[at]))
+            rejected.append(max(at - first - 1, 0))
+        assert rejected.count(1) == 1
+        assert all(count <= 1 for count in rejected)
+        assert len(probe.factors) == stats.lu_factors < stats.newton_iterations
         assert len(evaluated) == stats.residual_evaluations + 1
-        res = residual(system_1d, StateField(mesh, pre[0]), u_old, dt)
+        res = residual(system_1d, state, u_old, dt)
         assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
         assert state.min_fraction() >= PROJECTION_FLOOR
 
@@ -1112,21 +936,16 @@ class TestNewtonSolve:
         # accepted update exactly when that update was full (no halving, no
         # rejection since the last factor) and contracted the residual norm
         # by CHORD_CONTRACTION
-        import smfv.scheme
-
-        norms = []
-        residual_values = smfv.scheme._residual_values
-
-        def recorded(*args):
-            res, edges = residual_values(*args)
-            norms.append(float(np.abs(res).max()))
-            return res, edges
-
-        monkeypatch.setattr(smfv.scheme, "_residual_values", recorded)
-        calls = _captured_factors(monkeypatch, context=lambda: len(norms))
         mesh = uniform_rectangle(6, 5)
-        newton_step(system_2d, _blocks_2d(mesh), 1e-4)
-        factored_after = {call[-1] for call in calls}  # residuals evaluated before it
+        u_old = _blocks_2d(mesh)
+        probe = SolverProbe(monkeypatch, 1e-4)
+        newton_step(system_2d, u_old, 1e-4)
+        monkeypatch.undo()
+        # a recomputed iterate repeats its residual norm, and so counts as a
+        # rejection
+        norms = [float(np.abs(residual(system_2d, StateField(mesh, e.values), u_old,
+                                       1e-4)).max()) for e in probe.evaluations]
+        factored_after = {f.evaluation + 1 for f in probe.factors}  # evaluations before it
         current, failed, outcomes = norms[0], False, []
         for count, norm in enumerate(norms[1:], start=1):
             if count in factored_after:
@@ -1194,8 +1013,6 @@ class TestNewtonSolve:
         # first update.  With the rate taken as the contraction of the two
         # updates alone the states moved by 3.5e-9 and 5.2e-12 here; with the
         # estimate also after a kept LU's update, by 2.0e-12 on nonsmooth1d
-        import smfv.scheme
-
         if preset == "blocks2d":
             system, u0 = system_2d, _blocks_2d(uniform_rectangle(*shape))
         else:
@@ -1242,8 +1059,6 @@ class TestNewtonSolve:
         assert info.value.residual_norm > 0.0
 
     def test_nonconvergence_raises(self, system_1d, monkeypatch):
-        import smfv.scheme
-
         monkeypatch.setattr(smfv.scheme, "MAX_NEWTON_ITERS", 1)
         monkeypatch.setattr(smfv.scheme, "NEWTON_TOL", 1e-300)
         mesh = uniform_interval(8)
@@ -1322,71 +1137,54 @@ class TestRun:
             before = state
 
     @staticmethod
-    def _builds_per_run(system, monkeypatch, u0, name, unused):
-        """Count, per step, the pattern builds by ``name`` and the ``spilu`` orders.
+    def _matrices_and_orders(system, monkeypatch, u0):
+        """The factored matrices and the ``spilu`` orders of a run and of a lone step.
 
-        Runs five steps, then one step without a plan; ``unused`` names the
-        other path's pattern function, which must not be called.  Returns
-        ``(built, orders, steps)``: the calls of ``name`` and ``spilu`` and,
-        for each step of the run, their counts when the step began.
+        Runs five steps, then one step without a plan.  Returns ``(run,
+        step, orders)``: the factors of the run and of the step, and, for
+        every ``spilu`` call, its keyword arguments and the number of edge
+        evaluations made before it.
         """
-        import smfv.scheme
-
-        built, orders, steps = [], [], []
-        pattern, step = getattr(smfv.scheme, name), smfv.scheme.newton_step
+        orders = []
         spilu = scipy.sparse.linalg.spilu
 
-        def counted_pattern(*args, **kwargs):
-            built.append((args, kwargs))
-            return pattern(*args, **kwargs)
-
         def counted_spilu(*args, **kwargs):
-            orders.append(kwargs)
+            orders.append((kwargs, len(probe.evaluations)))
             return spilu(*args, **kwargs)
 
-        def counted_step(*args, **kwargs):
-            steps.append((len(built), len(orders)))
-            return step(*args, **kwargs)
-
-        def other_path(*args, **kwargs):
-            raise AssertionError(f"{unused} was called")
-
-        monkeypatch.setattr(smfv.scheme, name, counted_pattern)
-        monkeypatch.setattr(smfv.scheme, unused, other_path)
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted_spilu)
-        monkeypatch.setattr(smfv.scheme, "newton_step", counted_step)
+        probe = SolverProbe(monkeypatch, 1e-3)
         run(system, u0, 1e-3, 5e-3)
-        per_step = list(steps)
-        smfv.scheme.newton_step(system, u0, 1e-3)
-        return built, orders, per_step
+        in_run = len(probe.factors)
+        newton_step(system, u0, 1e-3)
+        return probe.factors[:in_run], probe.factors[in_run:], orders
 
     def test_pattern_built_once_per_run(self, system_1d, monkeypatch):
-        # a mesh that is no chain: built and ordered inside the first step,
-        # not before it, by one incomplete factor; every step still goes
-        # through the module's newton_step, where the benchmark's tracer
-        # hooks in
+        # a mesh that is no chain: one CSC matrix per run, refilled for every
+        # factor, ordered inside the first step, not before it, by one
+        # incomplete factor; a step without a run's plan builds its own
         mesh = uniform_rectangle(3, 3)
         u0 = StateField(mesh, np.random.default_rng(8).dirichlet(np.ones(3), size=9).T)
-        built, orders, steps = self._builds_per_run(
-            system_1d, monkeypatch, u0, "_jacobian_pattern", "_band_pattern")
-        assert steps == [(0, 0)] + [(1, 1)] * 4
-        assert [(args[0] is mesh, args[1:], kwargs)
-                for args, kwargs in built[:1]] == [(True, (2,), {"ordered": True})]
-        assert orders[0]["permc_spec"] == "MMD_AT_PLUS_A"
-        assert {key: orders[0][key] for key in SUPERLU_SETTINGS} == SUPERLU_SETTINGS
-        assert (len(built), len(orders)) == (2, 2)
+        in_run, alone, orders = self._matrices_and_orders(system_1d, monkeypatch, u0)
+        matrix = in_run[0].matrix
+        assert scipy.sparse.issparse(matrix)
+        assert len(in_run) >= 5 and all(factor.matrix is matrix for factor in in_run)
+        assert alone and all(factor.matrix is not matrix for factor in alone)
+        assert len(orders) == 2 and orders[0][1] >= 1  # once the first step began
+        assert orders[0][0]["permc_spec"] == "MMD_AT_PLUS_A"
+        assert {key: orders[0][0][key] for key in SUPERLU_SETTINGS} == SUPERLU_SETTINGS
 
     def test_band_slots_built_once_per_run(self, system_1d, monkeypatch):
-        # a chain builds its band slots inside the first step and orders
-        # nothing: no spilu call
+        # a chain: one band per run, refilled for every factor, and no order,
+        # so no spilu call
         mesh = uniform_interval(8)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
-        built, orders, steps = self._builds_per_run(
-            system_1d, monkeypatch, u0, "_band_pattern", "_jacobian_pattern")
-        assert steps == [(0, 0)] + [(1, 0)] * 4
-        assert [(args[0] is mesh, args[1:], kwargs)
-                for args, kwargs in built[:1]] == [(True, (2,), {})]
-        assert (len(built), len(orders)) == (2, 0)
+        in_run, alone, orders = self._matrices_and_orders(system_1d, monkeypatch, u0)
+        band = in_run[0].matrix
+        assert isinstance(band, np.ndarray)
+        assert len(in_run) >= 5 and all(factor.matrix is band for factor in in_run)
+        assert alone and all(factor.matrix is not band for factor in alone)
+        assert orders == []
 
     def test_sink_reads_fluxes_of_its_state(self, system_1d):
         # computed at the first read, from the step's projected state, once
@@ -1483,29 +1281,6 @@ class TestDisjointUnion:
 
 
 class TestFluxField:
-    def test_flux_formula_equivalence(self, system_1d):
-        # the scheme's edge flux, on two cells whose centres are d_sigma
-        # apart, against the symmetric-positive-definite resistance form
-        rng = np.random.default_rng(6)
-        worst = 0.0
-        for _ in range(200):
-            uk = rng.dirichlet(np.ones(3)) + 0.01
-            uk /= uk.sum()
-            ul = rng.dirichlet(np.ones(3)) + 0.01
-            ul /= ul.sum()
-            d_sigma = rng.uniform(0.1, 1.0)
-            mesh = Mesh(cell_centers=[[0.5 * d_sigma], [1.5 * d_sigma]],
-                        cell_measures=[d_sigma, d_sigma], edge_cell_k=[0],
-                        edge_cell_l=[1], edge_measure=[1.0], edge_distance=[d_sigma],
-                        grid_shape=(2,), cell_lower=[[0.0], [d_sigma]],
-                        cell_upper=[[d_sigma], [2.0 * d_sigma]])
-            assert validate(mesh) == []
-            j = _edge_fluxes(system_1d, mesh, np.column_stack([uk, ul]))[0][:, 0]
-            j_ref = -np.linalg.solve(mat_B(system_1d, log_mean(uk, ul)),
-                                     np.log(ul) - np.log(uk)) / d_sigma
-            worst = max(worst, float(np.abs(j - j_ref).max()))
-        assert worst < 1e-10
-
     def test_public_paths_on_exact_zeros_raise_no_warning(self, system_2d):
         # the blocks data hold exact zeros, where the log mean takes its
         # zero branch; no public path warns there, a lazy flux read included
@@ -1532,7 +1307,8 @@ CHORD_REGRESSION = [[0.0, 0.0147, 1.68], [0.0147, 0.0, 0.941], [1.68, 0.941, 0.0
 def _assert_three_steps_keep_invariants(system, shape, dt):
     """Run three steps of nonsmooth1d (1D ``shape``) or the blocks data (2D).
 
-    Each step must end finite, projected and entropy stable.
+    Each step must end finite, projected and entropy stable.  Returns the
+    initial state and the three states.
     """
     if len(shape) == 1:
         u0 = preset_initial(InitialConfig("nonsmooth1d"), uniform_interval(*shape), 3)
@@ -1552,6 +1328,7 @@ def _assert_three_steps_keep_invariants(system, shape, dt):
         e_old, e_new = entropy(before), entropy(state)
         assert e_new + dt * diss - e_old <= 1e-10 * (1.0 + abs(e_old))
         before = state
+    return [u0] + [state for state, _ in steps]
 
 
 @pytest.mark.xfail(strict=True, raises=NonConvergence,
@@ -1575,20 +1352,16 @@ def test_failed_extrapolated_start_is_solved_from_the_old_state(
         monkeypatch, c12, c13, c23, shape, dt):
     # cases 101 and 64 of scripts/high_contrast_sweep.py: the iteration from
     # the extrapolated start fails in a later step, which only the solve
-    # from the old state rescues
-    import smfv.scheme
-
+    # from the old state rescues.  The sink reads each state's fluxes, an
+    # edge pass at it; the next step starts elsewhere, and a later pass at
+    # it is that step's residual at its old state
     system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
-    failed = []
-    chord_newton = smfv.scheme._chord_newton
-
-    def recorded(*args):
-        try:
-            return chord_newton(*args)
-        except NonConvergence:
-            failed.append(args[2] is not args[3])  # from the extrapolated start
-            raise
-
-    monkeypatch.setattr(smfv.scheme, "_chord_newton", recorded)
-    _assert_three_steps_keep_invariants(system, shape, dt)
-    assert failed and all(failed)
+    probe = SolverProbe(monkeypatch, dt)
+    states = _assert_three_steps_keep_invariants(system, shape, dt)
+    restarted = []
+    for state in states[1:-1]:
+        at = [k for k, e in enumerate(probe.evaluations) if np.array_equal(e.values,
+                                                                           state.values)]
+        assert at[0] + 1 not in at
+        restarted.append(len(at) > 1)
+    assert any(restarted)
