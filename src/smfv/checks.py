@@ -2,7 +2,9 @@
 
 Each check draws random systems/states from a seeded generator, measures the
 worst deviation from the property it verifies, and reports pass/fail against
-a fixed tolerance.  Failures are reported, never raised.
+a fixed tolerance.  Failures are reported, never raised.  A check given an
+``extra_system`` takes that system for every sample in place of a random
+one; the states stay random.
 """
 
 from __future__ import annotations
@@ -76,11 +78,9 @@ def _min_eig_sym(x):
 
 
 def _systems(rng, count, extra_system):
-    if extra_system is not None:
-        yield extra_system
-        count -= 1
+    """The system of each of ``count`` samples: ``extra_system`` if given, else random."""
     for _ in range(count):
-        yield _random_system(rng)
+        yield extra_system if extra_system is not None else _random_system(rng)
 
 
 def check_m_inv_abar_psd(rng, count=1000, extra_system=None):

@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check", help="randomised structural property suite")
     p_chk.add_argument("--config", default=None,
-                       help="optional config whose species system joins the suite")
+                       help="optional config whose species system every sample of the "
+                            "system checks takes in place of a random one")
     p_chk.add_argument("--out", default=None)
     p_chk.add_argument("--seed", type=int, default=0)
     return parser

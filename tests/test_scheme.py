@@ -600,16 +600,16 @@ class TestNewtonLinearSolve:
     def test_shared_plan_matches_fresh_plans(self, system_2d):
         # a run's one plan gives, to the bit, the states and counts of steps
         # that each order and build their pattern afresh, given the previous
-        # state as the run gives it
+        # states as the run gives them
         mesh = uniform_rectangle(8, 8)
         dt = 1e-5
         shared = []
         run(system_2d, _blocks_2d(mesh), dt, 3 * dt,
             sink=lambda t, s, f, stats: shared.append((s, stats)))
-        state, previous = _blocks_2d(mesh), None
+        state, previous = _blocks_2d(mesh), ()
         for shared_state, shared_stats in shared:
             new, _, stats = newton_step(system_2d, state, dt, _previous=previous)
-            state, previous = new, state
+            state, previous = new, (state, *previous)
             assert np.array_equal(state.values, shared_state.values)
             assert stats == shared_stats
 
@@ -960,45 +960,83 @@ class TestNewtonSolve:
         assert {(False, True), (False, False), (True, False)} <= set(outcomes)
 
     def test_late_steps_factor_once(self, system_1d):
-        # smooth1d at N=64 and dt = 1e-4, the entropy-decay run: near
-        # equilibrium, started from the extrapolated state, one LU serves the
-        # two solves of a step; started from the old state, steps take three
+        # smooth1d at N=64 and dt = 1e-4, the entropy-decay run: from the
+        # 4th step on, started from the cubic extrapolation of the last four
+        # states, one LU and one solve serve a step; from the linear one,
+        # steps took two solves, and from the old state three
         mesh = uniform_interval(64)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         steps = []
         run(system_1d, u0, 1e-4, 0.02, sink=lambda t, s, f, stats: steps.append(stats))
-        late = steps[100:]
-        assert len(late) == 100
-        assert all((stats.newton_iterations, stats.lu_factors) == (2, 1) for stats in late)
+        late = steps[3:]
+        assert len(late) == 197
+        assert all((stats.newton_iterations, stats.lu_factors) == (1, 1) for stats in late)
 
     def test_near_equilibrium_steps_take_one_solve(self, system_1d):
         # the entropy-decay run, smooth1d at N=64 and dt = 1e-4, through
-        # t = 0.2: from step 555 on the first update, 5.8e-7 and less,
-        # changes no volume fraction by more than 1.7e-6 relative, so the
-        # error it leaves is estimated below NEWTON_TOL before any trial
-        # residual
+        # t = 0.2: from step 4 on the first update from the cubic start,
+        # 8.0e-8 and less, changes no volume fraction by more than 8.8e-6
+        # relative, so the error it leaves is estimated below NEWTON_TOL
+        # before any trial residual
         mesh = uniform_interval(64)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         steps = []
         run(system_1d, u0, 1e-4, 0.2, sink=lambda t, s, f, stats: steps.append(stats))
-        late = steps[599:]
-        assert len(late) == 1401
+        late = steps[3:]
+        assert len(late) == 1997
         assert all((stats.newton_iterations, stats.lu_factors, stats.residual_evaluations)
                    == (1, 1, 1) for stats in late)
 
     def test_convergence_union_stops_on_the_error_estimate(self, system_1d):
         # the convergence study's union (reference 1024, grids 16..128) on
-        # smooth1d at dt = 1e-4: from the extrapolated start the second
-        # update contracts the first so far that the error left is below
-        # NEWTON_TOL, although the update itself is not; a third solve would
-        # move the state by rounding only
+        # smooth1d at dt = 1e-4: steps 2 to 4, from the linear and the
+        # quadratic start, take two solves, the second ended by the estimate
+        # with the contraction of the two updates; from the cubic start,
+        # every later step ends at its first update, whose error left is
+        # estimated below NEWTON_TOL although the update itself is not
         union, _ = disjoint_union([uniform_interval(g) for g in (1024, 16, 32, 64, 128)])
         u0 = preset_initial(InitialConfig("smooth1d"), union, 3)
         steps = []
         run(system_1d, u0, 1e-4, 0.006, sink=lambda t, s, f, stats: steps.append(stats))
         assert len(steps) == 60
-        assert all((stats.newton_iterations, stats.lu_factors) == (2, 1)
-                   for stats in steps[1:])
+        counts = [(stats.newton_iterations, stats.lu_factors, stats.residual_evaluations)
+                  for stats in steps]
+        assert counts[1:4] == [(2, 1, 2)] * 3
+        assert counts[4:] == [(1, 1, 1)] * 56
+
+    @pytest.mark.parametrize("preset, shape, dt, orders", [
+        ("smooth1d", (16,), 1e-4, (0, 1, 2, 3, 3, 3)),
+        ("blocks2d", (6, 5), 1e-5, (0, 1, 1, 1, 1, 1))], ids=["smooth1d-16", "blocks2d-6x5"])
+    def test_each_step_starts_at_its_extrapolation(self, system_1d, system_2d, monkeypatch,
+                                                   preset, shape, dt, orders):
+        # the first state a step evaluates is its old state at step 1, and
+        # then, to the bit, the extrapolation of the last q + 1 states,
+        # projected and scaled to the old cell sums, of order q = min(past
+        # states, 3); on the blocks data, whose exact zeros and floored
+        # entries put every history at the floor, of order 1 only
+        if preset == "blocks2d":
+            system, u0 = system_2d, _blocks_2d(uniform_rectangle(*shape))
+        else:
+            system = system_1d
+            u0 = preset_initial(InitialConfig(preset), uniform_interval(*shape), 3)
+        probe = SolverProbe(monkeypatch, dt)
+        states, marks = [u0.values], [0]
+
+        def sink(t, state, fluxes, stats):
+            states.append(state.values)
+            marks.append(len(probe.evaluations))
+
+        run(system, u0, dt, len(orders) * dt, sink=sink)
+        assert len(marks) == len(orders) + 1
+        for p, q in enumerate(orders):
+            u, older = states[p], states[p - 1::-1] if p else []
+            expected = {0: lambda: u,
+                        1: lambda: 2.0 * u - older[0],
+                        2: lambda: 3.0 * u - 3.0 * older[0] + older[1],
+                        3: lambda: 4.0 * u - 6.0 * older[0] + 4.0 * older[1] - older[2]}[q]()
+            if q:
+                expected = project_simplex(expected) * u.sum(axis=0)
+            assert np.array_equal(probe.evaluations[marks[p]].values, expected), (p, q)
 
     @pytest.mark.parametrize("preset, shape, dt",
                              [("blocks2d", (4, 4), 1e-5), ("nonsmooth1d", (8,), 1e-4),
