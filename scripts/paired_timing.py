@@ -11,10 +11,13 @@ round calls ``smfv_x.cli.main([COMMAND, "--config", CONFIG, "--out", ...])``
 once on each tree, with its printed lines discarded: A first in even
 rounds and B first in odd ones, so drift of the host's speed within a
 round falls on both sides alike.  One untimed call per tree comes first.
-The script prints both medians, the median of the per-round ratios B/A,
-the number of rounds B was faster, and whether the two trees' last
-outputs are byte-identical.  It exits 1 if a call returns a nonzero
-status.
+The script prints both trees' median wall times and median minor page
+faults per call (the change of ``ru_minflt`` over the call), the median of
+the per-round ratios B/A, the number of rounds B was faster, and whether
+the two trees' last outputs are byte-identical.  The faults show a change
+of heap layout, such as glibc's dynamic mmap threshold moving, which can
+move the wall time with the same outputs.  It exits 1 if a call returns a
+nonzero status.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import resource
 import statistics
 import sys
 import tempfile
@@ -54,28 +58,34 @@ def main(argv=None) -> int:
     a_dir, b_dir, config, command, rounds = args
     trees = {"A": load_tree(Path(a_dir), "smfv_a"), "B": load_tree(Path(b_dir), "smfv_b")}
     times = {"A": [], "B": []}
+    faults = {"A": [], "B": []}
     with tempfile.TemporaryDirectory() as tmp:
         def call(label):
             out = Path(tmp) / label
             cli_argv = [command, "--config", config, "--out", str(out)]
             with contextlib.redirect_stdout(io.StringIO()):
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 status = trees[label].main(cli_argv)
                 elapsed = time.perf_counter() - start
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if status != 0:
                 raise SystemExit(f"tree {label} exited {status}")
-            return elapsed
+            return elapsed, minflt
 
         for label in ("A", "B"):
             call(label)
         for r in range(int(rounds)):
             for label in ("A", "B") if r % 2 == 0 else ("B", "A"):
-                times[label].append(call(label))
+                elapsed, minflt = call(label)
+                times[label].append(elapsed)
+                faults[label].append(minflt)
         identical = outputs(Path(tmp) / "A") == outputs(Path(tmp) / "B")
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     wins = sum(b < a for a, b in zip(times["A"], times["B"]))
-    print(f"A median {statistics.median(times['A']):.4f} s  ({a_dir})")
-    print(f"B median {statistics.median(times['B']):.4f} s  ({b_dir})")
+    for label, src in (("A", a_dir), ("B", b_dir)):
+        print(f"{label} median {statistics.median(times[label]):.4f} s, "
+              f"{statistics.median(faults[label]):.0f} minor faults per call  ({src})")
     print(f"median ratio B/A {statistics.median(ratios):.3f}; B faster in {wins} of "
           f"{len(ratios)} rounds")
     print(f"outputs byte-identical: {'yes' if identical else 'no'}")

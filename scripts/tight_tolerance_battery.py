@@ -22,11 +22,11 @@ The cases:
 * the entropy-decay run: ``smooth1d`` on 64 cells at dt = 1e-4 through
   t = 0.2, 2,000 steps, as ``perfbench``'s decay1d workload.
 
-The script prints every case's distance and its steps' linear solves at
-both tolerances, and the SHA-256 digest of the final states of every
-case's runs, their bytes in case order, the shipped run's before the
-tight run's: two trees whose digests match computed the same states to
-the bit.  A case whose tight run raises ``NonConvergence`` has
+The script prints every case's distance and its steps' linear solves and
+LU factors at both tolerances, and the SHA-256 digest of the final states
+of every case's runs, their bytes in case order, the shipped run's before
+the tight run's: two trees whose digests match computed the same states
+to the bit.  A case whose tight run raises ``NonConvergence`` has
 an infinite distance: near rounding level the residual of a fine grid no
 longer decreases, and the 1e-15 iteration can stall.
 
@@ -87,37 +87,38 @@ def cases():
 
 
 def trajectory(system, u0, dt, steps):
-    """The states and the summed linear solves of ``steps`` steps from ``u0``."""
-    states, solves = [], [0]
+    """The states and the summed ``[solves, factors]`` of ``steps`` steps from ``u0``."""
+    states, work = [], [0, 0]
 
     def sink(t, state, fluxes, stats):
         states.append(state.values)
-        solves[0] += stats.newton_iterations
+        work[0] += stats.newton_iterations
+        work[1] += stats.lu_factors
 
     smfv.scheme.run(system, u0, dt, steps * dt, sink=sink)
-    return states, solves[0]
+    return states, work
 
 
 def distance(system, u0, dt, steps, digest):
-    """``(max |delta u|, solves, tight solves)`` of one case.
+    """``(max |delta u|, work, tight work)`` of one case, work as ``[solves, factors]``.
 
     Adds the bytes of the final state of each run that ends to ``digest``.
     Raises ``NonConvergence`` if the run at the shipped tolerance does;
-    where the tight run does, the distance and its solves are infinite.
+    where the tight run does, the distance and its work are infinite.
     """
     shipped = smfv.scheme.NEWTON_TOL
-    states, solves = trajectory(system, u0, dt, steps)
+    states, work = trajectory(system, u0, dt, steps)
     digest.update(states[-1].tobytes())
     smfv.scheme.NEWTON_TOL = TIGHT_TOL
     try:
-        tight, tight_solves = trajectory(system, u0, dt, steps)
+        tight, tight_work = trajectory(system, u0, dt, steps)
     except smfv.scheme.NonConvergence:
-        return math.inf, solves, math.inf
+        return math.inf, work, [math.inf, math.inf]
     finally:
         smfv.scheme.NEWTON_TOL = shipped
     digest.update(tight[-1].tobytes())
     far = max(float(np.abs(a - b).max()) for a, b in zip(states, tight))
-    return far, solves, tight_solves
+    return far, work, tight_work
 
 
 def main():
@@ -127,14 +128,15 @@ def main():
     digest = hashlib.sha256()
     for name, system, u0, dt, steps in cases():
         try:
-            far, solves, tight_solves = distance(system, u0, dt, steps, digest)
+            far, work, tight_work = distance(system, u0, dt, steps, digest)
         except smfv.scheme.NonConvergence as exc:
             failed.append(name)
             print(f"{name}: {exc}")
             continue
         bound = ACCEPTED.get(name, BOUND)
-        print(f"{name}: max |du| {far:.2e} (bound {bound:.1e}), solves {solves} "
-              f"at the shipped tolerance, {tight_solves} at {TIGHT_TOL:g}")
+        print(f"{name}: max |du| {far:.2e} (bound {bound:.1e}), (solves, factors) "
+              f"({work[0]}, {work[1]}) at the shipped tolerance, "
+              f"({tight_work[0]}, {tight_work[1]}) at {TIGHT_TOL:g}")
         if far > bound:
             further.append(name)
         elif name in ACCEPTED and far <= BOUND:

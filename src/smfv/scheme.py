@@ -94,10 +94,31 @@ attempt factors at its first iterate and keeps that LU while full
 updates at least halve the residual norm (``CHORD_CONTRACTION``).  A
 halving drops the LU, and so does a weaker contraction; a kept LU whose
 full update does not lower the residual is refactored at the same
-iterate.  Reuse never crosses an attempt: every attempt's first update
-is a full Newton update, which keeps the accepted states within rounding
-of full Newton's, whereas a factor carried over from the previous step
-moved final states by 1.2e-12.
+iterate.
+
+An LU may also serve the next steps of a run, as implicit Runge-Kutta
+codes keep theirs (Hairer and Wanner, section IV.8).  A step that ends on
+an update from an LU factored at the iterate x_f that update starts from,
+at a state whose every volume fraction lies above ``PROJECTION_FLOOR``,
+leaves the run's plan that LU, a copy of x_f in a buffer the plan
+allocates once, dt, and the norm of the step's first update.  The next
+step at the same dt solves for its first update with that LU before it
+assembles any Jacobian, and takes the update only by the error estimate
+below, with rate max(drift, rho), drift = max |x0 - x_f|/x0 from the
+step's start x0: the log mean is monotone and homogeneous, so drift
+bounds the Jacobian's relative change since the factor as rho bounds it
+over an update.  The carried solve is tried only when drift passes the
+same estimate with the previous step's first-update norm in place of the
+update's.  Otherwise, or when the update fails its estimate, the carried
+LU is dropped and the attempt goes on from the start's residual and edge
+terms, to the bit the iteration without it.  A step that ends on the
+carried LU keeps it for the next.  Near the floor the estimate is not
+honest, and a state there carries nothing: no step of the blocks data
+carries an LU.  A chain's LU overwrites the plan's band, so a carried LU
+is used before the next refill or not at all.  A factor carried with no
+drift test moved the shipped runs' final states by 1.2e-12; with it, the
+carried steps of the entropy-decay run below lie within 8e-14 of the
+same steps iterated to 1e-15.
 
 The iteration releases each LU and each iterate's edge terms as soon as
 it can no longer use them, so that at every edge evaluation at most one
@@ -105,8 +126,10 @@ of a live LU and another iterate's edge terms is alive.  A halving drops
 the LU, which a halved update never keeps, and the rejected trial before
 the next trial is evaluated.  A kept LU's trial runs without the edge
 terms of the iterate it starts from; if that update is rejected, they are
-recomputed, to the same bits, for the iterate's fresh factor.  The line
-search's trial, beside at most the LU, then sets the peak resident set.
+recomputed, to the same bits, for the iterate's fresh factor.  A
+carried LU is alive between steps, and beside the next start's edge
+terms only.  The line search's trial, beside at most the LU, then sets
+the peak resident set.
 Over two steps of the blocks data at dt = 1e-5 that peak is 77.3 MiB at
 70x70 and 131.8 MiB at 140x140, against 80.3 and 143.6 MiB with the LU
 and the earlier edge terms kept through the line search, for the same
@@ -126,17 +149,23 @@ edge composition, and with it the Jacobian's relative drift over the
 update: the Kantorovich quantity h, with which a Newton update leaves an
 error of about (h/2) |delta|.  That test comes before any trial residual,
 so a step that its first update ends costs one residual, one factor and
-one solve.  The update that follows a full Newton update, one from a
-fresh LU accepted without halving, is estimated also with the larger of
-theta, the ratio of the two updates' norms, and that Newton update's rho;
-an update from a kept LU is estimated only so.  Theta alone, Newton's
-quadratic contraction, understated the error left by factors of 600 and
-more on the blocks data and on high-contrast cases near zero volume
-fractions, and so did theta of two updates from a kept LU.  In the
-entropy-decay run (N=64, dt = 1e-4) every step from the 4th on ends at its
-first update, of 8.0e-8 and less, whose estimate is at most 7e-13; on the
-convergence study's union steps 2 to 4 take two solves each, the second
-ended by the estimate with theta, and every later step one.
+one solve, or one residual and one solve from a carried LU.  The update
+that follows a full Newton update, one from a fresh LU accepted without
+halving, is estimated also with the larger of theta, the ratio of the two
+updates' norms, and that Newton update's rho; an update from a kept LU is
+estimated only so.  Theta alone, Newton's quadratic contraction,
+understated the error left by factors of 600 and more on the blocks data
+and on high-contrast cases near zero volume fractions, and so did theta
+of two updates from a kept LU.  In the
+entropy-decay run (N=64, dt = 1e-4, 2,000 steps) every step from the 4th
+on ends at its first update, of 8.0e-8 and less, whose estimate is at
+most 7e-13.  From step 203 on, 1,730 steps solve for it with a carried
+LU, and one carried update fails its estimate: the run takes 2,006
+solves, 270 factors and 2,005 residuals, against 2,005, 2,000 and 2,005
+with no LU carried.  On the convergence study's union steps 2 to 4 take
+two solves each, the second ended by the estimate with theta, and every
+later step one, from a fresh factor: there drift is 1.7e-2 to 0.33
+against first updates of about 4e-9, and no carried solve is tried.
 
 The converged state is projected onto the unit simplex's interior by
 flooring at ``PROJECTION_FLOOR`` and renormalising; its fluxes are
@@ -287,8 +316,11 @@ class StepStats:
     ``newton_iterations`` counts linear solves, ``lu_factors`` the LU
     factorisations among them and ``residual_evaluations`` the residuals
     evaluated, line-search trials included, over both attempts of a step
-    that is solved again from its old state; a solve with a kept factor
-    makes the first exceed the second.
+    that is solved again from its old state.  A solve with a kept factor
+    makes the first exceed the second, and so does one with a factor
+    carried from an earlier step: a step that ends on a carried LU counts
+    one solve, no factor and one residual, and one whose carried update
+    fails its estimate one solve more than without it.
     """
 
     newton_iterations: int
@@ -710,11 +742,21 @@ class _StepPlan:
     pattern in a fill-reducing order, factored by SuperLU.  ``gathers``
     take a residual into the pattern's order and a solution out of it.
     All three are built at their first use, inside the first step.
+
+    ``carried`` is None, or ``(solve, dt, norm)``: the LU a step ended on,
+    factored at the iterate held in ``factored``, the step size of its
+    Jacobian, and the norm of the first update of the last step that ended
+    with it.  :func:`_chord_newton` takes it at the start of an attempt
+    (:meth:`take_carried`), so an LU serves at most the next step of the
+    plan, and sets it only as the attempt returns, before any other
+    refill of the pattern.  ``factored`` is allocated once, at the first
+    carry, and overwritten by every later one.
     """
 
     def __init__(self, mesh, n):
         self.mesh = mesh
         self.n = n
+        self.carried = None
 
     @functools.cached_property
     def chain(self):
@@ -760,6 +802,53 @@ class _StepPlan:
         # process in scipy 1.17.1 and is not used.
         return spla.splu(matrix, permc_spec="NATURAL", **SUPERLU_SETTINGS).solve
 
+    @functools.cached_property
+    def factored(self):
+        """The buffer of the iterate the carried LU was factored at."""
+        return np.empty((self.n, self.mesh.num_cells))
+
+    def carry(self, solve, x, dt, norm):
+        """Keep ``solve``, the LU factored at ``x``, for the next step at ``dt``."""
+        np.copyto(self.factored, x)
+        self.carried = (solve, dt, norm)
+
+    def take_carried(self, x, dt):
+        """The carried LU's ``(solve, drift)`` for an attempt at ``dt`` from ``x``, or None.
+
+        The plan no longer holds the LU afterwards.  drift = max |x - x_f|/x,
+        with x_f the factored iterate, bounds the Jacobian's relative change
+        since the factor as the rate of a Newton update does (see the
+        module docstring).  The LU is returned only at the step size it was
+        factored at, and only if drift passes the error estimate with the
+        carried first-update norm in place of the update's, whose norm it
+        predicts.
+        """
+        carried, self.carried = self.carried, None
+        if carried is None or carried[1] != dt or not x.min() > 0.0:
+            return None
+        solve, _, norm = carried
+        gap = np.subtract(x, self.factored)
+        np.abs(gap, out=gap)
+        with np.errstate(over="ignore"):
+            gap /= x
+        drift = float(gap.max())
+        if not drift * norm < (1.0 - drift) * NEWTON_TOL:
+            return None
+        return solve, drift
+
+
+def _relative_change(size, cand):
+    """max |delta|/cand from ``size`` = |delta|, which it overwrites.
+
+    Infinite when ``cand`` has an entry <= 0; a quotient that overflows
+    reads inf too, which no error estimate passes.
+    """
+    if not cand.min() > 0.0:
+        return math.inf
+    with np.errstate(over="ignore"):
+        size /= cand
+    return float(size.max())
+
 
 def _chord_newton(system, plan, x, old_values, dt, counts):
     """The chord-Newton root of the step from ``old_values``, iterated from ``x``.
@@ -771,6 +860,15 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     evaluation.  Raises :class:`NonConvergence` when the iteration budget or
     the halvings run out, or a factor or solve fails.
 
+    The attempt first takes the plan's carried LU (:meth:`_StepPlan.take_carried`)
+    and solves for its first update with it; that update ends the attempt
+    only by the error estimate with the carried LU's drift, and otherwise
+    the iteration goes on from ``x``, its residual and its edge terms as
+    without it.  An attempt that ends on an update from an LU factored at
+    the iterate the update starts from, at a candidate whose every entry
+    lies above ``PROJECTION_FLOOR``, leaves that LU to the plan; one that
+    ends on the carried LU keeps it there.
+
     Each LU and each iterate's edge terms are released as soon as the
     iteration can no longer use them: at every edge evaluation at most one
     of a live LU and another iterate's edge terms is alive (see the module
@@ -778,16 +876,33 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     """
     mesh = plan.mesh
     reduced = system.n - 1
+    carried = plan.take_carried(x, dt)
     delta = np.empty_like(x)
     res_norm = math.inf
     iterations = 0
     solve = None
     newton = None  # (norm, relative change) of the last update, if a full Newton update
+    first = None  # the norm of the attempt's first update
     try:
         res, edges = _residual_values(system, mesh, x, old_values, dt)
         counts[2] += 1
         res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
+        if carried is not None:
+            solve, drift = carried
+            delta[:reduced] = solve(-res.ravel()[into])[out_of]
+            delta[reduced] = -delta[:reduced].sum(axis=0)
+            counts[0] += 1
+            size = np.abs(delta)
+            first = float(size.max())
+            cand = x + delta
+            rate = max(drift, _relative_change(size, cand))
+            if rate * first < (1.0 - rate) * NEWTON_TOL:
+                if cand.min() > PROJECTION_FLOOR:
+                    plan.carried = (solve, dt, first)
+                return cand
+            # dropped: the iteration from x is the one without it
+            carried = solve = None
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = solve is not None
             if not stale:
@@ -806,27 +921,24 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             counts[0] += 1
             size = np.abs(delta)
             delta_norm = float(size.max())
+            if first is None:
+                first = delta_norm
             cand = x + delta
-            if delta_norm < NEWTON_TOL:
-                return cand
+            done = delta_norm < NEWTON_TOL
             # rate/(1 - rate) |delta| estimates the error left after this
             # update; a rate >= 1 never passes
-            if newton is not None:
+            if not done and newton is not None:
                 rate = max(delta_norm / newton[0], newton[1])
-                if rate * delta_norm < (1.0 - rate) * NEWTON_TOL:
-                    return cand
-            if not stale:
+                done = rate * delta_norm < (1.0 - rate) * NEWTON_TOL
+            if not done and not stale:
                 # a Newton update's rate is bounded by its largest relative
-                # change; a quotient that overflows reads inf, which no
-                # estimate passes
-                if cand.min() > 0.0:
-                    with np.errstate(over="ignore"):
-                        size /= cand
-                    change = float(size.max())
-                else:
-                    change = math.inf
-                if change * delta_norm < (1.0 - change) * NEWTON_TOL:
-                    return cand
+                # change
+                change = _relative_change(size, cand)
+                done = change * delta_norm < (1.0 - change) * NEWTON_TOL
+            if done:
+                if not stale and cand.min() > PROJECTION_FLOOR:
+                    plan.carry(solve, x, dt, first)
+                return cand
             del size  # before the line search, whose trial, beside at most the LU, sets the peak
 
             step = 1.0
@@ -894,15 +1006,23 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     rejected without halving: the LU is refactored at the same iterate,
     whose residual is known and whose edge terms are recomputed, and the
     system solved again.
-    The LU never outlives the attempt, so every attempt starts with a full
-    Newton update.  An update, from a fresh or a kept LU, is taken in full
-    and ends the iteration when its infinity norm is below ``NEWTON_TOL``,
-    or when the error it is estimated to leave is (see the module
-    docstring): an update from a fresh LU by its own largest relative
-    change, before its trial residual is evaluated, and an update that
-    follows a full Newton update also by the contraction of the two.  Any
-    other update from a fresh LU is halved until the residual norm drops.
-    Each factor refills the plan's one matrix in place.
+    An update, from a fresh or a kept LU, is taken in full and ends the
+    iteration when its infinity norm is below ``NEWTON_TOL``, or when the
+    error it is estimated to leave is (see the module docstring): an update
+    from a fresh LU by its own largest relative change, before its trial
+    residual is evaluated, and an update that follows a full Newton update
+    also by the contraction of the two.  Any other update from a fresh LU
+    is halved until the residual norm drops.  Each factor refills the
+    plan's one matrix in place.
+
+    With ``_plan`` shared between steps at one dt, as :func:`run` shares
+    it, a step whose last update came from an LU factored at the iterate
+    that update starts from, and whose state lies above
+    ``PROJECTION_FLOOR``, leaves that LU to the next; the next step's first
+    attempt solves for its first update with it, and ends on that update
+    only by the error estimate with the LU's drift (see the module
+    docstring).  Otherwise it drops the LU and iterates as without it.
+    Without ``_plan`` the step carries nothing in or out.
 
     Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
     projected state, computed at the first read of their values; ``stats``
@@ -956,7 +1076,9 @@ def run(system: SpeciesSystem, u0: StateField, dt: float, t_end: float,
 
     Every step stays on the mesh of ``u0``; from the second on, it is given
     up to ``EXTRAPOLATION_ORDER`` states before its old one, from which
-    :func:`newton_step` takes its extrapolated start.  After each step the
+    :func:`newton_step` takes its extrapolated start.  All steps share one
+    plan, through which a step may hand its LU to the next (see
+    :func:`newton_step`).  After each step the
     optional ``sink`` callback receives ``(t_p, state, fluxes, stats)``.  A
     Newton failure aborts the run (no adaptive stepping); the raised
     :class:`NonConvergence` carries the failing step index and time.

@@ -7,13 +7,20 @@ every flux read goes through it.  ``_StepPlan.factor`` makes every LU
 factor, band or SuperLU.  The probe records, in order, an
 :class:`Evaluation` per edge pass and a :class:`Factor` per factor, whose
 solves it counts through a solve function whose lifetime a weak set
-follows.
+follows.  A solve may come in a later step than its factor, when the
+plan carries the LU.
 
 Every factor is made at the state of the most recent edge evaluation: the
 probe asserts, at each factor, that the matrix is to the bit the one the
 scheme builds from a fresh edge pass at that state.  The factored states,
 the rejected candidates, the recomputations, the flux reads and the LU
 lifetimes all follow from that one fact and the order of the events.
+
+Every solve is made with storage that no refill has touched since its
+factor: the probe asserts, at each solve, that the factored matrix holds
+what it held right after the factor.  On the band path ``dgbtrf``
+overwrites the plan's band with the LU, so a solve after the next refill
+of that band would use another matrix's entries.
 """
 
 import weakref
@@ -43,11 +50,13 @@ class Evaluation:
 
 @dataclass
 class Factor:
-    """One LU factor: the matrix object, a copy of it as factored, the index
-    of the evaluation it was made at, and the number of solves made with it."""
+    """One LU factor: the matrix object, a copy of it as factored, a copy of
+    it right after the factor, the index of the evaluation it was made at,
+    and the number of solves made with it."""
 
     matrix: object
     filled: object
+    stored: object
     evaluation: int
     solves: int = 0
 
@@ -59,7 +68,10 @@ class _Solve:
         self._solve, self._factor = solve, factor
 
     def __call__(self, rhs):
-        self._factor.solves += 1
+        factor = self._factor
+        assert np.array_equal(_entries(factor.matrix), _entries(factor.stored)), \
+            "a solve with an LU whose storage was refilled since its factor"
+        factor.solves += 1
         return self._solve(rhs)
 
 
@@ -98,12 +110,17 @@ class SolverProbe:
         return sum(factor.solves for factor in self.factors)
 
     @property
+    def live(self):
+        """The number of LUs alive now."""
+        return len(self._live)
+
+    @property
     def recomputations(self):
         return sum(evaluation.repeated for evaluation in self.evaluations)
 
     def _evaluate(self, system, mesh, values):
-        alive = len(self._live) + sum(earlier.inverse() is not None
-                                      for earlier in self.evaluations)
+        alive = self.live + sum(earlier.inverse() is not None
+                                for earlier in self.evaluations)
         since = self.factors[-1].evaluation if self.factors else 0
         repeated = any(np.array_equal(values, earlier.values)
                        for earlier in self.evaluations[since:])
@@ -123,8 +140,10 @@ class SolverProbe:
                                                 (_copy(matrix), slot, perm))
         assert np.array_equal(_entries(matrix), _entries(expected)), \
             "an LU factor not made at the state of the most recent edge evaluation"
-        record = Factor(matrix, _copy(matrix), index)
-        solve = _Solve(factor(plan, matrix), record)
+        filled = _copy(matrix)
+        solve = factor(plan, matrix)
+        record = Factor(matrix, filled, _copy(matrix), index)
+        solve = _Solve(solve, record)
         self._live.add(solve)
         self.factors.append(record)
         return solve

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -597,15 +598,28 @@ class TestNewtonLinearSolve:
                 default_stats.newton_iterations, default_stats.lu_factors)
             assert np.abs(values - default_values).max() <= 1e-14
 
-    def test_shared_plan_matches_fresh_plans(self, system_2d):
+    def test_shared_plan_matches_fresh_plans(self, system_2d, monkeypatch):
         # a run's one plan gives, to the bit, the states and counts of steps
         # that each order and build their pattern afresh, given the previous
-        # states as the run gives them
+        # states as the run gives them.  The blocks data's states lie at the
+        # projection floor, so no step leaves its LU to the next: no LU is
+        # alive after a step, and every solve of a step is made with a
+        # factor of that step
         mesh = uniform_rectangle(8, 8)
         dt = 1e-5
-        shared = []
-        run(system_2d, _blocks_2d(mesh), dt, 3 * dt,
-            sink=lambda t, s, f, stats: shared.append((s, stats)))
+        probe = SolverProbe(monkeypatch, dt)
+        shared, made = [], [0]
+
+        def sink(t, s, f, stats):
+            assert probe.live == 0
+            shared.append((s, stats))
+            made.append(len(probe.factors))
+
+        run(system_2d, _blocks_2d(mesh), dt, 3 * dt, sink=sink)
+        solves = [factor.solves for factor in probe.factors]
+        assert [sum(solves[a:b]) for a, b in zip(made, made[1:])] == [
+            stats.newton_iterations for _, stats in shared]
+        monkeypatch.undo()
         state, previous = _blocks_2d(mesh), ()
         for shared_state, shared_stats in shared:
             new, _, stats = newton_step(system_2d, state, dt, _previous=previous)
@@ -977,15 +991,66 @@ class TestNewtonSolve:
         # t = 0.2: from step 4 on the first update from the cubic start,
         # 8.0e-8 and less, changes no volume fraction by more than 8.8e-6
         # relative, so the error it leaves is estimated below NEWTON_TOL
-        # before any trial residual
+        # before any trial residual.  From step 203 on most steps solve for
+        # it with the LU an earlier step ended on, with no Jacobian and no
+        # factor; one such update misses its estimate, and its step goes on
+        # from the same start and residual with a fresh factor
         mesh = uniform_interval(64)
         u0 = preset_initial(InitialConfig("smooth1d"), mesh, 3)
         steps = []
         run(system_1d, u0, 1e-4, 0.2, sink=lambda t, s, f, stats: steps.append(stats))
-        late = steps[3:]
+        late = [(stats.newton_iterations, stats.lu_factors, stats.residual_evaluations)
+                for stats in steps[3:]]
         assert len(late) == 1997
-        assert all((stats.newton_iterations, stats.lu_factors, stats.residual_evaluations)
-                   == (1, 1, 1) for stats in late)
+        assert Counter(late) == {(1, 0, 1): 1730, (1, 1, 1): 266, (2, 1, 1): 1}
+        assert late.index((1, 0, 1)) + 4 == 203
+
+    def test_carried_lu_steps_are_within_tolerance_of_a_tight_step(self, system_1d,
+                                                                   monkeypatch):
+        # the entropy-decay run through t = 0.03: every step that ends on a
+        # carried LU lies within NEWTON_TOL of the same step, from the same
+        # start, iterated to 1e-15 with a fresh plan, which factors
+        mesh = uniform_interval(64)
+        dt = 1e-4
+        states = [preset_initial(InitialConfig("smooth1d"), mesh, 3)]
+        carried = []
+
+        def sink(t, state, fluxes, stats):
+            states.append(state)
+            if stats.lu_factors == 0:
+                carried.append(len(states) - 1)
+
+        run(system_1d, states[0], dt, 0.03, sink=sink)
+        assert len(carried) > 50
+        monkeypatch.setattr(smfv.scheme, "NEWTON_TOL", 1e-15)
+        for p in carried:
+            previous = tuple(states[p - 2 - j] for j in range(3))
+            tight, _, stats = newton_step(system_1d, states[p - 1], dt, _previous=previous)
+            assert stats.lu_factors >= 1
+            assert np.abs(tight.values - states[p].values).max() <= NEWTON_TOL
+
+    def test_shared_plan_at_another_dt_factors_afresh(self, system_1d):
+        # the entropy-decay run's plan carries an LU into step 203 at
+        # dt = 1e-4, and drops it for a step at the next double: that step
+        # factors, and equals the one a fresh plan takes to the bit.  Two
+        # plans take the first 202 steps alike
+        mesh = uniform_interval(64)
+        dt = 1e-4
+        plans = [smfv.scheme._StepPlan(mesh, 3) for _ in range(2)]
+        state, previous = preset_initial(InitialConfig("smooth1d"), mesh, 3), ()
+        for _ in range(202):
+            for plan in plans:
+                new, _, _ = newton_step(system_1d, state, dt, _plan=plan, _previous=previous)
+            state, previous = new, (state, *previous)[:3]
+        _, _, same = newton_step(system_1d, state, dt, _plan=plans[0], _previous=previous)
+        assert (same.newton_iterations, same.lu_factors) == (1, 0)
+        other = np.nextafter(dt, 1.0)
+        fresh, _, fresh_stats = newton_step(system_1d, state, other, _previous=previous)
+        shared, _, shared_stats = newton_step(system_1d, state, other, _plan=plans[1],
+                                              _previous=previous)
+        assert shared_stats == fresh_stats
+        assert shared_stats.lu_factors == 1
+        assert np.array_equal(shared.values, fresh.values)
 
     def test_convergence_union_stops_on_the_error_estimate(self, system_1d):
         # the convergence study's union (reference 1024, grids 16..128) on
