@@ -23,7 +23,7 @@ The sweep is a gate: ``ACCEPTED_FAILURES`` holds the ids of the cases
 known to fail.  The last two lines list the failing cases outside that set
 (``new failures:``) and the accepted ones that now pass (``rescued:``), and
 the script exits 1 when there is a new failure.  A change that rescues
-cases shrinks the set; none may grow it.  The 300 cases take about 6 s on
+cases shrinks the set; none may grow it.  The 300 cases take about 3 s on
 a 2-core VM with Python 3.11.
 """
 

@@ -11,10 +11,12 @@ round calls ``smfv_x.cli.main([COMMAND, "--config", CONFIG, "--out", ...])``
 once on each tree, with its printed lines discarded: A first in even
 rounds and B first in odd ones, so drift of the host's speed within a
 round falls on both sides alike.  One untimed call per tree comes first.
-The script prints both trees' median wall times and median minor page
-faults per call (the change of ``ru_minflt`` over the call), the median of
-the per-round ratios B/A, the number of rounds B was faster, and whether
-the two trees' last outputs are byte-identical.  The faults show a change
+The script prints both trees' median wall times with their quartiles and
+median minor page faults per call (the change of ``ru_minflt`` over the
+call), the median of the per-round ratios B/A with its quartiles, the
+number of rounds B was faster, and whether the two trees' last outputs are
+byte-identical.  A gain resolves when B wins nearly every round and the
+medians differ by more than A's quartile spread, which one run shows.  The faults show a change
 of heap layout, such as glibc's dynamic mmap threshold moving, which can
 move the wall time with the same outputs.  It exits 1 if a call returns a
 nonzero status.
@@ -43,6 +45,17 @@ def load_tree(src_root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def quartiles(values):
+    """The first and third quartiles, by ``statistics.quantiles``' default method.
+
+    One value is its own quartiles.
+    """
+    if len(values) < 2:
+        return values[0], values[0]
+    low, _, high = statistics.quantiles(values, n=4)
+    return low, high
 
 
 def outputs(out_dir: Path) -> dict:
@@ -84,10 +97,13 @@ def main(argv=None) -> int:
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     wins = sum(b < a for a, b in zip(times["A"], times["B"]))
     for label, src in (("A", a_dir), ("B", b_dir)):
-        print(f"{label} median {statistics.median(times[label]):.4f} s, "
+        low, high = quartiles(times[label])
+        print(f"{label} median {statistics.median(times[label]):.4f} s "
+              f"(quartiles {low:.4f}-{high:.4f}), "
               f"{statistics.median(faults[label]):.0f} minor faults per call  ({src})")
-    print(f"median ratio B/A {statistics.median(ratios):.3f}; B faster in {wins} of "
-          f"{len(ratios)} rounds")
+    low, high = quartiles(ratios)
+    print(f"median ratio B/A {statistics.median(ratios):.3f} (quartiles {low:.3f}-{high:.3f}); "
+          f"B faster in {wins} of {len(ratios)} rounds")
     print(f"outputs byte-identical: {'yes' if identical else 'no'}")
     return 0
 

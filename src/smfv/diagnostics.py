@@ -61,21 +61,35 @@ def relative_entropy(state: StateField, m) -> float:
     Equals entropy(u) - entropy(m) when m carries the same species masses
     as the state.
     """
+    return _relative_entropy_to(m, state.values.shape[0])(state)
+
+
+def _relative_entropy_to(m, n):
+    """The function ``state -> relative_entropy(state, m)`` for states of n species.
+
+    m is checked and its logarithm taken here, once, for a run's every
+    state; each value is that of :func:`relative_entropy` to the bit.
+    """
     m = np.asarray(m, dtype=float)
-    if m.shape != (state.values.shape[0],):
+    if m.shape != (n,):
         raise ValueError("m must be one composition value per species")
     if (m <= 0.0).any():
         raise ValueError("relative entropy requires strictly positive m")
-    u = state.values
-    low = u.min()
-    if low < 0.0:
-        raise ValueError("relative entropy requires nonnegative volume fractions")
-    if low > 0.0:  # the projected states of a run: no zero entry to mask
-        terms = u * (np.log(u) - np.log(m)[:, None])
-    else:
-        logs = np.log(np.where(u > 0.0, u, 1.0)) - np.log(m)[:, None]
-        terms = np.where(u > 0.0, u * logs, 0.0)
-    return float((state.mesh.cell_measures * terms).sum())
+    log_m = np.log(m)[:, None]
+
+    def of(state):
+        u = state.values
+        low = state.min_fraction()
+        if low < 0.0:
+            raise ValueError("relative entropy requires nonnegative volume fractions")
+        if low > 0.0:  # the projected states of a run: no zero entry to mask
+            terms = u * (np.log(u) - log_m)
+        else:
+            logs = np.log(np.where(u > 0.0, u, 1.0)) - log_m
+            terms = np.where(u > 0.0, u * logs, 0.0)
+        return float((state.mesh.cell_measures * terms).sum())
+
+    return of
 
 
 @dataclass(frozen=True)

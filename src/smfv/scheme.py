@@ -162,7 +162,16 @@ on ends at its first update, of 8.0e-8 and less, whose estimate is at
 most 7e-13.  From step 203 on, 1,730 steps solve for it with a carried
 LU, and one carried update fails its estimate: the run takes 2,006
 solves, 270 factors and 2,005 residuals, against 2,005, 2,000 and 2,005
-with no LU carried.  On the convergence study's union steps 2 to 4 take
+with no LU carried.  A carried step there does its residual, its solve
+and its error estimate and little else: the start is summed in one buffer
+from a table of weights, the smallest volume fraction of each state, which
+the floor test of up to four starts reads, is computed once per state, the
+start's residual norm only if the carried update is dropped, the
+candidate's minimum once for the estimate and the carry, and the
+projection is made in place on the iterate.  Such a step, its sink's
+relative entropy included, took a median 105 us in process against 121 us
+with each of these computed afresh (2-core VM, Python 3.11, numpy 2.4).
+On the convergence study's union steps 2 to 4 take
 two solves each, the second ended by the estimate with theta, and every
 later step one, from a fresh factor: there drift is 1.7e-2 to 0.33
 against first updates of about 4e-9, and no carried solve is tried.
@@ -181,7 +190,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,6 +207,11 @@ CHORD_CONTRACTION = 0.5     # largest residual-norm ratio of a full update that 
 PROJECTION_FLOOR = 1e-12    # smallest volume fraction after a step
 EXTRAPOLATION_ORDER = 3     # highest order of a step's extrapolated start
 MAX_STEP_RATIO = 1e12       # T/dt bound below which num_time_steps is exact
+
+# _EXTRAPOLATION[q][j] = (-1)^j C(q + 1, j + 1) weighs the j-th state, most
+# recent first, in the start of order q; row 0 is unused.
+_EXTRAPOLATION = tuple(tuple(float((-1) ** j * math.comb(q + 1, j + 1)) for j in range(q + 1))
+                       for q in range(EXTRAPOLATION_ORDER + 1))
 
 # SuperLU settings of every factor and of the order's incomplete factor.
 # With n - 1 unknowns per cell, two for three species, the supernodes are
@@ -252,21 +266,31 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class StateField:
-    """Per-cell volume fractions, shape (n_species, n_cells), and species masses."""
+    """Per-cell volume fractions, shape (n_species, n_cells), and species masses.
+
+    The values are not changed after construction: the species masses
+    ``mass_vector`` and the smallest volume fraction are computed at their
+    first read, once per state.
+    """
 
     mesh: Mesh
     values: np.ndarray
-    mass_vector: np.ndarray = field(init=False)
+    _low = None  # the smallest volume fraction, once computed
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         if vals.ndim != 2 or vals.shape[1] != self.mesh.num_cells:
             raise ValueError("state values must have shape (n_species, n_cells)")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mass_vector", vals @ self.mesh.cell_measures)
+
+    @functools.cached_property
+    def mass_vector(self) -> np.ndarray:
+        return self.values @ self.mesh.cell_measures
 
     def min_fraction(self) -> float:
-        return float(self.values.min())
+        if self._low is None:
+            object.__setattr__(self, "_low", float(self.values.min()))
+        return self._low
 
     def sum_deviation(self) -> float:
         """Largest per-cell deviation of the species sum from one."""
@@ -715,19 +739,24 @@ def project_simplex(u) -> np.ndarray:
     exceeds one, a floored component lands one part in 1/floor below the
     floor after normalisation.
     """
-    v = np.maximum(np.asarray(u, dtype=float), PROJECTION_FLOOR)
+    return _floor_and_normalise(np.asarray(u, dtype=float))
+
+
+def _floor_and_normalise(u, out=None):
+    """:func:`project_simplex` of the float array ``u``, written into ``out`` if given."""
+    v = np.maximum(u, PROJECTION_FLOOR, out=out)
     v /= v.sum(axis=0)
     return v
 
 
 def _project_values(values):
-    """Cellwise floor-and-renormalise, then clamp back to the floor.
+    """Cellwise floor-and-renormalise, then clamp back to the floor, in place.
 
     The renormalisation can round a floored entry one part in 1/floor below
     the floor; the final clamp keeps every entry at or above the floor while
     moving cell sums away from one by at most a few units of n*floor^2.
     """
-    v = project_simplex(values)
+    v = _floor_and_normalise(values, out=values)
     return np.maximum(v, PROJECTION_FLOOR, out=v)
 
 
@@ -837,13 +866,13 @@ class _StepPlan:
         return solve, drift
 
 
-def _relative_change(size, cand):
-    """max |delta|/cand from ``size`` = |delta|, which it overwrites.
+def _relative_change(size, cand, low):
+    """max |delta|/cand from ``size`` = |delta|, which it overwrites, and ``low`` = min(cand).
 
     Infinite when ``cand`` has an entry <= 0; a quotient that overflows
     reads inf too, which no error estimate passes.
     """
-    if not cand.min() > 0.0:
+    if not low > 0.0:
         return math.inf
     with np.errstate(over="ignore"):
         size /= cand
@@ -886,7 +915,6 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     try:
         res, edges = _residual_values(system, mesh, x, old_values, dt)
         counts[2] += 1
-        res_norm = float(np.abs(res).max())
         into, out_of = plan.gathers
         if carried is not None:
             solve, drift = carried
@@ -896,13 +924,15 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             size = np.abs(delta)
             first = float(size.max())
             cand = x + delta
-            rate = max(drift, _relative_change(size, cand))
+            low = cand.min()
+            rate = max(drift, _relative_change(size, cand, low))
             if rate * first < (1.0 - rate) * NEWTON_TOL:
-                if cand.min() > PROJECTION_FLOOR:
+                if low > PROJECTION_FLOOR:
                     plan.carried = (solve, dt, first)
                 return cand
             # dropped: the iteration from x is the one without it
             carried = solve = None
+        res_norm = float(np.abs(res).max())
         for iterations in range(1, MAX_NEWTON_ITERS + 1):
             stale = solve is not None
             if not stale:
@@ -924,6 +954,9 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             if first is None:
                 first = delta_norm
             cand = x + delta
+            # a fresh LU's candidate needs its minimum for the estimate or
+            # for the carry, a kept LU's for neither
+            low = None if stale else cand.min()
             done = delta_norm < NEWTON_TOL
             # rate/(1 - rate) |delta| estimates the error left after this
             # update; a rate >= 1 never passes
@@ -933,10 +966,10 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             if not done and not stale:
                 # a Newton update's rate is bounded by its largest relative
                 # change
-                change = _relative_change(size, cand)
+                change = _relative_change(size, cand, low)
                 done = change * delta_norm < (1.0 - change) * NEWTON_TOL
             if done:
-                if not stale and cand.min() > PROJECTION_FLOOR:
+                if not stale and low > PROJECTION_FLOOR:
                     plan.carry(solve, x, dt, first)
                 return cand
             del size  # before the line search, whose trial, beside at most the LU, sets the peak
@@ -1043,9 +1076,12 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
         # of order q > 1 from there moved accepted states past 1e-12
         if not all(s.min_fraction() > PROJECTION_FLOOR for s in states):
             states = states[:2]
-        q = len(states) - 1
-        start = project_simplex(sum((-1) ** j * math.comb(q + 1, j + 1) * s.values
-                                    for j, s in enumerate(states)))
+        # the sum of the weighted states, in order, in one buffer
+        weights = _EXTRAPOLATION[len(states) - 1]
+        start = np.multiply(u_old.values, weights[0])
+        for weight, s in zip(weights[1:], states[1:]):
+            start += weight * s.values
+        _floor_and_normalise(start, out=start)
         start *= u_old.values.sum(axis=0)
         try:
             x = _chord_newton(system, plan, start, u_old.values, dt, counts)
@@ -1055,6 +1091,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
         x = _chord_newton(system, plan, u_old.values, u_old.values, dt, counts)
 
     pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
+    # x is the iteration's own array, projected in place
     state = StateField(mesh, _project_values(x))
     return state, FluxField._of_state(system, state), StepStats(
         counts[0], pre_projection_dev, counts[1], counts[2])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smfv.checks
+import smfv.cli
 from _probe import SolverProbe
 from smfv.cli import (_SNAPSHOT_ROWS, _write_snapshot, cmd_check, cmd_convergence,
                       cmd_entropy_decay, cmd_run, fit_decay_rate, main)
@@ -158,8 +159,6 @@ class TestCmdConvergence:
     def test_table_preset_fails_before_any_step(self, tmp_path, monkeypatch):
         # the initial state is built on the union of all grids, which no
         # table matches, so no step runs
-        import smfv.cli
-
         def no_run(*args):
             raise AssertionError("a step ran")
 
@@ -224,6 +223,35 @@ class TestCmdEntropyDecay:
         run(config.species, u0, 1e-4, 5e-4, lambda t, s, f, stats: states.append(s))
         _, rows = read_csv(tmp_path / "out" / "entropy.csv")
         assert [r[1] for r in rows] == [f"{relative_entropy(s, m):.17g}" for s in states]
+
+    def test_states_keep_their_facts_and_entropies_to_the_bit(self, tmp_path, monkeypatch):
+        # every state the run hands the entropy-decay sink, carried steps
+        # included, keeps the smallest fraction and the masses it had then,
+        # and they are those of its values computed afresh; the sink's
+        # column is diagnostics.relative_entropy of each state, to the bit
+        out = tmp_path / "out"
+        config = load_config(smooth_doc(out, dt=1e-4, t_end=0.021, n_cells=64))
+        seen = []
+
+        def recording_run(system, u0, dt, t_end, sink):
+            def record(t, state, fluxes, stats):
+                sink(t, state, fluxes, stats)
+                seen.append((state, state.min_fraction(), state.mass_vector, stats))
+
+            seen.append((u0, u0.min_fraction(), u0.mass_vector, None))
+            return run(system, u0, dt, t_end, record)
+
+        monkeypatch.setattr(smfv.cli, "run", recording_run)
+        assert cmd_entropy_decay(config) == 0
+        assert len(seen) == 211
+        assert any(stats.lu_factors == 0 for _, _, _, stats in seen[1:])
+        m = equilibrium_composition(seen[0][0])
+        _, rows = read_csv(out / "entropy.csv")
+        for (state, low, masses, _), row in zip(seen, rows, strict=True):
+            assert state.min_fraction() == low == state.values.min()
+            assert state.mass_vector is masses
+            assert np.array_equal(masses, state.values @ state.mesh.cell_measures)
+            assert float(row[1]) == relative_entropy(state, m)
 
     def test_slower_diffusion_slows_decay(self, tmp_path):
         fast_doc = smooth_doc(tmp_path / "fast", dt=2e-3, t_end=0.1, n_cells=12)

@@ -1305,6 +1305,42 @@ class TestRun:
             assert fluxes.values is values
             assert np.array_equal(values, _edge_fluxes(system_1d, mesh, state.values)[0])
 
+    @pytest.mark.parametrize("preset, shape, coeffs, dt, steps", [
+        ("smooth1d", (64,), None, 1e-4, 210),
+        ("blocks2d", (6, 5), None, 1e-5, 6),
+        ("nonsmooth1d", (17,), (0.005188124881933273, 0.0011713570427690921,
+                                0.14772572217222374), 0.0064712154501544135, 3),
+    ], ids=["smooth1d-64-carried", "blocks2d-6x5-floored", "nonsmooth1d-17-restarted"])
+    def test_steps_write_into_no_state_they_read(self, system_1d, system_2d, preset, shape,
+                                                 coeffs, dt, steps):
+        # a step builds its start and projects its iterate in arrays it
+        # owns: the old state and the earlier ones it extrapolates from keep
+        # their values through the carried steps of the entropy-decay run
+        # (from step 203), the floored states of the blocks data, and a
+        # step whose extrapolated start fails and that is solved again from
+        # its old state's values (case 101 of scripts/high_contrast_sweep.py)
+        if preset == "blocks2d":
+            system, u0 = system_2d, _blocks_2d(uniform_rectangle(*shape))
+        else:
+            system = system_1d
+            if coeffs is not None:
+                c12, c13, c23 = coeffs
+                system = build_system([[0.0, c12, c13], [c12, 0.0, c23], [c13, c23, 0.0]])
+            u0 = preset_initial(InitialConfig(preset), uniform_interval(*shape), 3)
+        seen = [(u0, u0.values.copy())]
+        factors = []
+
+        def sink(t, state, fluxes, stats):
+            seen.append((state, state.values.copy()))
+            factors.append(stats.lu_factors)
+
+        run(system, u0, dt, steps * dt, sink=sink)
+        assert len(seen) == steps + 1
+        if preset == "smooth1d":
+            assert 0 in factors  # a step that solved with a carried LU
+        for state, values in seen:
+            assert np.array_equal(state.values, values)
+
     def test_step_count_and_times(self, system_1d):
         mesh = uniform_interval(4)
         u0 = StateField(mesh, np.full((3, 4), 1.0 / 3.0))
