@@ -10,11 +10,12 @@ call is a new Python process that imports ``smfv`` from one tree's ``src``
 and calls ``smfv.cli.main([COMMAND, "--config", CONFIG, "--out", ...])``
 with its printed lines discarded, A first in even rounds and B first in odd
 ones.  The process runs with the settings of a benchmark memory
-repetition: glibc's mmap threshold fixed (``MALLOC_MMAP_THRESHOLD_``), so
-freed large arrays leave the heap and the peak is the live high-water mark;
-one BLAS and OpenMP thread; ``PYTHONHASHSEED=0``; and address-space
-randomisation off for that process alone (its own personality, set
-between fork and exec), with which its peak repeats exactly.
+repetition, read from ``perfbench/run.py`` and ``perfbench/child.py``:
+glibc's mmap threshold fixed (``MALLOC_MMAP_THRESHOLD_``), so freed large
+arrays leave the heap and the peak is the live high-water mark; one BLAS
+and OpenMP thread; ``PYTHONHASHSEED=0``; and address-space randomisation
+off for that process alone (its own personality, set between fork and
+exec), with which its peak repeats exactly.
 
 Every round prints each tree's peak resident set (VmHWM of the process's
 own address space) and minor page faults (``ru_minflt``); the summary gives
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -36,11 +36,10 @@ from pathlib import Path
 
 from paired_timing import outputs
 
-ADDR_NO_RANDOMIZE = 0x0040000  # from <sys/personality.h>
-ENV = {"MALLOC_MMAP_THRESHOLD_": "131072", "PYTHONHASHSEED": "0",
-       "PYTHONDONTWRITEBYTECODE": "1"}
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+# the benchmark's memory repetition settings, defined there once
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from child import ADDR_NO_RANDOMIZE  # noqa: E402
+from run import child_env  # noqa: E402
 
 # Run in the child: one CLI call, then its peak and page faults as JSON.
 CHILD = """
@@ -66,9 +65,8 @@ def _without_aslr():
 
 def measure(tree: Path, cli_argv) -> dict:
     """One CLI call in a fresh process on ``tree``; returns the child's JSON record."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ENV)
-    env.update({name: "1" for name in THREAD_VARS})
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(cli_argv)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(cli_argv)],
+                          env=child_env(tree, "memory"),
                           capture_output=True, text=True, preexec_fn=_without_aslr)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: the call failed with exit {proc.returncode}\n{proc.stderr}")

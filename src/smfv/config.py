@@ -20,7 +20,6 @@ from .scheme import MAX_STEP_RATIO, StateField
 
 PRESETS = ("smooth1d", "nonsmooth1d", "blocks2d", "uniform", "table")
 _PRESET_DIMENSION = {"smooth1d": 1, "nonsmooth1d": 1, "blocks2d": 2}
-_PROFILE_TOL = 1e-12   # initial profiles: least value and cell-sum deviation
 
 
 class ConfigError(ValueError):
@@ -110,10 +109,15 @@ def _check_keys(section: dict, allowed, where: str):
             raise ConfigError(f"{where}.{key} is not a recognised field")
 
 
-def _parse_mesh(raw) -> MeshConfig:
+def _check_section(raw, allowed, where: str):
+    """Require the section ``where`` to be an object whose keys are all ``allowed``."""
     if not isinstance(raw, dict):
-        raise ConfigError("mesh must be an object")
-    _check_keys(raw, {"dimension", "N", "Nx", "Ny"}, "mesh")
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(raw, allowed, where)
+
+
+def _parse_mesh(raw) -> MeshConfig:
+    _check_section(raw, {"dimension", "N", "Nx", "Ny"}, "mesh")
     dim = _require(raw, "dimension", "mesh")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (1, 2):
         raise ConfigError("mesh.dimension must be 1 or 2")
@@ -123,9 +127,7 @@ def _parse_mesh(raw) -> MeshConfig:
 
 
 def _parse_species(raw) -> SpeciesSystem:
-    if not isinstance(raw, dict):
-        raise ConfigError("species must be an object")
-    _check_keys(raw, {"n", "c"}, "species")
+    _check_section(raw, {"n", "c"}, "species")
     c = _require(raw, "c", "species")
     try:
         system = build_system(c)
@@ -137,9 +139,7 @@ def _parse_species(raw) -> SpeciesSystem:
 
 
 def _parse_time(raw) -> TimeConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("time must be an object")
-    _check_keys(raw, {"dt", "T"}, "time")
+    _check_section(raw, {"dt", "T"}, "time")
     dt = _as_positive_float(_require(raw, "dt", "time"), "time.dt")
     t_end = _as_positive_float(_require(raw, "T", "time"), "time.T")
     if t_end < dt:
@@ -153,9 +153,7 @@ def _parse_time(raw) -> TimeConfig:
 def _parse_output(raw, t_end: float) -> OutputConfig:
     if raw is None:
         return OutputConfig()
-    if not isinstance(raw, dict):
-        raise ConfigError("output must be an object")
-    _check_keys(raw, {"directory", "snapshot_times", "diagnostics_every"}, "output")
+    _check_section(raw, {"directory", "snapshot_times", "diagnostics_every"}, "output")
     directory = raw.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory must be a nonempty string")
@@ -173,9 +171,7 @@ def _parse_output(raw, t_end: float) -> OutputConfig:
 def _parse_convergence(raw) -> ConvergenceConfig:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigError("convergence must be an object")
-    _check_keys(raw, {"grids", "ref"}, "convergence")
+    _check_section(raw, {"grids", "ref"}, "convergence")
     return convergence_study(_require(raw, "grids", "convergence"),
                              _require(raw, "ref", "convergence"))
 
@@ -310,9 +306,8 @@ def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
             if not isinstance(row, list) or len(row) != n:
                 raise ConfigError("initial.values rows must list one fraction "
                                   "per species")
-            if not is_simplex_point(np.array(row, dtype=float)):
-                raise ConfigError("initial.values rows must be points of the "
-                                  "unit simplex")
+        if not is_simplex_point(np.array(values, dtype=float).T):
+            raise ConfigError("initial.values rows must be points of the unit simplex")
     return InitialConfig(preset, params)
 
 
@@ -387,11 +382,14 @@ def _box_average(mesh: Mesh, blocks, n: int) -> np.ndarray:
 
 
 def _validate_state_values(values):
-    if np.any(values < -_PROFILE_TOL):
-        raise ConfigError("initial profile takes negative values")
-    sums = values.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > _PROFILE_TOL):
-        raise ConfigError("initial profile cell values must sum to one")
+    """Check an initial profile, one composition per column, and make it non-negative.
+
+    Its negative entries, rounding errors of at most 1e-12 that
+    :func:`is_simplex_point` accepts, are set to 0 in place.
+    """
+    if not is_simplex_point(values):
+        raise ConfigError("initial profile cell values must be points of the unit simplex")
     # every species must be present: positive initial mass
     if np.any(values.max(axis=1) <= 0.0):
         raise ConfigError("initial profile must give every species positive mass")
+    values[values < 0.0] = 0.0

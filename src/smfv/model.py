@@ -104,7 +104,16 @@ def mat_B(system: SpeciesSystem, v) -> np.ndarray:
     return s / v[:, None]
 
 
+def _sum_deviation(values) -> float:
+    """Largest deviation from one of a column sum of ``values``; a vector is one column."""
+    return float(np.abs(values.sum(axis=0) - 1.0).max())
+
+
 def is_simplex_point(v) -> bool:
-    """Membership test for the closed unit simplex, up to 1e-12."""
+    """Membership test for the closed unit simplex, up to 1e-12.
+
+    ``v`` is one composition, or one per column of a 2D array, each of
+    which must be a member.
+    """
     v = np.asarray(v, dtype=float)
-    return bool(np.all(v >= -_SIMPLEX_TOL) and abs(float(v.sum()) - 1.0) <= _SIMPLEX_TOL)
+    return bool(np.all(v >= -_SIMPLEX_TOL) and _sum_deviation(v) <= _SIMPLEX_TOL)

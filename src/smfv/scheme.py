@@ -104,21 +104,18 @@ leaves the run's plan that LU, a copy of x_f in a buffer the plan
 allocates once, dt, and the norm of the step's first update.  The next
 step at the same dt solves for its first update with that LU before it
 assembles any Jacobian, and takes the update only by the error estimate
-below, with rate max(drift, rho), drift = max |x0 - x_f|/x0 from the
-step's start x0: the log mean is monotone and homogeneous, so drift
-bounds the Jacobian's relative change since the factor as rho bounds it
-over an update.  The carried solve is tried only when drift passes the
-same estimate with the previous step's first-update norm in place of the
-update's.  Otherwise, or when the update fails its estimate, the carried
-LU is dropped and the attempt goes on from the start's residual and edge
-terms, to the bit the iteration without it.  A step that ends on the
-carried LU keeps it for the next.  Near the floor the estimate is not
-honest, and a state there carries nothing: no step of the blocks data
-carries an LU.  A chain's LU overwrites the plan's band, so a carried LU
-is used before the next refill or not at all.  A factor carried with no
-drift test moved the shipped runs' final states by 1.2e-12; with it, the
-carried steps of the entropy-decay run below lie within 8e-14 of the
-same steps iterated to 1e-15.
+of :func:`_estimate_passes`, whose rate then includes the drift of the
+step's start from x_f.  The carried solve is tried only when the drift
+alone passes that estimate.  Otherwise, or when the update fails its
+estimate, the carried LU is dropped and the attempt goes on from the
+start's residual and edge terms, to the bit the iteration without it.  A
+step that ends on the carried LU keeps it for the next.  Near the floor
+the estimate is not honest, and a state there carries nothing: no step of
+the blocks data carries an LU.  A chain's LU overwrites the plan's band,
+so a carried LU is used before the next refill or not at all.  A factor
+carried with no drift test moved the shipped runs' final states by
+1.2e-12; with it, the carried steps of the entropy-decay run below lie
+within 8e-14 of the same steps iterated to 1e-15.
 
 The iteration releases each LU and each iterate's edge terms as soon as
 it can no longer use them, so that at every edge evaluation at most one
@@ -135,46 +132,30 @@ Over two steps of the blocks data at dt = 1e-5 that peak is 77.3 MiB at
 and the earlier edge terms kept through the line search, for the same
 output bytes (``scripts/peak_memory.py``).
 
-An update is taken in full and ends the iteration when its infinity norm
-is below ``NEWTON_TOL``, or when the error it leaves is estimated below
-``NEWTON_TOL``; other updates from a fresh LU are halved until the
-residual norm over all n species decreases.  The estimate is error
-oriented (Deuflhard, Newton Methods for Nonlinear Problems, Springer
-2004, ch. 2): rate/(1 - rate) times the update's norm.  The rate of a
-Newton update, one from a fresh LU, is rho, the largest relative change
-|delta|/u it makes to any volume fraction of the iterate it produces
-(infinite if that iterate has an entry <= 0).  The log mean is monotone
-and homogeneous of degree one, so rho bounds the relative change of every
-edge composition, and with it the Jacobian's relative drift over the
-update: the Kantorovich quantity h, with which a Newton update leaves an
-error of about (h/2) |delta|.  That test comes before any trial residual,
-so a step that its first update ends costs one residual, one factor and
-one solve, or one residual and one solve from a carried LU.  The update
-that follows a full Newton update, one from a fresh LU accepted without
-halving, is estimated also with the larger of theta, the ratio of the two
-updates' norms, and that Newton update's rho; an update from a kept LU is
-estimated only so.  Theta alone, Newton's quadratic contraction,
-understated the error left by factors of 600 and more on the blocks data
-and on high-contrast cases near zero volume fractions, and so did theta
-of two updates from a kept LU.  In the
-entropy-decay run (N=64, dt = 1e-4, 2,000 steps) every step from the 4th
-on ends at its first update, of 8.0e-8 and less, whose estimate is at
-most 7e-13.  From step 203 on, 1,730 steps solve for it with a carried
-LU, and one carried update fails its estimate: the run takes 2,006
-solves, 270 factors and 2,005 residuals, against 2,005, 2,000 and 2,005
-with no LU carried.  A carried step there does its residual, its solve
-and its error estimate and little else: the start is summed in one buffer
-from a table of weights, the smallest volume fraction of each state, which
-the floor test of up to four starts reads, is computed once per state, the
-start's residual norm only if the carried update is dropped, the
-candidate's minimum once for the estimate and the carry, and the
-projection is made in place on the iterate.  Such a step, its sink's
+An update is taken in full and ends the iteration by the stop rule of
+:func:`_estimate_passes`, which gives the error estimate and the rate of
+each kind of update; other updates from a fresh LU are halved until the
+residual norm over all n species decreases.  A fresh LU's estimate comes
+before any trial residual, so a step that its first update ends costs one
+residual, one factor and one solve, or one residual and one solve from a
+carried LU.  In the entropy-decay run (N=64, dt = 1e-4, 2,000 steps) every
+step from the 4th on ends at its first update, of 8.0e-8 and less, whose
+estimate is at most 7e-13.  From step 203 on, 1,730 steps solve for it
+with a carried LU, and one carried update fails its estimate: the run
+takes 2,006 solves, 270 factors and 2,005 residuals, against 2,005, 2,000
+and 2,005 with no LU carried.  A carried step there does its residual, its
+solve and its error estimate and little else: the start is summed in one
+buffer from a table of weights, the smallest volume fraction of each
+state, which the floor test of up to four starts reads, is computed once
+per state, the start's residual norm only if the carried update is
+dropped, the candidate's minimum once for the estimate and the carry, and
+the projection is made in place on the iterate.  Such a step, its sink's
 relative entropy included, took a median 105 us in process against 121 us
 with each of these computed afresh (2-core VM, Python 3.11, numpy 2.4).
-On the convergence study's union steps 2 to 4 take
-two solves each, the second ended by the estimate with theta, and every
-later step one, from a fresh factor: there drift is 1.7e-2 to 0.33
-against first updates of about 4e-9, and no carried solve is tried.
+On the convergence study's union steps 2 to 4 take two solves each, the
+second ended by the estimate with theta, and every later step one, from a
+fresh factor: there drift is 1.7e-2 to 0.33 against first updates of
+about 4e-9, and no carried solve is tried.
 
 The converged state is projected onto the unit simplex's interior by
 flooring at ``PROJECTION_FLOOR`` and renormalising; its fluxes are
@@ -198,7 +179,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .mesh import Mesh
-from .model import SpeciesSystem
+from .model import SpeciesSystem, _sum_deviation
 
 NEWTON_TOL = 1e-12          # bound on the last update's norm or on the error estimated to remain
 MAX_NEWTON_ITERS = 50
@@ -294,7 +275,7 @@ class StateField:
 
     def sum_deviation(self) -> float:
         """Largest per-cell deviation of the species sum from one."""
-        return float(np.abs(self.values.sum(axis=0) - 1.0).max())
+        return _sum_deviation(self.values)
 
 
 class FluxField:
@@ -845,23 +826,17 @@ class _StepPlan:
         """The carried LU's ``(solve, drift)`` for an attempt at ``dt`` from ``x``, or None.
 
         The plan no longer holds the LU afterwards.  drift = max |x - x_f|/x,
-        with x_f the factored iterate, bounds the Jacobian's relative change
-        since the factor as the rate of a Newton update does (see the
-        module docstring).  The LU is returned only at the step size it was
-        factored at, and only if drift passes the error estimate with the
-        carried first-update norm in place of the update's, whose norm it
-        predicts.
+        with x_f the factored iterate (see :func:`_estimate_passes`).  The
+        LU is returned only at the step size it was factored at, and only
+        if drift passes the error estimate with the carried first-update
+        norm in place of the update's, whose norm it predicts.
         """
         carried, self.carried = self.carried, None
-        if carried is None or carried[1] != dt or not x.min() > 0.0:
+        if carried is None or carried[1] != dt:
             return None
         solve, _, norm = carried
-        gap = np.subtract(x, self.factored)
-        np.abs(gap, out=gap)
-        with np.errstate(over="ignore"):
-            gap /= x
-        drift = float(gap.max())
-        if not drift * norm < (1.0 - drift) * NEWTON_TOL:
+        drift = _relative_change(np.abs(x - self.factored), x, x.min())
+        if not _estimate_passes(drift, norm):
             return None
         return solve, drift
 
@@ -877,6 +852,45 @@ def _relative_change(size, cand, low):
     with np.errstate(over="ignore"):
         size /= cand
     return float(size.max())
+
+
+def _estimate_passes(rate, norm):
+    """Whether an update of infinity norm ``norm`` at ``rate`` passes the error estimate.
+
+    This is the stop rule of the Newton iteration: an update is taken in
+    full and ends the iteration when its norm is below ``NEWTON_TOL``, the
+    absolute stop, or when this estimate passes.  The estimate is error
+    oriented (Deuflhard, Newton Methods for Nonlinear Problems, Springer
+    2004, ch. 2): the error left after the update is rate/(1 - rate) times
+    its norm, which must be below ``NEWTON_TOL``; no rate >= 1 passes.  The
+    rate of each kind of update:
+
+    - An update from a fresh LU: rho, the largest relative change |delta|/u
+      it makes to any volume fraction of the iterate it produces
+      (:func:`_relative_change`, infinite if that iterate has an entry
+      <= 0).  The log mean is monotone and homogeneous of degree one, so
+      rho bounds the relative change of every edge composition, and with
+      it the Jacobian's relative drift over the update: the Kantorovich
+      quantity h, with which a Newton update leaves an error of about
+      (h/2) |delta|.
+    - An update from a carried LU: max(drift, rho), with drift = max
+      |x0 - x_f|/x0 of the step's start x0 from the iterate x_f the LU was
+      factored at, which bounds the Jacobian's relative change since the
+      factor as rho bounds it over an update.  The carried solve is tried
+      only when drift alone passes, with the norm of the previous step's
+      first update in place of the update's.
+    - The update after a full Newton update, one from a fresh LU accepted
+      without halving: max(theta, rho_N), with theta the ratio of the two
+      updates' norms and rho_N that Newton update's rho.  An update from a
+      kept LU is estimated only so; one from a fresh LU also by its own
+      rho.
+
+    Theta alone, Newton's quadratic contraction, understated the error left
+    by factors of 600 and more on the blocks data and on high-contrast
+    cases near zero volume fractions, and so did theta of two updates from
+    a kept LU.
+    """
+    return rate * norm < (1.0 - rate) * NEWTON_TOL
 
 
 def _chord_newton(system, plan, x, old_values, dt, counts):
@@ -926,7 +940,7 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             cand = x + delta
             low = cand.min()
             rate = max(drift, _relative_change(size, cand, low))
-            if rate * first < (1.0 - rate) * NEWTON_TOL:
+            if _estimate_passes(rate, first):
                 if low > PROJECTION_FLOOR:
                     plan.carried = (solve, dt, first)
                 return cand
@@ -958,16 +972,12 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
             # for the carry, a kept LU's for neither
             low = None if stale else cand.min()
             done = delta_norm < NEWTON_TOL
-            # rate/(1 - rate) |delta| estimates the error left after this
-            # update; a rate >= 1 never passes
             if not done and newton is not None:
                 rate = max(delta_norm / newton[0], newton[1])
-                done = rate * delta_norm < (1.0 - rate) * NEWTON_TOL
+                done = _estimate_passes(rate, delta_norm)
             if not done and not stale:
-                # a Newton update's rate is bounded by its largest relative
-                # change
                 change = _relative_change(size, cand, low)
-                done = change * delta_norm < (1.0 - change) * NEWTON_TOL
+                done = _estimate_passes(change, delta_norm)
             if done:
                 if not stale and low > PROJECTION_FLOOR:
                     plan.carry(solve, x, dt, first)
@@ -1040,21 +1050,17 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     whose residual is known and whose edge terms are recomputed, and the
     system solved again.
     An update, from a fresh or a kept LU, is taken in full and ends the
-    iteration when its infinity norm is below ``NEWTON_TOL``, or when the
-    error it is estimated to leave is (see the module docstring): an update
-    from a fresh LU by its own largest relative change, before its trial
-    residual is evaluated, and an update that follows a full Newton update
-    also by the contraction of the two.  Any other update from a fresh LU
-    is halved until the residual norm drops.  Each factor refills the
-    plan's one matrix in place.
+    iteration by the stop rule of :func:`_estimate_passes`.  Any other
+    update from a fresh LU is halved until the residual norm drops.  Each
+    factor refills the plan's one matrix in place.
 
     With ``_plan`` shared between steps at one dt, as :func:`run` shares
     it, a step whose last update came from an LU factored at the iterate
     that update starts from, and whose state lies above
     ``PROJECTION_FLOOR``, leaves that LU to the next; the next step's first
     attempt solves for its first update with it, and ends on that update
-    only by the error estimate with the LU's drift (see the module
-    docstring).  Otherwise it drops the LU and iterates as without it.
+    only by the error estimate with the LU's drift.  Otherwise it drops the
+    LU and iterates as without it.
     Without ``_plan`` the step carries nothing in or out.
 
     Returns ``(state, fluxes, stats)``.  ``fluxes`` are those of the
@@ -1090,7 +1096,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     if x is None:
         x = _chord_newton(system, plan, u_old.values, u_old.values, dt, counts)
 
-    pre_projection_dev = float(np.abs(x.sum(axis=0) - 1.0).max())
+    pre_projection_dev = _sum_deviation(x)
     # x is the iteration's own array, projected in place
     state = StateField(mesh, _project_values(x))
     return state, FluxField._of_state(system, state), StepStats(

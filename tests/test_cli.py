@@ -405,7 +405,45 @@ class TestCmdCheck:
         assert not prop["passed"]
 
 
+# Valid initial profiles with entries rounded below zero: the blocks' edge
+# at x = 7/12 inside the 9x9 grid gives -2.2e-16, and a table row -1e-13.
+ROUNDED_ZEROS = {
+    "blocks2d-9x9": ({"dimension": 2, "Nx": 9, "Ny": 9},
+                     {"preset": "blocks2d",
+                      "blocks": [{"species": 0, "box": [0.0, 7 / 12, 0.0, 1.0]},
+                                 {"species": 1, "box": [7 / 12, 1.0, 0.0, 1.0]}]}),
+    "table-2-cells": ({"dimension": 1, "N": 2},
+                      {"preset": "table",
+                       "values": [[-1e-13, 0.5, 0.5000000000001], [0.5, 0.25, 0.25]]}),
+}
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("command", ["run", "entropy-decay"])
+    @pytest.mark.parametrize("profile", sorted(ROUNDED_ZEROS))
+    def test_rounded_zeros_run_to_projected_states(self, tmp_path, command, profile):
+        mesh, initial = ROUNDED_ZEROS[profile]
+        out = tmp_path / "out"
+        doc = {"mesh": mesh, "initial": initial,
+               "species": {"c": [[0, 0.1, 0.2], [0.1, 0, 2.0], [0.2, 2.0, 0]]},
+               "time": {"dt": 1e-4, "T": 3e-4},
+               "output": {"directory": str(out), "snapshot_times": [0.0, 3e-4]}}
+        assert main([command, "--config", write_config(tmp_path / "cfg.json", doc)]) == 0
+        table = "diagnostics.csv" if command == "run" else "entropy.csv"
+        _, rows = read_csv(out / table)
+        assert len(rows) == 4
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+        if command == "run":
+            def fractions(path):
+                header, rows = read_csv(path)
+                return np.array(rows, dtype=float)[:, header.index("u_1"):].T
+
+            assert fractions(out / "u_t0.0.csv").min() == 0.0  # the rounded zeros are zeros
+            [last] = out.glob("u_t0.0003*.csv")
+            final = fractions(last)
+            assert final.min() >= 1e-12
+            assert np.abs(final.sum(axis=0) - 1.0).max() <= 1e-12
+
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", uniform_doc(out))

@@ -44,6 +44,19 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(StateField(mesh, np.array([[-0.1, 0.5], [1.1, 0.5]])))
 
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_is_the_sum_of_u_log_u_to_the_bit(self, zeros):
+        rng = np.random.default_rng(5)
+        mesh = uniform_rectangle(3, 2)
+        vals = rng.dirichlet(np.ones(3), size=6).T
+        if zeros:
+            vals[:, [1, 4]] = [[1.0, 0.0], [0.0, 0.25], [0.0, 0.75]]
+        state = StateField(mesh, vals)
+        u = state.values  # C order, the order of the sum
+        # 0 log 0 = 0 as 0 log 1
+        expected = float((mesh.cell_measures * (u * np.log(np.where(u > 0.0, u, 1.0)))).sum())
+        assert entropy(state) == expected
+
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(0)
         mesh = uniform_interval(11)

@@ -107,3 +107,14 @@ def test_is_simplex_point():
     assert not is_simplex_point(np.array([0.2, 0.3, 0.4]))
     assert not is_simplex_point(np.array([-0.1, 0.6, 0.5]))
     assert is_simplex_point(np.array([0.0, 1.0]))
+
+
+def test_is_simplex_point_tests_every_column():
+    members = np.array([[0.2, 0.0, 1.0 + 1e-13], [0.3, 1.0, -1e-13], [0.5, 0.0, 0.0]])
+    assert is_simplex_point(members)
+    negative = members.copy()
+    negative[:, 1] = [-2e-12, 1.0 + 2e-12, 0.0]
+    assert not is_simplex_point(negative)
+    off_sum = members.copy()
+    off_sum[2, 0] += 2e-12
+    assert not is_simplex_point(off_sum)
