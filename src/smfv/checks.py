@@ -39,11 +39,6 @@ class PropertyResult:
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "worst", float(self.worst))
 
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "worst": self.worst,
-                "tolerance": self.tolerance, "samples": self.samples,
-                "detail": self.detail}
-
 
 def _random_system(rng, n=None):
     n = int(n if n is not None else rng.integers(2, 6))

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +261,7 @@ def cmd_check(seed: int = 0, out_dir=None, config: RunConfig = None) -> int:
         print(f"{tag} {res.name}: worst deviation {res.worst:.3e} "
               f"vs tolerance {res.tolerance:.1e} over {res.samples} samples{extra_txt}")
     report = {"seed": seed, "all_passed": all(r.passed for r in results),
-              "properties": [r.as_dict() for r in results]}
+              "properties": [asdict(r) for r in results]}
     out = Path(out_dir) if out_dir else Path(
         config.output.directory if config is not None else "out")
     with _open_out(out / "check_report.json") as fh:

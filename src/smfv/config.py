@@ -3,7 +3,8 @@
 A configuration document is a single JSON object with sections ``mesh``,
 ``species``, ``initial``, ``time``, and optionally ``output`` and
 ``convergence``.  Numbers must be finite.  Validation errors name the
-offending field.
+offending field.  Each initial preset is one row of ``_PRESETS``, whose
+rules :func:`load_config` and :func:`preset_initial` both apply.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 from .mesh import Mesh, uniform_interval, uniform_rectangle
 from .model import SpeciesSystem, build_system, is_simplex_point
 from .scheme import MAX_STEP_RATIO, StateField
-
-PRESETS = ("smooth1d", "nonsmooth1d", "blocks2d", "uniform", "table")
-_PRESET_DIMENSION = {"smooth1d": 1, "nonsmooth1d": 1, "blocks2d": 2}
 
 
 class ConfigError(ValueError):
@@ -85,8 +83,13 @@ def _as_positive_int(value, where: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not ``true`` or ``false``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_positive_float(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
+    if not _is_number(value) or not value > 0:
         raise ConfigError(f"{where} must be a positive number")
     return float(value)
 
@@ -161,7 +164,7 @@ def _parse_output(raw, t_end: float) -> OutputConfig:
     if not isinstance(times, list):
         raise ConfigError("output.snapshot_times must be a list of times")
     for t in times:
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0 or t > t_end:
+        if not _is_number(t) or t < 0 or t > t_end:
             raise ConfigError("output.snapshot_times must lie within [0, T]")
     every = raw.get("diagnostics_every", 1)
     every = _as_positive_int(every, "output.diagnostics_every")
@@ -216,7 +219,8 @@ def load_config(document) -> RunConfig:
     mesh_cfg = _parse_mesh(_require(raw, "mesh", "config"))
     species = _parse_species(_require(raw, "species", "config"))
     time_cfg = _parse_time(_require(raw, "time", "config"))
-    initial = _parse_initial(_require(raw, "initial", "config"), mesh_cfg, species.n)
+    initial = _parse_initial(_require(raw, "initial", "config"), mesh_cfg.dimension,
+                             species.n)
     output = _parse_output(raw.get("output"), time_cfg.t_end)
     convergence = _parse_convergence(raw.get("convergence"))
     return RunConfig(mesh=mesh_cfg, species=species, initial=initial,
@@ -237,6 +241,20 @@ def load_config_file(path) -> RunConfig:
 # ----------------------------------------------------------------------
 # initial profiles
 
+# Each preset's mesh dimension and species count (None: any), the one field
+# it takes besides "preset" (None: none), and its builder, which maps
+# (mesh, n, the field as _check_initial reads it) to the cell values, one
+# column per cell.
+_PRESETS = {
+    "smooth1d": (1, 3, None,
+                 lambda mesh, n, _: _smooth1d_point(mesh.cell_centers[:, 0])),
+    "nonsmooth1d": (1, 3, None,
+                    lambda mesh, n, _: _box_average(mesh, _NONSMOOTH1D_BLOCKS, n)),
+    "blocks2d": (2, None, "blocks", lambda mesh, n, blocks: _box_average(mesh, blocks, n)),
+    "uniform": (None, None, "value", lambda mesh, n, value: np.tile(value.T, mesh.num_cells)),
+    "table": (None, None, "values", lambda mesh, n, rows: rows.T),
+}
+
 
 def _smooth1d_point(x):
     u1 = 0.25 + 0.25 * np.cos(np.pi * x)
@@ -253,85 +271,82 @@ def _interval_overlap(lo, hi, a, b):
     return np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
 
 
-def _parse_initial(raw, mesh_cfg: MeshConfig, n: int) -> InitialConfig:
+def _parse_initial(raw, dimension: int, n: int) -> InitialConfig:
     if not isinstance(raw, dict):
         raise ConfigError("initial must be an object")
-    preset = _require(raw, "preset", "initial")
-    if preset not in PRESETS:
-        raise ConfigError(f"initial.preset unknown: {preset!r} "
-                          f"(expected one of {', '.join(PRESETS)})")
     params = {k: v for k, v in raw.items() if k != "preset"}
-
-    _check_preset_dimension(preset, mesh_cfg.dimension)
-    if preset in ("smooth1d", "nonsmooth1d"):
-        _check_keys(params, set(), "initial")
-        if n != 3:
-            raise ConfigError(f"initial.preset {preset} requires exactly 3 species")
-    elif preset == "uniform":
-        _check_keys(params, {"value"}, "initial")
-        value = _require(params, "value", "initial")
-        if not isinstance(value, list) or len(value) != n:
-            raise ConfigError("initial.value must list one fraction per species")
-        if not is_simplex_point(np.array(value, dtype=float)):
-            raise ConfigError("initial.value must be a point of the unit simplex")
-    elif preset == "blocks2d":
-        _check_keys(params, {"blocks"}, "initial")
-        blocks = _require(params, "blocks", "initial")
-        if not isinstance(blocks, list) or not blocks:
-            raise ConfigError("initial.blocks must be a nonempty list")
-        for blk in blocks:
-            if not isinstance(blk, dict) or set(blk) != {"species", "box"}:
-                raise ConfigError("initial.blocks entries must be "
-                                  "{species, box} objects")
-            s = blk["species"]
-            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n - 1:
-                raise ConfigError("initial.blocks species index must lie in "
-                                  f"[0, {n - 2}] (the last species takes the remainder)")
-            box = blk["box"]
-            if (not isinstance(box, list) or len(box) != 4
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in box)):
-                raise ConfigError("initial.blocks box must be [x0, x1, y0, y1]")
-            x0, x1, y0, y1 = (float(v) for v in box)
-            if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
-                raise ConfigError("initial.blocks box must be a nondegenerate "
-                                  "axis-aligned box inside the unit square")
-        _probe_blocks(blocks)
-    elif preset == "table":
-        _check_keys(params, {"values"}, "initial")
-        values = _require(params, "values", "initial")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("initial.values must be a nonempty list of rows")
-        for row in values:
-            if not isinstance(row, list) or len(row) != n:
-                raise ConfigError("initial.values rows must list one fraction "
-                                  "per species")
-        if not is_simplex_point(np.array(values, dtype=float).T):
-            raise ConfigError("initial.values rows must be points of the unit simplex")
-    return InitialConfig(preset, params)
+    initial = InitialConfig(_require(raw, "preset", "initial"), params)
+    _check_initial(initial, dimension, n)
+    return initial
 
 
-def _check_preset_dimension(preset, dimension):
-    need = _PRESET_DIMENSION.get(preset)
-    if need is not None and need != dimension:
-        raise ConfigError(f"initial.preset {preset} requires a {need}D mesh")
+def _check_initial(initial: InitialConfig, dimension: int, n: int):
+    """Apply every rule of ``initial`` that holds on any mesh; return its field, read.
+
+    The field is ``blocks`` as given, ``value`` as a float array of shape
+    (1, n), ``values`` as one of shape (rows, n), or None for a preset
+    without a field.
+    """
+    preset = initial.preset
+    if not isinstance(preset, str) or preset not in _PRESETS:
+        raise ConfigError(f"initial.preset unknown: {preset!r} "
+                          f"(expected one of {', '.join(_PRESETS)})")
+    need_dimension, need_n, key, _ = _PRESETS[preset]
+    if need_dimension not in (None, dimension):
+        raise ConfigError(f"initial.preset {preset} requires a {need_dimension}D mesh")
+    _check_keys(initial.params, {key}, "initial")  # {None} admits no field
+    if need_n not in (None, n):
+        raise ConfigError(f"initial.preset {preset} requires exactly {need_n} species")
+    if key is None:
+        return None
+    data = _require(initial.params, key, "initial")
+    if key == "blocks":
+        _check_blocks(data, n)
+        return data
+    # the one reader of fractions: a uniform value is a table of one row
+    rows = [data] if key == "value" else data
+    if not isinstance(rows, (list, tuple)) or not rows:
+        raise ConfigError("initial.values must be a nonempty list of rows")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == n
+                and all(map(_is_number, row))):
+            where = "initial.value" if key == "value" else f"initial.values[{i}]"
+            raise ConfigError(f"{where} must list one fraction per species: "
+                              f"{n} JSON numbers")
+    values = np.array(rows, dtype=float)
+    if not is_simplex_point(values.T):
+        where = "initial.value" if key == "value" else "initial.values rows"
+        raise ConfigError(f"{where} must lie in the unit simplex")
+    return values
 
 
-def _probe_blocks(blocks):
-    """Reject blocks whose pairwise intersections have positive area.
+def _check_blocks(blocks, n: int):
+    """Require a nonempty list of {species, box} blocks, no two overlapping.
 
     Touching boundaries are fine (measure zero); positive-area overlap of any
     two blocks would push the pointwise species sum above one somewhere.
     """
-    boxes = [tuple(float(v) for v in blk["box"]) for blk in blocks]
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            ax0, ax1, ay0, ay1 = boxes[i]
-            bx0, bx1, by0, by1 = boxes[j]
-            w = min(ax1, bx1) - max(ax0, bx0)
-            h = min(ay1, by1) - max(ay0, by0)
-            if w > 0.0 and h > 0.0:
-                if blocks[i]["species"] == blocks[j]["species"]:
+    if not isinstance(blocks, (list, tuple)) or not blocks:
+        raise ConfigError("initial.blocks must be a nonempty list")
+    for i, blk in enumerate(blocks):
+        if not isinstance(blk, dict) or set(blk) != {"species", "box"}:
+            raise ConfigError("initial.blocks entries must be {species, box} objects")
+        s = blk["species"]
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < n - 1:
+            raise ConfigError("initial.blocks species index must lie in "
+                              f"[0, {n - 2}] (the last species takes the remainder)")
+        box = blk["box"]
+        if not (isinstance(box, (list, tuple)) and len(box) == 4
+                and all(map(_is_number, box))):
+            raise ConfigError("initial.blocks box must be [x0, x1, y0, y1]")
+        x0, x1, y0, y1 = box
+        if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
+            raise ConfigError("initial.blocks box must be a nondegenerate "
+                              "axis-aligned box inside the unit square")
+        for other in blocks[:i]:
+            ax0, ax1, ay0, ay1 = other["box"]
+            if min(ax1, x1) - max(ax0, x0) > 0.0 and min(ay1, y1) - max(ay0, y0) > 0.0:
+                if other["species"] == s:
                     raise ConfigError("initial.blocks of one species must not overlap")
                 raise ConfigError("initial.blocks must leave a nonnegative "
                                   "remainder for the last species")
@@ -340,28 +355,15 @@ def _probe_blocks(blocks):
 def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
     """Cell-averaged initial state for a preset on a given mesh.
 
+    Raises :class:`ConfigError` unless ``initial`` meets the rules that
+    :func:`load_config` applies and a table has one row per cell of ``mesh``.
     Smooth data is averaged by the midpoint rule (cell-center evaluation);
     indicator data by exact overlap integration over the cell boxes.
     """
-    preset = initial.preset
-    _check_preset_dimension(preset, mesh.dimension)
-    if preset == "smooth1d":
-        values = _smooth1d_point(mesh.cell_centers[:, 0])
-    elif preset == "nonsmooth1d":
-        values = _box_average(mesh, _NONSMOOTH1D_BLOCKS, n)
-    elif preset == "blocks2d":
-        values = _box_average(mesh, initial.params["blocks"], n)
-    elif preset == "uniform":
-        value = np.array(initial.params["value"], dtype=float)
-        if value.shape != (n,):
-            raise ConfigError("initial.value must list one fraction per species")
-        values = np.repeat(value[:, None], mesh.num_cells, axis=1)
-    elif preset == "table":
-        values = np.array(initial.params["values"], dtype=float).T
-        if values.shape != (n, mesh.num_cells):
-            raise ConfigError("initial.values must have one row per mesh cell")
-    else:
-        raise ConfigError(f"initial.preset unknown: {preset!r}")
+    data = _check_initial(initial, mesh.dimension, n)
+    if initial.preset == "table" and len(data) != mesh.num_cells:
+        raise ConfigError("initial.values must have one row per mesh cell")
+    values = _PRESETS[initial.preset][-1](mesh, n, data)
     _validate_state_values(values)
     return StateField(mesh, values)
 

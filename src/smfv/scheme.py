@@ -1069,9 +1069,12 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     factors and of residual evaluations, and the largest per-cell deviation
     of the species sum from one measured before the projection.  Raises
     :class:`NonConvergence` when the iteration budget or the halvings run
-    out, or a linear solve fails, in the iteration from ``u_old``.
+    out, or a linear solve fails, in the iteration from ``u_old``, and
+    ``ValueError`` when ``u_old`` has not one row per species of ``system``.
     """
     _check_dt(dt)
+    if len(u_old.values) != system.n:
+        raise ValueError(f"u_old has {len(u_old.values)} species, the system {system.n}")
     mesh = u_old.mesh
     plan = _StepPlan(mesh, system.n) if _plan is None else _plan
     counts = [0, 0, 0]

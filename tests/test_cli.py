@@ -444,6 +444,26 @@ class TestMainEntry:
             assert final.min() >= 1e-12
             assert np.abs(final.sum(axis=0) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("initial, message", [
+        ({"preset": "uniform", "value": ["a", 0.5, 0.5]},
+         "initial.value must list one fraction per species: 3 JSON numbers"),
+        ({"preset": "uniform", "value": [[0.2], 0.3, 0.5]},
+         "initial.value must list one fraction per species: 3 JSON numbers"),
+        ({"preset": "table", "values": [[0.25, 0.25, 0.5], ["a", 0.5, 0.5],
+                                        [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]},
+         "initial.values[1] must list one fraction per species: 3 JSON numbers"),
+        ({"preset": "table", "values": [[True, False, False], [False, True, False],
+                                        [False, False, True], [True, False, False]]},
+         "initial.values[0] must list one fraction per species: 3 JSON numbers"),
+    ], ids=["string-value", "nested-value", "string-row", "boolean-rows"])
+    def test_malformed_fractions_exit_code(self, tmp_path, capsys, initial, message):
+        out = tmp_path / "out"
+        doc = uniform_doc(out, n_cells=4)
+        doc["initial"] = initial
+        assert main(["run", "--config", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", uniform_doc(out))

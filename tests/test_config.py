@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smfv.config import (ConfigError, InitialConfig, load_config,
+from smfv.config import (_PRESETS, ConfigError, InitialConfig, load_config,
                          load_config_file, preset_initial)
 from smfv.mesh import uniform_interval, uniform_rectangle
 
@@ -112,6 +112,11 @@ class TestLoadConfig:
     def test_preset_dimension_mismatch(self):
         doc = base_config(mesh={"dimension": 2, "Nx": 4, "Ny": 4})
         with pytest.raises(ConfigError, match="1D mesh"):
+            load_config(doc)
+
+    def test_non_string_preset_rejected(self):
+        doc = base_config(initial={"preset": ["smooth1d"]})
+        with pytest.raises(ConfigError, match=r"^initial\.preset unknown: \['smooth1d'\]"):
             load_config(doc)
 
     def test_uniform_preset_needs_simplex_value(self):
@@ -231,3 +236,52 @@ class TestPresetInitial:
         mesh = uniform_interval(4)
         with pytest.raises(ConfigError, match="positive mass"):
             preset_initial(InitialConfig("uniform", {"value": [1.0, 0.0]}), mesh, 2)
+
+    @pytest.mark.parametrize("initial, mesh, n, message", [
+        (InitialConfig("smooth1d"), uniform_interval(4), 4,
+         r"^initial\.preset smooth1d requires exactly 3 species$"),
+        (InitialConfig("blocks2d"), uniform_rectangle(2, 2), 3, r"^initial\.blocks required$"),
+        (InitialConfig("uniform"), uniform_interval(4), 3, r"^initial\.value required$"),
+    ], ids=["smooth1d-4-species", "blocks2d-no-blocks", "uniform-no-value"])
+    def test_library_callers_get_config_errors(self, initial, mesh, n, message):
+        with pytest.raises(ConfigError, match=message):
+            preset_initial(initial, mesh, n)
+
+
+# A minimal valid field for each preset, for 3 species on 4 cells
+MINIMAL_FIELDS = {
+    "smooth1d": {},
+    "nonsmooth1d": {},
+    "blocks2d": {"blocks": [{"species": 0, "box": [0.0, 0.5, 0.0, 1.0]},
+                            {"species": 1, "box": [0.5, 1.0, 0.0, 0.5]}]},
+    "uniform": {"value": [0.25, 0.25, 0.5]},
+    "table": {"values": [[0.25, 0.25, 0.5], [0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                         [0.0, 0.0, 1.0]]},
+}
+MESHES = {1: uniform_interval(4), 2: uniform_rectangle(2, 2)}
+
+
+class TestPresetTable:
+    def test_every_preset_has_one_field_case(self):
+        assert sorted(MINIMAL_FIELDS) == sorted(_PRESETS)
+        for preset, (_, _, key, _) in _PRESETS.items():
+            assert set(MINIMAL_FIELDS[preset]) == ({key} if key else set())
+
+    @pytest.mark.parametrize("preset", sorted(MINIMAL_FIELDS))
+    @pytest.mark.parametrize("dimension", sorted(MESHES))
+    def test_builds_on_meshes_of_its_dimension_only(self, preset, dimension):
+        need, _, _, _ = _PRESETS[preset]
+        initial = InitialConfig(preset, MINIMAL_FIELDS[preset])
+        if need not in (None, dimension):
+            with pytest.raises(ConfigError, match=rf"^initial\.preset {preset} requires "
+                                                  rf"a {need}D mesh$"):
+                preset_initial(initial, MESHES[dimension], 3)
+            return
+        state = preset_initial(initial, MESHES[dimension], 3)
+        assert state.values.shape == (3, 4)
+        assert state.min_fraction() >= 0.0 and state.sum_deviation() <= 1e-15
+        assert state.mass_vector.min() > 0.0
+        doc = base_config(mesh={"dimension": 1, "N": 4} if dimension == 1 else
+                          {"dimension": 2, "Nx": 2, "Ny": 2},
+                          initial={"preset": preset, **MINIMAL_FIELDS[preset]})
+        assert load_config(doc).initial == initial

@@ -782,6 +782,17 @@ class TestNewtonSolve:
         drift = np.abs(state.mass_vector - u0.mass_vector) / u0.mass_vector
         assert drift.max() < 1e-10
 
+    @pytest.mark.parametrize("step", ["newton_step", "run"])
+    def test_species_count_must_match_the_system(self, step):
+        # a 3-row state under a 4-species system is refused before any edge work
+        system = build_system(np.ones((4, 4)) - np.eye(4))
+        u0 = preset_initial(InitialConfig("smooth1d"), uniform_interval(4), 3)
+        with pytest.raises(ValueError, match=r"^u_old has 3 species, the system 4$"):
+            if step == "run":
+                run(system, u0, 1e-3, 2e-3)
+            else:
+                newton_step(system, u0, 1e-3)
+
     def test_no_batched_lapack_call(self, system_2d, monkeypatch):
         # edge fluxes and Jacobian blocks come from the scheme's own inverse
         def unavailable(*args, **kwargs):
