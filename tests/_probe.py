@@ -11,16 +11,20 @@ follows.  A solve may come in a later step than its factor, when the
 plan carries the LU.
 
 Every factor is made at the state of the most recent edge evaluation: the
-probe asserts, at each factor, that the matrix is to the bit the one the
-scheme builds from a fresh edge pass at that state.  The factored states,
-the rejected candidates, the recomputations, the flux reads and the LU
-lifetimes all follow from that one fact and the order of the events.
+probe asserts, at each factor, that the storage is filled to the bit as
+the scheme fills it from a fresh edge pass at that state, and, on any mesh
+but a chain, that the factor leaves there to the bit the Schur complement
+and red blocks that condensing that fresh fill gives.  The factored
+states, the rejected candidates, the recomputations, the flux reads and
+the LU lifetimes all follow from that one fact and the order of the
+events.
 
 Every solve is made with storage that no refill has touched since its
-factor: the probe asserts, at each solve, that the factored matrix holds
-what it held right after the factor.  On the band path ``dgbtrf``
-overwrites the plan's band with the LU, so a solve after the next refill
-of that band would use another matrix's entries.
+factor: the probe asserts, at each solve, that the storage holds what it
+held right after the factor.  On the band path ``dgbtrf`` overwrites the
+plan's band with the LU, and on any other mesh the solve reads the red
+blocks' inverses and products there, so a solve after the next refill
+would use another matrix's entries.
 """
 
 import weakref
@@ -50,7 +54,7 @@ class Evaluation:
 
 @dataclass
 class Factor:
-    """One LU factor: the matrix object, a copy of it as factored, a copy of
+    """One LU factor: the storage object, a copy of it as filled, a copy of
     it right after the factor, the index of the evaluation it was made at,
     and the number of solves made with it."""
 
@@ -142,6 +146,10 @@ class SolverProbe:
             "an LU factor not made at the state of the most recent edge evaluation"
         filled = _copy(matrix)
         solve = factor(plan, matrix)
+        if not plan.chain:
+            plan.schur.condense(expected)
+            assert np.array_equal(matrix, expected), \
+                "a Schur complement not condensed from the most recent edge evaluation"
         record = Factor(matrix, filled, _copy(matrix), index)
         solve = _Solve(solve, record)
         self._live.add(solve)

@@ -14,7 +14,7 @@ from _probe import SolverProbe
 from smfv.checks import finite_difference_jacobian
 from smfv.config import InitialConfig, preset_initial
 from smfv.diagnostics import dissipation, entropy
-from smfv.mesh import disjoint_union, uniform_interval, uniform_rectangle
+from smfv.mesh import Mesh, disjoint_union, uniform_interval, uniform_rectangle
 from smfv.model import build_system
 from smfv.scheme import (_SERIES_DF, _SERIES_MAX_U, CHORD_CONTRACTION, NEWTON_TOL,
                          PROJECTION_FLOOR, SUPERLU_SETTINGS, FluxField, NonConvergence,
@@ -508,39 +508,89 @@ def _reduced(jac, n):
     return reduced
 
 
+def _condensed(dense, perm, black_size):
+    """A dense reduced Jacobian in a non-chain plan's order, split by colour, and S.
+
+    Rows and columns move to the solve's order of ``perm``: the black
+    unknowns, ``black_size`` of them, then the red ones.  Returns ``(j_bb,
+    j_br, j_rb, j_rr, s)`` with S = J_BB - J_BR J_RR^-1 J_RB.
+    """
+    order = np.argsort(perm)
+    moved = dense[order][:, order]
+    m = black_size
+    j_bb, j_br, j_rb, j_rr = moved[:m, :m], moved[:m, m:], moved[m:, :m], moved[m:, m:]
+    return j_bb, j_br, j_rb, j_rr, j_bb - j_br @ np.linalg.solve(j_rr, j_rb)
+
+
+def _schur_parts(plan, storage):
+    """Views of the red blocks, J_BR and J_RB parts and S's data of a plan's storage."""
+    schur = plan.schur
+    reds, b, span = schur.shape
+    return (storage[schur.blocks].reshape(reds, b, b),
+            storage[schur.below].reshape(reds, b, span),
+            storage[schur.right].reshape(reds, b, span), storage[:schur.matrix.nnz])
+
+
+def _triangle():
+    """Three cells, each the neighbour of both others: no two colours fit them."""
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75]])
+    k, l = np.array([0, 1, 0]), np.array([1, 2, 2])
+    return Mesh(cell_centers=centers, cell_measures=np.full(3, 1.0 / 3.0), edge_cell_k=k,
+                edge_cell_l=l, edge_measure=np.ones(3),
+                edge_distance=np.linalg.norm(centers[l] - centers[k], axis=1),
+                grid_shape=None, cell_lower=centers - 0.25, cell_upper=centers + 0.25)
+
+
 class TestNewtonLinearSolve:
     def test_fill_reducing_ordering(self, system_2d, monkeypatch):
-        # First reduced Jacobian of the paper's blocks test at 35x35: L+U nnz
-        # is 94,188 with the symmetric minimum-degree ordering against 155,851
-        # with SuperLU's default COLAMD, a ratio of 0.604 (0.567 at 70x70).
+        # S of the first factor of the paper's blocks test at 35x35: L+U nnz
+        # is 77,214 in the plan's minimum-degree order against 89,045 with
+        # SuperLU's default COLAMD, and 94,188 for the whole reduced
+        # Jacobian in its own minimum-degree order (155,851 with COLAMD)
+        mesh = uniform_rectangle(35, 35)
         probe = SolverProbe(monkeypatch, 1e-5)
-        newton_step(system_2d, _blocks_2d(uniform_rectangle(35, 35)), 1e-5)
-        first = probe.factors[0].filled
-        factor = scipy.sparse.linalg.splu(first, permc_spec="NATURAL", **SUPERLU_SETTINGS)
-        colamd = scipy.sparse.linalg.splu(first)
-        ratio = (factor.L.nnz + factor.U.nnz) / (colamd.L.nnz + colamd.U.nnz)
-        assert ratio <= 0.7
+        plan = smfv.scheme._StepPlan(mesh, 3)
+        u0 = _blocks_2d(mesh)
+        newton_step(system_2d, u0, 1e-5, _plan=plan)
+        schur = plan.schur.matrix.copy()
+        schur.data = _schur_parts(plan, probe.factors[0].stored)[3].copy()
+        factor = scipy.sparse.linalg.splu(schur, permc_spec="NATURAL", **SUPERLU_SETTINGS)
+        colamd = scipy.sparse.linalg.splu(schur)
+        whole = scipy.sparse.linalg.splu(_reduced(jacobian(system_2d, u0, 1e-5), 3),
+                                         permc_spec="MMD_AT_PLUS_A", **SUPERLU_SETTINGS)
+        fill = factor.L.nnz + factor.U.nnz
+        assert fill <= 0.9 * (colamd.L.nnz + colamd.U.nnz)
+        assert fill <= 0.85 * (whole.L.nnz + whole.U.nnz)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mesh", [uniform_interval(64), uniform_rectangle(12, 10)],
                              ids=["interval", "rectangle"])
     def test_plan_order_is_superlus_minimum_degree(self, mesh, n):
-        # the order of a non-chain run is the perm_c SuperLU's symmetric
-        # minimum-degree ordering gives the natural-order reduced Jacobian,
-        # and the ordered pattern is that Jacobian's with rows and columns
-        # permuted; built directly, so that intervals stay covered
+        # the black unknowns of a non-chain run are numbered in the perm_c
+        # that SuperLU's symmetric minimum-degree ordering gives the Schur
+        # complement on the black cells in their natural order, and S's
+        # pattern is that matrix's with rows and columns permuted; the red
+        # unknowns follow, cell by cell.  Built directly, so that intervals
+        # stay covered
         coeffs = [[0.0, 0.5], [0.5, 0.0]] if n == 2 else [[0.0, 0.1, 0.2],
                                                         [0.1, 0.0, 2.0],
                                                         [0.2, 2.0, 0.0]]
         system = build_system(coeffs)
         rng = np.random.default_rng(n)
         state = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
-        natural = _reduced(jacobian(system, state, 1e-3), n)
-        matrix, _, perm = smfv.scheme._jacobian_pattern(mesh, n - 1, ordered=True)
-        assert np.array_equal(np.sort(perm), np.arange(natural.shape[0]))
+        dense = _reduced(jacobian(system, state, 1e-3), n).toarray()
+        schur = smfv.scheme._RedBlackSchur(mesh, n - 1)
+        matrix, (_, _, perm) = schur.matrix, schur.pattern
+        red = np.repeat(smfv.scheme._red_cells(mesh), n - 1)
+        black, size = np.flatnonzero(~red), matrix.shape[0]
+        assert size == len(black)
+        assert np.array_equal(perm[red], size + np.arange(np.count_nonzero(red)))
+        inverse = np.linalg.inv(dense[red][:, red])
+        natural = scipy.sparse.csc_matrix(dense[black][:, black]
+                                          - dense[black][:, red] @ inverse @ dense[red][:, black])
         superlu = scipy.sparse.linalg.splu(natural, permc_spec="MMD_AT_PLUS_A")
-        assert np.array_equal(perm, superlu.perm_c)
-        order = np.argsort(perm)
+        assert np.array_equal(perm[black], superlu.perm_c)
+        order = np.argsort(perm[black])
         permuted = scipy.sparse.csc_matrix(natural[order][:, order])
         permuted.sort_indices()
         assert np.array_equal(matrix.indptr, permuted.indptr)
@@ -548,8 +598,8 @@ class TestNewtonLinearSolve:
 
     def test_factors_in_the_plans_order(self, system_2d, monkeypatch):
         # every numeric factor is SuperLU's, with no ordering of its own and
-        # the module's panel and supernode settings, of the plan's matrix;
-        # its column permutation stays the identity
+        # the module's panel and supernode settings, of the plan's one Schur
+        # complement; its column permutation stays the identity
         original = scipy.sparse.linalg.splu
         calls = []
 
@@ -564,7 +614,7 @@ class TestNewtonLinearSolve:
             _, _, stats = newton_step(system_2d, _blocks_2d(mesh), 1e-5, _plan=plan)
         assert len(calls) == 2 * stats.lu_factors > 2
         for matrix, args, kwargs, factor in calls:
-            assert matrix is plan.pattern[0]
+            assert matrix is plan.schur.matrix
             assert args == () and kwargs == {"permc_spec": "NATURAL", **SUPERLU_SETTINGS}
             assert np.array_equal(factor.perm_c, np.arange(matrix.shape[0]))
 
@@ -664,15 +714,29 @@ class TestNewtonLinearSolve:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5), (8, 8)],
                              ids=["2x2", "3x2", "2x5", "8x8"])
     def test_non_chain_meshes_select_superlu(self, shape):
-        for mesh in (uniform_rectangle(*shape),
-                     disjoint_union([uniform_rectangle(1, 4), uniform_rectangle(*shape)])[0]):
+        # any other mesh condenses onto its black cells, which on every
+        # component of these grids are one checkerboard colour, the first
+        # cell's other one; S is a CSC matrix that views the plan's storage
+        grid = uniform_rectangle(*shape)
+        parity = (np.arange(grid.num_cells) % shape[0] + np.arange(grid.num_cells) // shape[0]) % 2
+        for mesh, red in ((grid, parity == 0),
+                          (disjoint_union([uniform_rectangle(1, 4), grid])[0],
+                           np.concatenate([np.arange(4) % 2 == 0, parity == 0]))):
             plan = smfv.scheme._StepPlan(mesh, 3)
             assert not plan.chain
-            assert scipy.sparse.issparse(plan.pattern[0])
+            storage, _, perm = plan.pattern
+            assert np.array_equal(smfv.scheme._red_cells(mesh), red)
+            assert storage.ndim == 1
+            assert scipy.sparse.issparse(plan.schur.matrix)
+            assert np.shares_memory(plan.schur.matrix.data, storage)
+            assert plan.schur.matrix.shape[0] == 2 * np.count_nonzero(~red)
+            assert np.array_equal(np.sort(perm), np.arange(2 * mesh.num_cells))
 
     def test_one_matrix_refilled_per_step(self, system_2d, monkeypatch):
-        # every factor is the exact reduced Jacobian of the iterate it was
-        # made at, and the chord solves outnumber the factors
+        # every factor refills the plan's one storage with the exact reduced
+        # Jacobian of the iterate it was made at, split by colour, and leaves
+        # there S, the red blocks' inverses and D^-1 J_RB; the chord solves
+        # outnumber the factors
         mesh = uniform_rectangle(6, 5)
         dt = 1e-4
         probe = SolverProbe(monkeypatch, dt)
@@ -681,24 +745,95 @@ class TestNewtonLinearSolve:
         monkeypatch.undo()
         assert len(probe.factors) == stats.lu_factors > 2
         assert stats.lu_factors < stats.newton_iterations
-        order = np.argsort(plan.pattern[2])
+        storage, _, perm = plan.pattern
+        matrix, spread = plan.schur.matrix, plan.schur.spread
+        size, reds = matrix.shape[0], len(spread)
+        assert matrix.format == "csc"
+        assert matrix.has_canonical_format
+        # recomputed from the arrays, not read from the flag the code set
+        assert scipy.sparse.csc_matrix((matrix.data, matrix.indices, matrix.indptr),
+                                       shape=matrix.shape).has_canonical_format
+        assert matrix.indices.dtype == np.intc
+        assert matrix.indptr.dtype == np.intc
+        # entry (j, a) of red cell r's J_BR part is J_BR's entry in row
+        # spread[r, a], column 2 r + j, and entry (i, a) of its J_RB part
+        # J_RB's in row 2 r + i, column spread[r, a]; padding reads zero
+        rows = np.minimum(spread, size - 1)[:, :, None]
+        cols = 2 * np.arange(reds)[:, None, None] + np.arange(2)
+        present = (spread < size)[:, :, None]
         for factor in probe.factors:
-            matrix, filled = factor.matrix, factor.filled
+            assert factor.matrix is storage
             values = probe.evaluations[factor.evaluation].values
-            assert matrix is plan.pattern[0]
-            assert matrix.format == "csc"
-            assert matrix.has_canonical_format
-            # recomputed from the arrays, not read from the flag the code set
-            assert scipy.sparse.csc_matrix((filled.data, filled.indices, filled.indptr),
-                                           shape=filled.shape).has_canonical_format
-            assert matrix.indices.dtype == np.intc
-            assert matrix.indptr.dtype == np.intc
-            exact = _reduced(jacobian(system_2d, StateField(mesh, values), dt), 3)
-            exact = scipy.sparse.csc_matrix(exact[order][:, order])
-            exact.sort_indices()
-            assert np.array_equal(filled.indices, exact.indices)
-            assert np.array_equal(filled.indptr, exact.indptr)
-            assert np.abs(filled.data - exact.data).max() <= 1e-12 * np.abs(exact.data).max()
+            dense = _reduced(jacobian(system_2d, StateField(mesh, values), dt), 3).toarray()
+            j_bb, j_br, j_rb, j_rr, schur = _condensed(dense, perm, size)
+            blocks = j_rr.reshape(reds, 2, reds, 2).diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+            assert np.count_nonzero(j_rr) == np.count_nonzero(blocks)
+            below = np.where(present, j_br[rows, cols], 0.0).transpose(0, 2, 1)
+            right = np.where(present, j_rb.T[rows, cols], 0.0).transpose(0, 2, 1)
+            assert np.count_nonzero(below) == np.count_nonzero(j_br)
+            assert np.count_nonzero(right) == np.count_nonzero(j_rb)
+            inverse = np.linalg.inv(blocks)
+            scale = np.abs(dense).max()
+            for stored, expected in ((factor.filled, (blocks, below, right, j_bb)),
+                                     (factor.stored, (inverse, below, inverse @ right, schur))):
+                *parts, data = _schur_parts(plan, stored)
+                condensed = matrix.copy()
+                condensed.data = data.copy()
+                for part, want in zip(parts + [condensed.toarray()], expected):
+                    assert np.abs(part - want).max() <= 1e-12 * max(scale, np.abs(want).max())
+
+    @pytest.mark.parametrize("case", ["blocks-8x8", "union", "triangle", "n2", "n4"])
+    def test_schur_solve_matches_spsolve(self, system_2d, case):
+        # a non-chain mesh's solve, red elimination and back-substitution
+        # included, is that of spsolve with the reduced Jacobian: the blocks
+        # data at its exact zeros, a union with an isolated cell, whose red
+        # block has no neighbour, three mutually adjacent cells, with an
+        # edge between black cells, and b = 1 and b = 3
+        rng = np.random.default_rng(len(case))
+        n = {"n2": 2, "n4": 4}.get(case, 3)
+        mesh = {"blocks-8x8": uniform_rectangle(8, 8), "triangle": _triangle(),
+                "union": disjoint_union([uniform_rectangle(3, 4), uniform_rectangle(1, 1),
+                                         uniform_rectangle(5, 2)])[0]}.get(
+            case, uniform_rectangle(5, 4))
+        if case == "blocks-8x8":
+            system, dt, values = system_2d, 1e-5, _blocks_2d(mesh).values
+        else:
+            coeffs = rng.uniform(0.05, 2.0, (n, n))
+            system = build_system(np.triu(coeffs, 1) + np.triu(coeffs, 1).T)
+            dt, values = 1e-3, rng.dirichlet(np.ones(n), size=mesh.num_cells).T
+        plan = smfv.scheme._StepPlan(mesh, n)
+        assert not plan.chain
+        edges = smfv.scheme._edge_fluxes(system, mesh, values)
+        solve = plan.factor(smfv.scheme._jacobian_matrix(system, mesh, edges, dt,
+                                                         plan.pattern))
+        natural = _reduced(jacobian(system, StateField(mesh, values), dt), n)
+        into, out_of = plan.gathers
+        for _ in range(2):
+            res = rng.standard_normal((n, mesh.num_cells))
+            reference = scipy.sparse.linalg.spsolve(natural, res[:n - 1].T.ravel())
+            reference = reference.reshape(mesh.num_cells, n - 1).T
+            solution = solve(res.ravel()[into])[out_of]
+            assert np.abs(solution - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_singular_red_block_raises(self, system_2d, monkeypatch, bad):
+        # a red cell's block with a zero or non-finite pivot ends the step
+        # in NonConvergence with that reason, before SuperLU factors S
+        factor = smfv.scheme._StepPlan.factor
+
+        def spoiled(plan, matrix):
+            matrix[plan.schur.blocks][0] = bad
+            return factor(plan, matrix)
+
+        def no_superlu(*args, **kwargs):
+            raise AssertionError("S was factored")
+
+        monkeypatch.setattr(smfv.scheme._StepPlan, "factor", spoiled)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_superlu)
+        with pytest.raises(NonConvergence) as info:
+            newton_step(system_2d, _blocks_2d(uniform_rectangle(4, 4)), 1e-5)
+        assert info.value.reason == "a red cell's diagonal block has a zero or non-finite pivot"
+        assert info.value.iterations == 1
 
 
 @pytest.mark.parametrize("mesh", [uniform_interval(1), uniform_rectangle(1, 1)],
@@ -905,11 +1040,11 @@ class TestNewtonSolve:
         u_old = StateField(mesh, rng.dirichlet(np.ones(n), size=mesh.num_cells).T)
         dt = 1e-3
         probe = SolverProbe(monkeypatch, dt)
-        state, _, stats = newton_step(system, u_old, dt)
+        plan = smfv.scheme._StepPlan(mesh, n)
+        state, _, stats = newton_step(system, u_old, dt, _plan=plan)
         assert len(probe.factors) == stats.lu_factors
         assert stats.newton_iterations >= 2
-        size = (n - 1) * mesh.num_cells
-        assert all(factor.filled.shape == (size, size) for factor in probe.factors)
+        assert len(plan.gathers[0]) == (n - 1) * mesh.num_cells
         res = residual(system, state, u_old, dt)
         assert np.abs(res).max() <= NEWTON_TOL * (mesh.cell_measures / dt).max()
         drift = np.abs(state.mass_vector - u_old.mass_vector) / u_old.mass_vector
@@ -1274,14 +1409,15 @@ class TestRun:
         return probe.factors[:in_run], probe.factors[in_run:], orders
 
     def test_pattern_built_once_per_run(self, system_1d, monkeypatch):
-        # a mesh that is no chain: one CSC matrix per run, refilled for every
-        # factor, ordered inside the first step, not before it, by one
-        # incomplete factor; a step without a run's plan builds its own
+        # a mesh that is no chain: one storage per run, refilled for every
+        # factor, its Schur complement ordered inside the first step, not
+        # before it, by one incomplete factor; a step without a run's plan
+        # builds its own
         mesh = uniform_rectangle(3, 3)
         u0 = StateField(mesh, np.random.default_rng(8).dirichlet(np.ones(3), size=9).T)
         in_run, alone, orders = self._matrices_and_orders(system_1d, monkeypatch, u0)
         matrix = in_run[0].matrix
-        assert scipy.sparse.issparse(matrix)
+        assert isinstance(matrix, np.ndarray) and matrix.ndim == 1
         assert len(in_run) >= 5 and all(factor.matrix is matrix for factor in in_run)
         assert alone and all(factor.matrix is not matrix for factor in alone)
         assert len(orders) == 2 and orders[0][1] >= 1  # once the first step began
