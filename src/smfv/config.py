@@ -38,19 +38,8 @@ class MeshConfig:
 
 @dataclass(frozen=True)
 class InitialConfig:
-    """An initial-data preset and its field, ``params``.
-
-    :func:`load_config` sets ``read`` to ``(dimension, n, data)``: the mesh
-    dimension and species count it checked ``params`` for, and the field as
-    :func:`_check_initial` read it, which :func:`preset_initial` then takes
-    unchecked on a mesh of that dimension.  One built by hand has no
-    ``read`` and is checked by :func:`preset_initial`.  Two configs with one
-    preset and one field are equal, read or not.
-    """
-
     preset: str
     params: dict = field(default_factory=dict)
-    read: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -263,9 +252,7 @@ _PRESETS = {
                     lambda mesh, n, _: _box_average(mesh, _NONSMOOTH1D_BLOCKS, n)),
     "blocks2d": (2, None, "blocks", lambda mesh, n, blocks: _box_average(mesh, blocks, n)),
     "uniform": (None, None, "value", lambda mesh, n, value: np.tile(value.T, mesh.num_cells)),
-    # a copy: the profile's check clamps it in place, and a loaded table is
-    # read once
-    "table": (None, None, "values", lambda mesh, n, rows: rows.T.copy()),
+    "table": (None, None, "values", lambda mesh, n, rows: rows.T),
 }
 
 
@@ -288,9 +275,9 @@ def _parse_initial(raw, dimension: int, n: int) -> InitialConfig:
     if not isinstance(raw, dict):
         raise ConfigError("initial must be an object")
     params = {k: v for k, v in raw.items() if k != "preset"}
-    preset = _require(raw, "preset", "initial")
-    data = _check_initial(InitialConfig(preset, params), dimension, n)
-    return InitialConfig(preset, params, (dimension, n, data))
+    initial = InitialConfig(_require(raw, "preset", "initial"), params)
+    _check_initial(initial, dimension, n)
+    return initial
 
 
 def _check_initial(initial: InitialConfig, dimension: int, n: int):
@@ -370,16 +357,10 @@ def preset_initial(initial: InitialConfig, mesh: Mesh, n: int) -> StateField:
 
     Raises :class:`ConfigError` unless ``initial`` meets the rules that
     :func:`load_config` applies and a table has one row per cell of ``mesh``.
-    Those rules are checked here only for an ``initial`` that
-    :func:`load_config` did not read for this mesh dimension and ``n``.
     Smooth data is averaged by the midpoint rule (cell-center evaluation);
     indicator data by exact overlap integration over the cell boxes.
     """
-    read = initial.read
-    if read is not None and read[:2] == (mesh.dimension, n):
-        data = read[2]
-    else:
-        data = _check_initial(initial, mesh.dimension, n)
+    data = _check_initial(initial, mesh.dimension, n)
     if initial.preset == "table" and len(data) != mesh.num_cells:
         raise ConfigError("initial.values must have one row per mesh cell")
     values = _PRESETS[initial.preset][-1](mesh, n, data)

@@ -483,7 +483,7 @@ def _edge_systems(system, lam):
     return mats
 
 
-def _edge_inverse(mats):
+def _edge_inverse(mats, pivoting=False):
     """Inverse of every matrix of an (n, n, E) stack, by Gauss-Jordan elimination.
 
     The Python loop runs over the n pivots only: each pivot's row is
@@ -497,6 +497,15 @@ def _edge_inverse(mats):
     matrices elimination without pivoting is stable (growth factor at most
     2).
 
+    ``pivoting`` serves matrices with no such bound, the red blocks of
+    :class:`_RedBlackSchur`: each pivot is then the entry of largest
+    magnitude in its column on or below the diagonal, the two rows are
+    exchanged matrix by matrix, and the inverse's columns are exchanged
+    back in the reverse order at the end (Press et al., Numerical Recipes,
+    3rd ed., section 2.1).  A matrix whose pivot is not above n eps times
+    its largest entry's magnitude, or not finite, is singular to working
+    precision and raises ``RuntimeError``.
+
     The stack is overwritten by the inverses and returned, so that an edge
     evaluation holds one (n, n, E) array, not two.
     """
@@ -504,7 +513,25 @@ def _edge_inverse(mats):
     # one buffer for the products of every update: fresh temporaries of that
     # size cost page faults at large E
     products = np.empty((n - 1,) + mats.shape[1:])
+    if pivoting:
+        # maxima over the leading axes as chains of length-E maxima: a
+        # reduction over a short axis with these strides is ten times slower
+        floor = n * np.finfo(float).eps * functools.reduce(
+            np.maximum, np.abs(mats).reshape(n * n, -1))
+        exchanges = []
     for k in range(n):
+        if pivoting:
+            # the matrices whose pivot is not yet the largest of its column
+            column = np.abs(mats[k:, k])
+            cells = np.flatnonzero(functools.reduce(np.maximum, column) > column[0])
+            if len(cells):
+                rows = k + np.argmax(column[:, cells], axis=0)
+                upper = mats[k][:, cells]
+                mats[k][:, cells] = mats[rows, :, cells].T
+                mats[rows, :, cells] = upper.T
+                exchanges.append((k, rows, cells))
+            if not np.all(np.abs(mats[k, k]) > floor):
+                raise RuntimeError("a red cell's diagonal block is singular to working precision")
         row = mats[k]
         inv_pivot = 1.0 / row[k]
         row[k] = 1.0
@@ -514,6 +541,11 @@ def _edge_inverse(mats):
                 update = np.multiply(others[:, k, None], row, out=products[:len(others)])
                 others[:, k] = 0.0
                 others -= update
+    if pivoting:
+        for k, rows, cells in reversed(exchanges):
+            left = mats[:, k][:, cells]
+            mats[:, k][:, cells] = mats[:, rows, cells]
+            mats[:, rows, cells] = left
     return mats
 
 
@@ -931,7 +963,8 @@ class _RedBlackSchur:
         for out, rows, cols in zip(slot[:edge_entries].reshape(4, b, b, -1),
                                    (k, k, l, l), (k, l, k, l)):
             out[...] = slots(rows, cols).transpose(1, 2, 0)
-        slot[edge_entries:] = slots(np.arange(cells), np.arange(cells))[:, species, species].ravel()
+        diagonal = slots(np.arange(cells), np.arange(cells))
+        slot[edge_entries:] = diagonal[:, species, species].ravel()
 
         # entry (a b + i, c b + j) of red cell r's product: entry (i, j) of
         # block pair_blocks[r, a, c], or the spare entry for padding
@@ -955,24 +988,33 @@ class _RedBlackSchur:
     def condense(self, storage):
         """Eliminate the red unknowns of the filled ``storage`` in place; its red parts.
 
-        D is inverted in place by :func:`_edge_inverse` on its (b, b, reds)
-        view, J_RB overwritten by D^-1 J_RB, and J_BR D^-1 J_RB, one (width
-        * b) x (width * b) product per red cell by one batched ``matmul``,
-        subtracted from J_BB, so that ``storage`` holds S, D^-1, J_BR and
-        D^-1 J_RB.  Returns the views ``(D^-1, J_BR, D^-1 J_RB)``, each red
-        cell's J_BR part transposed.  A red block with a zero or non-finite
-        pivot raises ``RuntimeError``, as a singular SuperLU factor does.
+        D is inverted in place by :func:`_edge_inverse`, with partial
+        pivoting, on its (b, b, reds) view, J_RB overwritten by D^-1 J_RB,
+        and J_BR D^-1 J_RB, one (width * b) x (width * b) product per red
+        cell by one batched ``matmul``, subtracted from J_BB, so that
+        ``storage`` holds S, D^-1, J_BR and D^-1 J_RB.  Returns the views
+        ``(D^-1, J_BR, D^-1 J_RB)``, each red cell's J_BR part transposed.
+        A red block singular to working precision, or one whose inverse is
+        not finite, raises ``RuntimeError``, as a singular SuperLU factor
+        does.
+
+        The pivots are not bounded away from zero as those of the edge
+        matrices are: D is m_K/dt I plus the cell's flux derivatives, whose
+        P diag(dlam/du_K) term and the reduction to b species can take
+        either sign, so at a large dt nothing keeps a block's diagonal
+        dominant.  Hence the pivoting, and the refusal of a block that is
+        singular to working precision, whose inverse, and so S, would be
+        rounding error: the whole Jacobian may still be regular there, but
+        this elimination cannot serve it.
         """
         reds, b, span = self.shape
         blocks = storage[self.blocks].reshape(reds, b, b)
         below = storage[self.below].reshape(reds, b, span)
         right = storage[self.right].reshape(reds, b, span)
-        # no pivoting: a zero pivot leaves an infinity in the inverse
+        # with partial pivoting: nothing bounds these blocks' pivots
         with np.errstate(all="ignore"):
-            singular = not (np.isfinite(blocks).all()
-                            and np.isfinite(_edge_inverse(blocks.transpose(1, 2, 0))).all())
-        if singular:
-            raise RuntimeError("a red cell's diagonal block has a zero or non-finite pivot")
+            if not np.isfinite(_edge_inverse(blocks.transpose(1, 2, 0), pivoting=True)).all():
+                raise RuntimeError("a red cell's diagonal block is singular to working precision")
         np.matmul(blocks, right, out=right)
         np.subtract.at(storage, self.products,
                        np.matmul(below.transpose(0, 2, 1), right).ravel())
@@ -1077,8 +1119,8 @@ class _StepPlan:
         The solve function may overwrite its right-hand side, and it reads
         the storage, so it ends at the next refill.  A factor with an
         exactly zero pivot raises ``RuntimeError``, as SuperLU does, and so
-        does a red block of the Schur storage with a zero or non-finite
-        pivot.
+        does a red block of the Schur storage that is singular to working
+        precision.
         """
         if self.chain:
             # partial pivoting (dgbtrf) within the band; the factor

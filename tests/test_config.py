@@ -285,46 +285,3 @@ class TestPresetTable:
                           {"dimension": 2, "Nx": 2, "Ny": 2},
                           initial={"preset": preset, **MINIMAL_FIELDS[preset]})
         assert load_config(doc).initial == initial
-
-    @pytest.mark.parametrize("preset", sorted(MINIMAL_FIELDS))
-    def test_loaded_and_hand_built_configs_give_one_state(self, preset):
-        # load_config reads the field once and the config carries it; a
-        # hand-built config is checked and read by preset_initial.  Both give
-        # the same state, to the bit, and the loaded one again on a reuse
-        dimension = _PRESETS[preset][0] or 1
-        doc = base_config(mesh={"dimension": 1, "N": 4} if dimension == 1 else
-                          {"dimension": 2, "Nx": 2, "Ny": 2},
-                          initial={"preset": preset, **MINIMAL_FIELDS[preset]})
-        loaded = load_config(doc).initial
-        hand = InitialConfig(preset, MINIMAL_FIELDS[preset])
-        assert loaded == hand and hand.read is None and loaded.read[:2] == (dimension, 3)
-        states = [preset_initial(initial, MESHES[dimension], 3)
-                  for initial in (loaded, hand, loaded)]
-        assert all(np.array_equal(state.values, states[0].values) for state in states)
-
-    def test_loaded_table_is_left_as_read(self):
-        # the profile's check clamps an entry of -1e-13 to 0 in the state,
-        # not in the table the config carries
-        rows = [[0.5, 0.5 + 1e-13, -1e-13], [0.25, 0.25, 0.5]]
-        doc = base_config(mesh={"dimension": 1, "N": 2},
-                          initial={"preset": "table", "values": rows})
-        initial = load_config(doc).initial
-        for _ in range(2):
-            state = preset_initial(initial, uniform_interval(2), 3)
-            assert state.values[2, 0] == 0.0
-            assert initial.read[2][0, 2] == -1e-13
-
-    @pytest.mark.parametrize("mesh, n, message", [
-        (uniform_rectangle(2, 2), 3, r"^initial\.preset smooth1d requires a 1D mesh$"),
-        (uniform_interval(4), 4, r"^initial\.preset smooth1d requires exactly 3 species$"),
-        (uniform_interval(5), 3, None)], ids=["2d-mesh", "4-species", "5-cells"])
-    def test_loaded_config_is_checked_again_elsewhere(self, mesh, n, message):
-        # a loaded config's field serves only the mesh dimension and species
-        # count it was read for; elsewhere every rule applies again, and a
-        # table keeps its row count rule
-        preset = "smooth1d" if message else "table"
-        doc = base_config(mesh={"dimension": 1, "N": 4},
-                          initial={"preset": preset, **MINIMAL_FIELDS[preset]})
-        with pytest.raises(ConfigError, match=message or r"^initial\.values must have one "
-                                                         r"row per mesh cell$"):
-            preset_initial(load_config(doc).initial, mesh, n)

@@ -346,6 +346,41 @@ class TestEdgeInverse:
             assert np.all(gap <= 1e-15 * np.abs(mats).sum(axis=0))
             assert _leading_pivots(mats).min() >= system.c_star * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pivoting_matches_lapack(self, n):
+        # matrices of no sign pattern, half of them with a zero (0, 0)
+        # entry, inverted in place on a strided view, as the red blocks are
+        rng = np.random.default_rng(50 + n)
+        stack = rng.standard_normal((400, n, n))
+        if n > 1:
+            stack[:200, 0, 0] = 0.0
+        ref = np.linalg.inv(stack)
+        work = stack.copy()
+        inv = _edge_inverse(work.transpose(1, 2, 0), pivoting=True)
+        assert np.shares_memory(inv, work)
+        rel = np.abs(work - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert np.all(rel <= 1e-15 * np.maximum(np.linalg.cond(stack, 1), 100.0))
+
+    def test_pivoting_keeps_unexchanged_matrices_bit_exact(self):
+        # where every pivot is already the largest of its column, pivoting
+        # changes no bit: the edge matrices are such
+        rng = np.random.default_rng(60)
+        mats = _edge_systems(_wide_system(rng, 4), _extreme_compositions(rng, 4, 40))
+        assert np.array_equal(_edge_inverse(mats.copy(), pivoting=True),
+                              _edge_inverse(mats.copy()))
+
+    @pytest.mark.parametrize("block", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]],
+                                       [[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]],
+                                       [[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, 1.0]]],
+                             ids=["zero", "rank-one", "pivot-eps", "nan", "inf"])
+    def test_pivoting_refuses_singular_matrices(self, block):
+        # a pivot not above n eps times the matrix's largest entry, here
+        # 0, 0, eps and not finite, among regular matrices
+        mats = np.tile(np.eye(2)[:, :, None], 5)
+        mats[:, :, 3] = block
+        with pytest.raises(RuntimeError, match="singular to working precision"):
+            _edge_inverse(mats, pivoting=True)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_jacobian_matches_finite_differences(self, n):
         # cbar/c* up to 1e6 amplifies the residual's rounding; the oracle's
@@ -782,14 +817,18 @@ class TestNewtonLinearSolve:
                 for part, want in zip(parts + [condensed.toarray()], expected):
                     assert np.abs(part - want).max() <= 1e-12 * max(scale, np.abs(want).max())
 
-    @pytest.mark.parametrize("case", ["blocks-8x8", "union", "triangle", "n2", "n4"])
+    @pytest.mark.parametrize("case", ["blocks-8x8", "union", "triangle", "n2", "n4",
+                                      "high-contrast"])
     def test_schur_solve_matches_spsolve(self, system_2d, case):
         # a non-chain mesh's solve, red elimination and back-substitution
         # included, is that of spsolve with the reduced Jacobian: the blocks
         # data at its exact zeros, a union with an isolated cell, whose red
         # block has no neighbour, three mutually adjacent cells, with an
-        # edge between black cells, and b = 1 and b = 3
-        rng = np.random.default_rng(len(case))
+        # edge between black cells, b = 1 and b = 3, and coefficients over
+        # five decades at dt = 10, where red blocks need row exchanges: a
+        # draw whose cbar spans four decades and whose Jacobian's condition
+        # (1.9e3) keeps spsolve's own error far below the tolerance
+        rng = np.random.default_rng(179 if case == "high-contrast" else len(case))
         n = {"n2": 2, "n4": 4}.get(case, 3)
         mesh = {"blocks-8x8": uniform_rectangle(8, 8), "triangle": _triangle(),
                 "union": disjoint_union([uniform_rectangle(3, 4), uniform_rectangle(1, 1),
@@ -797,6 +836,10 @@ class TestNewtonLinearSolve:
             case, uniform_rectangle(5, 4))
         if case == "blocks-8x8":
             system, dt, values = system_2d, 1e-5, _blocks_2d(mesh).values
+        elif case == "high-contrast":
+            coeffs = np.triu(10.0 ** rng.uniform(-3.0, 2.0, (n, n)), 1)
+            system = build_system(coeffs + coeffs.T)
+            dt, values = 10.0, rng.dirichlet(np.ones(n), size=mesh.num_cells).T
         else:
             coeffs = rng.uniform(0.05, 2.0, (n, n))
             system = build_system(np.triu(coeffs, 1) + np.triu(coeffs, 1).T)
@@ -804,9 +847,19 @@ class TestNewtonLinearSolve:
         plan = smfv.scheme._StepPlan(mesh, n)
         assert not plan.chain
         edges = smfv.scheme._edge_fluxes(system, mesh, values)
-        solve = plan.factor(smfv.scheme._jacobian_matrix(system, mesh, edges, dt,
-                                                         plan.pattern))
+        storage = smfv.scheme._jacobian_matrix(system, mesh, edges, dt, plan.pattern)
         natural = _reduced(jacobian(system, StateField(mesh, values), dt), n)
+        if case == "high-contrast":
+            blocks = storage[plan.schur.blocks].reshape(-1, 2, 2)
+            assert np.any(np.abs(blocks[:, 1, 0]) > np.abs(blocks[:, 0, 0]))
+            assert np.ptp(np.log10(coeffs[coeffs > 0])) > 4.0
+            # the reduction after the sums, as _reduced takes it, moves the
+            # entries here by 5e-14 of the largest, and the solution by
+            # 3.5e-12: the reference sums the reduced entries, as the fill does
+            natural = smfv.scheme._jacobian_matrix(system, mesh, edges, dt,
+                                                   smfv.scheme._jacobian_pattern(mesh, n - 1))
+            assert np.linalg.cond(natural.toarray(), 1) < 1e4
+        solve = plan.factor(storage)
         into, out_of = plan.gathers
         for _ in range(2):
             res = rng.standard_normal((n, mesh.num_cells))
@@ -815,14 +868,20 @@ class TestNewtonLinearSolve:
             solution = solve(res.ravel()[into])[out_of]
             assert np.abs(solution - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("bad", ["zero", "nan", "rank-one"])
     def test_singular_red_block_raises(self, system_2d, monkeypatch, bad):
-        # a red cell's block with a zero or non-finite pivot ends the step
-        # in NonConvergence with that reason, before SuperLU factors S
+        # a red cell's block singular to working precision ends the step in
+        # NonConvergence with that reason, before SuperLU factors S
         factor = smfv.scheme._StepPlan.factor
 
         def spoiled(plan, matrix):
-            matrix[plan.schur.blocks][0] = bad
+            block = matrix[plan.schur.blocks][:4].reshape(2, 2)
+            if bad == "zero":
+                block[...] = 0.0
+            elif bad == "nan":
+                block[0, 0] = np.nan
+            else:
+                block[1] = 2.0 * block[0]
             return factor(plan, matrix)
 
         def no_superlu(*args, **kwargs):
@@ -832,7 +891,7 @@ class TestNewtonLinearSolve:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_superlu)
         with pytest.raises(NonConvergence) as info:
             newton_step(system_2d, _blocks_2d(uniform_rectangle(4, 4)), 1e-5)
-        assert info.value.reason == "a red cell's diagonal block has a zero or non-finite pivot"
+        assert info.value.reason == "a red cell's diagonal block is singular to working precision"
         assert info.value.iterations == 1
 
 
