@@ -66,7 +66,8 @@ itself and to black cells, so the red-red part of the reduced Jacobian
 is block diagonal, one (n-1) x (n-1) block per red cell, and the red
 unknowns are eliminated exactly (Saad, Iterative Methods for Sparse
 Linear Systems, 2nd ed., SIAM 2003, section 3.3): the red blocks are
-inverted by the elimination of the edge matrices, each red cell's
+inverted by the elimination of the edge matrices, with partial pivoting
+(no sign pattern bounds their pivots), each red cell's
 product J_BR D^-1 J_RB with its black neighbours comes from one batched
 ``matmul`` and is subtracted through slots, and SuperLU factors only the
 Schur complement S on the black unknowns.  A solve reduces the
