@@ -18,7 +18,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .model import SpeciesSystem
-from .scheme import FluxField, StateField, StepStats
+from .scheme import FluxField, StateField, StepStats, _check_species
 
 
 def entropy(state: StateField) -> float:
@@ -35,7 +35,10 @@ def dissipation(system: SpeciesSystem, state: StateField, fluxes: FluxField) -> 
 
     D = sum_sigma [ (c*/2) m_sigma d_sigma |J_Ksigma|^2
                     + (alpha/2) tau_sigma |D_Ksigma sqrt(u)|^2 ].
+
+    The state must have one row per species of ``system``.
     """
+    _check_species(system, state, "state")
     mesh = state.mesh
     if fluxes.mesh is not mesh:
         raise ValueError("fluxes do not belong to the given mesh of the state")

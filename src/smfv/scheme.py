@@ -43,11 +43,17 @@ when the old sums are 1.  Newton therefore keeps every cell sum at its
 old value and factors only the Jacobian reduced to the first n - 1
 species, with u_n = s - sum_{j<n} u_j; volume filling holds by
 construction of the update.  The reduced Jacobian, of (n-1) x (n-1)
-blocks, is stored once per run, in one of two ways chosen once per run
-from the mesh's structure, and refilled in place for every factor: its
-storage is zeroed, and its raw block entries, laid out in one array in a
-fixed order, are summed into the storage itself by one ``np.add.at``, so
-no second matrix is assembled.
+blocks, is held by one solver per run, chosen once per run from the
+mesh's structure: a band LU or a red-black Schur complement.  Both have
+the same three members: ``slot``, the position of every raw block entry
+in the solver's storage, ``fill``, that storage as one flat float array,
+and ``factor()``, which factors the filled storage and returns the
+function that solves with it.  Every factor refills ``fill`` in place: it
+is zeroed, and the raw entries, laid out in one array in a fixed order,
+are summed into it by one ``np.add.at``, so no second matrix is
+assembled.  The solve takes the (n, |T|) residual and returns the update
+of the first n - 1 species, shape (n - 1, |T|): taking the residual into
+the solver's order and the solution out of it is the solver's own work.
 
 On a chain mesh, whose every interior edge joins two consecutive cells
 (an interval, a disjoint union of intervals, a one-cell-thick rectangle,
@@ -56,7 +62,9 @@ tridiagonal: in the natural cell-major order its half-bandwidth is
 2(n-1) - 1.  It is stored in LAPACK's band storage and factored by the
 banded LU with partial pivoting, ``dgbtrf``, and solved by ``dgbtrs``
 (Anderson et al., LAPACK Users' Guide, SIAM 1999, section 2.4), which on
-such a matrix cost a fraction of SuperLU's fixed per-column work.
+such a matrix cost a fraction of SuperLU's fixed per-column work.  The
+cell-major order is the residual's first n - 1 rows transposed: the
+solve gathers them by one index and returns a transposed view.
 
 On any other mesh the cells are split once per run into red cells, no
 two of them neighbours, and black ones, by one greedy pass in cell order:
@@ -86,9 +94,8 @@ against 0.59 s (the same matrices, best of 10 alternating rounds); in
 the run the factors with their red elimination took 0.53-0.55 s and the
 55 solves 63-70 ms, against 0.61 s and 72-91 ms.  At 140x140 the 15
 factors of two steps took 1.91 s against 2.75 s (42.8 against 50.4
-million entries).  On both paths two gathers take the residual into
-the solve's order and the solution out of it; a chain's order is the
-identity.
+million entries).  The solve gathers the residual into the order of S
+and the red cells, and the solution out of it, by one index each.
 
 The first step of a run starts its iteration at the old state; every
 later step starts at the polynomial extrapolation of order q = min(p, 3)
@@ -594,18 +601,27 @@ def _check_dt(dt):
         raise ValueError("dt must be positive")
 
 
+def _check_species(system, state, name):
+    """Raise ``ValueError`` unless the state ``name`` has one row per species of ``system``."""
+    if len(state.values) != system.n:
+        raise ValueError(f"{name} has {len(state.values)} species, the system {system.n}")
+
+
 def residual(system: SpeciesSystem, u_new: StateField, u_old: StateField,
              dt: float) -> np.ndarray:
     """Backward-Euler residual of the implicit step, shape (n, n_cells).
 
-    Both states must lie on one mesh, the one the residual is taken on.
-    Boundary faces contribute nothing (zero-flux boundary).  Summed over all
-    cells the flux contributions telescope, so the residual total equals the
-    mass-change total for every species.
+    Both states must lie on one mesh, the one the residual is taken on,
+    and have one row per species of ``system``.  Boundary faces contribute
+    nothing (zero-flux boundary).  Summed over all cells the flux
+    contributions telescope, so the residual total equals the mass-change
+    total for every species.
     """
     if u_old.mesh is not u_new.mesh:
         raise ValueError("u_old does not belong to the given mesh of u_new")
     _check_dt(dt)
+    _check_species(system, u_new, "u_new")
+    _check_species(system, u_old, "u_old")
     return _residual_values(system, u_new.mesh, u_new.values, u_old.values, dt)[0]
 
 
@@ -642,15 +658,15 @@ def _csc(keys, size, data):
 def _jacobian_pattern(mesh, n):
     """A CSC matrix with n x n blocks, with zero data, and the slot of every raw entry.
 
-    The raw entries are those of :func:`_entry_keys`.  Returns
-    ``(matrix, slot, perm)``: summing the raw entries by ``slot`` gives
-    the matrix's ``data``, and ``perm`` is the identity: unknown q is row
-    and column q.
+    The raw entries are those of :func:`_entry_keys`, and unknown q is row
+    and column q.  Returns ``(matrix, slot)``: summing the raw entries by
+    ``slot`` into the matrix's ``data`` fills it, as
+    :func:`_jacobian_matrix` does.
     """
     size = mesh.num_cells * n
     # column-major keys: sorting them gives the CSC order
     unique, slot = np.unique(_entry_keys(mesh, n, size), return_inverse=True)
-    return _csc(unique, size, np.zeros(len(unique))), slot, np.arange(size)
+    return _csc(unique, size, np.zeros(len(unique))), slot
 
 
 def _minimum_degree_order(keys, size):
@@ -712,41 +728,19 @@ def _red_cells(mesh):
     return np.frombuffer(red, dtype=bool)
 
 
-def _band_width(n):
-    """Half-bandwidth kl = ku of a chain mesh's Jacobian with n x n blocks, cell-major."""
-    return 2 * n - 1
+def _jacobian_matrix(system, mesh, edges, dt, b, slot, out):
+    """Exact derivative of the residual w.r.t. the new state, summed into ``out``.
 
+    ``edges`` are the state's terms from :func:`_edge_fluxes` and ``b`` the
+    unknowns per cell, n or n - 1.  ``out`` is a flat float array, zeroed
+    here, into which every raw entry, in the order of :func:`_entry_keys`,
+    is summed at its ``slot``: a solver's ``fill`` by its ``slot``, or the
+    ``data`` of the matrix of :func:`_jacobian_pattern` by that slot.
 
-def _band_pattern(mesh, n):
-    """LAPACK band storage of a chain mesh's Jacobian, zeroed, and the slot of every raw entry.
-
-    On a chain mesh every interior edge joins cells K and K +- 1, so with
-    n x n blocks in the cell-major order of :func:`_entry_keys` entry
-    (r, c) is nonzero only for |r - c| <= kl = ku = 2n - 1.  It is stored
-    at row kl + ku + r - c, column c of a (2 kl + ku + 1, n |T|) array in
-    Fortran order, as LAPACK's ``dgbtrf`` takes it: the first kl rows hold
-    the factor's fill from row interchanges.  That is memory offset
-    2 kl + r + (ldab - 1) c, ldab = 3 kl + 1.  Returns ``(band, slot,
-    perm)`` like :func:`_jacobian_pattern`, with ``perm`` the identity:
-    summing the raw entries by ``slot`` into the band's memory fills it.
-    """
-    kl = _band_width(n)
-    ldab = 3 * kl + 1
-    band = np.zeros((ldab, mesh.num_cells * n), order="F")
-    return band, _entry_keys(mesh, n, ldab - 1) + 2 * kl, np.arange(band.shape[1])
-
-
-def _jacobian_matrix(system, mesh, edges, dt, pattern):
-    """Exact derivative of the residual w.r.t. the new state, in a pattern's storage.
-
-    ``edges`` are the state's terms from :func:`_edge_fluxes` and
-    ``pattern`` the ``(matrix, slot, perm)`` of :func:`_jacobian_pattern`,
-    of :func:`_band_pattern` or of :class:`_RedBlackSchur`, whose CSC
-    matrix, band or storage array is refilled in place and returned; the
-    pattern has b = len(perm) / |T| unknowns per cell.  Differentiating
-    S J = -(u_L - u_K)/d_sigma, S = c* I + Abar(u_sigma), through the jump
-    and the edge compositions gives, with the state's edge inverses
-    S^-1 and P = S^-1 G, G = d(Abar(u_sigma) J)/du_sigma at fixed J,
+    Differentiating S J = -(u_L - u_K)/d_sigma, S = c* I + Abar(u_sigma),
+    through the jump and the edge compositions gives, with the state's
+    edge inverses S^-1 and P = S^-1 G, G = d(Abar(u_sigma) J)/du_sigma at
+    fixed J,
 
         dJ/du_K = S^-1/d_sigma - P diag(dlam/du_K),
         dJ/du_L = -S^-1/d_sigma - P diag(dlam/du_L),
@@ -758,16 +752,14 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
     entry: -G with the sign of cbar folded in, -P by one ``np.einsum``,
     and m_sigma dJ/du_K and m_sigma dJ/du_L from them.
 
-    With blocks of size b = n - 1 the pattern holds the reduction to the
-    first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j: rows
-    i < n and columns dF/du_j - dF/du_n for j < n.  The time-derivative
-    diagonal is unchanged by it.
+    With blocks of size b = n - 1 the entries are those of the reduction to
+    the first n - 1 species at fixed cell sums, u_n = s - sum_{j<n} u_j:
+    rows i < n and columns dF/du_j - dF/du_n for j < n.  The
+    time-derivative diagonal is unchanged by it.
     """
     flux, inv, (uk, ul, lam, d, ell) = edges
     da, db = _log_mean_partials(uk, ul, lam, d, ell)
     n = system.n
-    matrix, slot, perm = pattern
-    b = len(perm) // mesh.num_cells
     weighted = mesh.edge_measure * flux
     # -m_sigma G[j, m] = -m_sigma d(Abar(s) J)_j / d s_m at fixed J
     gmat = (-system.c_bar)[:, :, None] * weighted[:, None, :]
@@ -793,23 +785,23 @@ def _jacobian_matrix(system, mesh, edges, dt, pattern):
             block[...] = full
     np.negative(blocks[:2], out=blocks[2:])
     np.divide(mesh.cell_measures[:, None], dt, out=raw[4 * m:].reshape(-1, b))
-    # summed into the storage itself, in the order of the raw entries: the
-    # band's Fortran memory (a view), the Schur storage or the CSC data
-    out = matrix.T.reshape(-1) if isinstance(matrix, np.ndarray) else matrix.data
     out[:] = 0.0
     np.add.at(out, slot, raw)
-    return matrix
 
 
 def jacobian(system: SpeciesSystem, u_new: StateField, dt: float):
     """Analytic residual Jacobian on the mesh of ``u_new``, sparse (n|T| x n|T|).
 
     The time-derivative part is diagonal, so the old state does not enter.
+    ``u_new`` must have one row per species of ``system``.
     """
     _check_dt(dt)
+    _check_species(system, u_new, "u_new")
     mesh = u_new.mesh
-    return _jacobian_matrix(system, mesh, _edge_fluxes(system, mesh, u_new.values),
-                            dt, _jacobian_pattern(mesh, system.n))
+    edges = _edge_fluxes(system, mesh, u_new.values)
+    matrix, slot = _jacobian_pattern(mesh, system.n)
+    _jacobian_matrix(system, mesh, edges, dt, system.n, slot, matrix.data)
+    return matrix
 
 
 def project_simplex(u) -> np.ndarray:
@@ -841,6 +833,52 @@ def _project_values(values):
     return np.maximum(v, PROJECTION_FLOOR, out=v)
 
 
+class _BandLU:
+    """A chain mesh's reduced Jacobian in LAPACK's band storage, and its band LU.
+
+    On a chain mesh every interior edge joins cells K and K +- 1, so with
+    b x b blocks in the cell-major order of :func:`_entry_keys` entry
+    (r, c) is nonzero only for |r - c| <= kl = ku = 2b - 1 (``width``).
+    ``band`` stores it at row kl + ku + r - c, column c of a (2 kl + ku +
+    1, b |T|) array in Fortran order, as LAPACK's ``dgbtrf`` takes it: the
+    first kl rows hold the factor's fill from row interchanges.  ``fill``
+    is the band's memory, where entry (r, c) lies at 2 kl + r + (ldab - 1)
+    c, ldab = 3 kl + 1, and ``slot`` the position there of every raw entry.
+    ``into`` is the position in the flat (n, |T|) residual of each unknown
+    in the cell-major order.
+    """
+
+    def __init__(self, mesh, b):
+        cells = mesh.num_cells
+        self.b = b
+        self.width = kl = 2 * b - 1
+        self.band = np.zeros((3 * kl + 1, cells * b), order="F")
+        self.fill = self.band.T.reshape(-1)  # a view of the band's memory
+        self.slot = _entry_keys(mesh, b, 3 * kl) + 2 * kl
+        self.into = (np.arange(cells)[:, None] + cells * np.arange(b)).ravel()
+
+    def factor(self):
+        """The band LU of the filled ``band``, with partial pivoting; the function that solves.
+
+        ``dgbtrf`` overwrites the band with the LU, so the solve ends at the
+        next refill.  An exactly zero pivot raises ``RuntimeError``.  The
+        solve gathers the negated residual's first b rows into the
+        cell-major order by ``into``, in less than half the time of a
+        negated transposed copy at 64 and at 2,048 cells (timeit), and
+        returns the solution's transposed view.
+        """
+        b, kl, into = self.b, self.width, self.into
+        lu, ipiv, info = lapack.dgbtrf(self.band, kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"band LU factor is exactly singular: pivot {info} is zero")
+
+        def solve(res):
+            solution = lapack.dgbtrs(lu, kl, kl, -res.ravel()[into], ipiv, overwrite_b=True)[0]
+            return solution.reshape(-1, b).T
+
+        return solve
+
+
 class _RedBlackSchur:
     """A non-chain mesh's reduced Jacobian, condensed onto its black cells.
 
@@ -853,22 +891,22 @@ class _RedBlackSchur:
     Iterative Methods for Sparse Linear Systems, 2nd ed., SIAM 2003,
     section 3.3).  Everything below is built once per run, from keys.
 
-    ``pattern`` is the ``(storage, slot, perm)`` that
-    :func:`_jacobian_matrix` fills: summing the raw entries by ``slot``
-    into the zeroed ``storage`` lays out, in one array, J_BB on S's CSC
-    pattern (the data of ``matrix``, a view), one spare entry, the red
-    blocks D, shape (reds, b, b), and the coupling of every red cell with
-    its black neighbours, ``width`` of them at most, in ``shape`` =
-    (reds, b, width * b): J_BR with each red cell's part transposed, and
-    J_RB.  A red cell with fewer neighbours leaves zero padding there.
-    S's pattern is the union of J_BB's and that of the products of each
-    red cell's neighbours, numbered by :func:`_minimum_degree_order`.
-    ``perm`` places unknown q at ``perm[q]`` of the solve's vector: the
-    black unknowns in S's order, then the red ones, cell by cell.
-    ``products`` is the slot in ``storage`` of every entry of the
-    per-red-cell products, the spare entry for padding, and ``spread`` the
-    position in S of every black unknown next to a red cell, S's size for
-    padding.  ``slot`` and ``products``, each about as long as the
+    :func:`_jacobian_matrix` sums the raw entries by ``slot`` into the
+    zeroed ``fill``, which lays out, in one array, J_BB on S's CSC pattern
+    (the data of ``matrix``, a view), one spare entry, the red blocks D,
+    shape (reds, b, b), and the coupling of every red cell with its black
+    neighbours, ``width`` of them at most, in ``shape`` = (reds, b, width
+    * b): J_BR with each red cell's part transposed, and J_RB.  A red cell
+    with fewer neighbours leaves zero padding there.  S's pattern is the
+    union of J_BB's and that of the products of each red cell's
+    neighbours, numbered by :func:`_minimum_degree_order`.  ``perm``
+    places unknown q, cell-major, at ``perm[q]`` of the solve's vector:
+    the black unknowns in S's order, then the red ones, cell by cell;
+    ``into`` is the position in the flat (n, |T|) residual of each entry
+    of that vector.  ``products`` is the slot in ``fill`` of every entry
+    of the per-red-cell products, the spare entry for padding, and
+    ``spread`` the position in S of every black unknown next to a red
+    cell, S's size for padding.  ``slot`` and ``products``, each about as long as the
     storage, are ``np.int32``, which numpy converts on every call: as
     ``np.intp`` their scatters took 0.45-0.50 and 0.24-0.26 ms at 70x70 in
     place of 0.47-0.51 and 0.29-0.32, but the blocks workload's peak
@@ -878,8 +916,9 @@ class _RedBlackSchur:
     def __init__(self, mesh, b):
         cells = mesh.num_cells
         # allocated before the temporaries, so that freeing them can shrink
-        # the heap: made last, it kept 0.26 MiB of the blocks workload's peak
-        perm = np.empty(cells * b, dtype=np.intp)
+        # the heap: perm made last kept 0.26 MiB of the blocks workload's peak
+        self.perm = perm = np.empty(cells * b, dtype=np.intp)
+        self.into = np.empty_like(perm)
         red = _red_cells(mesh)
         reds = int(np.count_nonzero(red))
         blacks = cells - reds
@@ -928,8 +967,8 @@ class _RedBlackSchur:
         self.blocks = slice(nnz + 1, nnz + 1 + reds * block)
         self.below = slice(self.blocks.stop, self.blocks.stop + reds * width * block)
         self.right = slice(self.below.stop, self.below.stop + reds * width * block)
-        storage = np.zeros(self.right.stop)
-        self.matrix = _csc(keys, black_size, storage[:nnz])
+        self.fill = np.zeros(self.right.stop)
+        self.matrix = _csc(keys, black_size, self.fill[:nnz])
         self.shape = (reds, b, width * b)
         # the index arrays below live for the whole run: every temporary of
         # their making goes before the next is made
@@ -960,7 +999,7 @@ class _RedBlackSchur:
         # the raw entries' layout: the (K, K), (K, L), (L, K) and (L, L)
         # blocks of the edges, each (b, b, E), then each cell's diagonal
         edge_entries = 4 * block * mesh.num_interior_edges
-        slot = np.empty(edge_entries + cells * b, dtype=np.int32)
+        self.slot = slot = np.empty(edge_entries + cells * b, dtype=np.int32)
         for out, rows, cols in zip(slot[:edge_entries].reshape(4, b, b, -1),
                                    (k, k, l, l), (k, l, k, l)):
             out[...] = slots(rows, cols).transpose(1, 2, 0)
@@ -984,7 +1023,7 @@ class _RedBlackSchur:
         np.add(black_size, within, out=perm)
         is_black = ~red[unknown // b]
         perm[is_black] = order[within[is_black]]
-        self.pattern = (storage, slot, perm)
+        self.into[perm] = (np.arange(cells)[:, None] + cells * np.arange(b)).ravel()
 
     def condense(self, storage):
         """Eliminate the red unknowns of the filled ``storage`` in place; its red parts.
@@ -1021,26 +1060,28 @@ class _RedBlackSchur:
                        np.matmul(below.transpose(0, 2, 1), right).ravel())
         return blocks, below, right
 
-    def factor(self, storage):
-        """:meth:`condense` the filled ``storage`` and factor S; the function that solves.
+    def factor(self):
+        """:meth:`condense` the filled ``fill`` and factor S; the function that solves.
 
-        ``storage`` is the pattern's own, which ``matrix`` views.  SuperLU
-        factors S in its natural order.  The solve reduces the right-hand
-        side by J_BR D^-1, solves with S and back-substitutes the red
-        unknowns through D^-1 and D^-1 J_RB, so a refill of ``storage``
-        ends it.
+        SuperLU factors S, which views ``fill``, in its natural order.  The
+        solve gathers the negated residual into its order by ``into``,
+        reduces it by J_BR D^-1, solves with S, back-substitutes the red
+        unknowns through D^-1 and D^-1 J_RB, and gathers the solution out
+        by ``perm``, so a refill of ``fill`` ends it.
         """
-        blocks, below, right = self.condense(storage)
+        blocks, below, right = self.condense(self.fill)
         reds, b, _ = self.shape
         # The order is fixed per run, so SuperLU orders nothing here.  Its
         # own symbolic reuse (options={"Fact": "SamePattern"}) crashes the
         # process in scipy 1.17.1 and is not used.
         lu = spla.splu(self.matrix, permc_spec="NATURAL", **SUPERLU_SETTINGS)
-        black_size, spread = self.matrix.shape[0], self.spread
+        black_size, spread, into = self.matrix.shape[0], self.spread, self.into
+        out_of = self.perm.reshape(-1, b).T
 
         # the per-cell products of the solve: einsum takes a third of the
         # time of matmul on these (b x b) and (b x width b) blocks
-        def solve(rhs):
+        def solve(res):
+            rhs = -res.ravel()[into]
             red = np.einsum("rij,rj->ri", blocks, rhs[black_size:].reshape(reds, b))
             black = rhs[:black_size]
             black -= np.bincount(spread.ravel(), np.einsum("rja,rj->ra", below, red).ravel(),
@@ -1048,27 +1089,25 @@ class _RedBlackSchur:
             black = lu.solve(black)
             # padding reads any entry: its columns of D^-1 J_RB are zero
             red -= np.einsum("ria,ra->ri", right, black.take(spread, mode="clip"))
-            return np.concatenate([black, red.ravel()])
+            return np.concatenate([black, red.ravel()])[out_of]
 
         return solve
 
 
 class _StepPlan:
-    """What every step of one run on one mesh shares: the reduced Jacobian's storage.
+    """What every step of one run on one mesh shares: the reduced Jacobian's solver.
 
-    ``chain`` is decided once, from the mesh: whether every interior edge
-    joins two consecutive cells, as on an interval, a disjoint union of
-    intervals, a one-cell-thick rectangle or a mesh without edges.  A
-    chain's Jacobian is banded in the natural cell-major order and is
-    stored and factored as a band by LAPACK.  Any other mesh's is stored
-    by ``schur``, a :class:`_RedBlackSchur`, which eliminates the red
-    cells' unknowns and leaves SuperLU the Schur complement on the black
-    ones: on the 70x70 blocks workload that factor took a sixth less
-    time than the whole reduced Jacobian's, with a sixth fewer L+U
-    entries.  ``pattern`` is the band's or the Schur storage's
-    ``(storage, slot, perm)``, and ``gathers`` take a residual into the
-    solve's order and a solution out of it.  All of them are built at
-    their first use, inside the first step.
+    ``solver`` is chosen once, from the mesh, and built at its first use,
+    inside the first step.  A chain mesh, whose every interior edge joins
+    two consecutive cells, as on an interval, a disjoint union of
+    intervals, a one-cell-thick rectangle or a mesh without edges, has a
+    Jacobian banded in the natural cell-major order: its solver is a
+    :class:`_BandLU`.  Any other mesh's is a :class:`_RedBlackSchur`,
+    which eliminates the red cells' unknowns and leaves SuperLU the Schur
+    complement on the black ones: on the 70x70 blocks workload that factor
+    took a sixth less time than the whole reduced Jacobian's, with a sixth
+    fewer L+U entries.  Either one's ``slot`` and ``fill`` take the
+    Jacobian's entries, and its ``factor()`` the LU.
 
     ``carried`` is None, or ``(solve, dt, norm)``: the LU a step ended on,
     factored at the iterate held in ``factored``, the step size of its
@@ -1076,8 +1115,8 @@ class _StepPlan:
     with it.  :func:`_chord_newton` takes it at the start of an attempt
     (:meth:`take_carried`), so an LU serves at most the next step of the
     plan, and sets it only as the attempt returns, before any other
-    refill of the pattern.  ``factored`` is allocated once, at the first
-    carry, and overwritten by every later one.
+    refill of the solver's storage.  ``factored`` is allocated once, at the
+    first carry, and overwritten by every later one.
     """
 
     def __init__(self, mesh, n):
@@ -1086,52 +1125,23 @@ class _StepPlan:
         self.carried = None
 
     @functools.cached_property
-    def chain(self):
-        return bool(np.all(np.abs(self.mesh.edge_cell_l - self.mesh.edge_cell_k) == 1))
+    def solver(self):
+        mesh = self.mesh
+        if np.all(np.abs(mesh.edge_cell_l - mesh.edge_cell_k) == 1):
+            return _BandLU(mesh, self.n - 1)
+        return _RedBlackSchur(mesh, self.n - 1)
 
-    @functools.cached_property
-    def pattern(self):
-        if self.chain:
-            return _band_pattern(self.mesh, self.n - 1)
-        return self.schur.pattern
+    def factor(self):
+        """LU factor of the solver's refilled storage; returns the function that solves with it.
 
-    @functools.cached_property
-    def schur(self):
-        return _RedBlackSchur(self.mesh, self.n - 1)
-
-    @functools.cached_property
-    def gathers(self):
-        """Index arrays ``(into, out_of)`` of the two gathers of every solve.
-
-        For a residual ``res`` of shape (n, cells), ``res.ravel()[into]``
-        holds its first n - 1 rows in the matrix's order; for a solution
-        in that order, ``solution[out_of]`` is the update of the first
-        n - 1 species, shape (n - 1, cells).
-        """
-        perm = self.pattern[2]
-        cells, b = self.mesh.num_cells, self.n - 1
-        into = np.empty_like(perm)
-        into[perm] = (np.arange(cells)[:, None] + cells * np.arange(b)).ravel()
-        return into, perm.reshape(cells, b).T
-
-    def factor(self, matrix):
-        """LU factor of the refilled pattern; returns the function that solves with it.
-
-        The solve function may overwrite its right-hand side, and it reads
-        the storage, so it ends at the next refill.  A factor with an
-        exactly zero pivot raises ``RuntimeError``, as SuperLU does, and so
-        does a red block of the Schur storage that is singular to working
+        The solve takes the (n, cells) residual and returns the update of
+        the first n - 1 species, shape (n - 1, cells).  It reads the
+        storage, so it ends at the next refill.  A factor with an exactly
+        zero pivot raises ``RuntimeError``, as SuperLU does, and so does a
+        red block of the Schur storage that is singular to working
         precision.
         """
-        if self.chain:
-            # partial pivoting (dgbtrf) within the band; the factor
-            # overwrites the band, which is refilled before the next one
-            kl = _band_width(self.n - 1)
-            lu, ipiv, info = lapack.dgbtrf(matrix, kl, kl, overwrite_ab=True)
-            if info > 0:
-                raise RuntimeError(f"band LU factor is exactly singular: pivot {info} is zero")
-            return lambda rhs: lapack.dgbtrs(lu, kl, kl, rhs, ipiv, overwrite_b=True)[0]
-        return self.schur.factor(matrix)
+        return self.solver.factor()
 
     @functools.cached_property
     def factored(self):
@@ -1214,6 +1224,17 @@ def _estimate_passes(rate, norm):
     return rate * norm < (1.0 - rate) * NEWTON_TOL
 
 
+def _update(solve, res, delta):
+    """Write into ``delta`` the update that ``solve`` gives for the residual ``res``; |delta|.
+
+    The solve gives the update of the first n - 1 species, and the last
+    species' keeps every cell sum.
+    """
+    delta[:-1] = solve(res)
+    delta[-1] = -delta[:-1].sum(axis=0)
+    return np.abs(delta)
+
+
 def _chord_newton(system, plan, x, old_values, dt, counts):
     """The chord-Newton root of the step from ``old_values``, iterated from ``x``.
 
@@ -1239,7 +1260,6 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     docstring).
     """
     mesh = plan.mesh
-    reduced = system.n - 1
     carried = plan.take_carried(x, dt)
     delta = np.empty_like(x)
     res_norm = math.inf
@@ -1250,13 +1270,10 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
     try:
         res, edges = _residual_values(system, mesh, x, old_values, dt)
         counts[2] += 1
-        into, out_of = plan.gathers
         if carried is not None:
             solve, drift = carried
-            delta[:reduced] = solve(-res.ravel()[into])[out_of]
-            delta[reduced] = -delta[:reduced].sum(axis=0)
+            size = _update(solve, res, delta)
             counts[0] += 1
-            size = np.abs(delta)
             first = float(size.max())
             cand = x + delta
             low = cand.min()
@@ -1275,16 +1292,15 @@ def _chord_newton(system, plan, x, old_values, dt, counts):
                     # x's edge terms were released for a kept LU's trial,
                     # which was rejected: the same bits again
                     edges = _edge_fluxes(system, mesh, x)
-                matrix = _jacobian_matrix(system, mesh, edges, dt, plan.pattern)
+                solver = plan.solver
+                _jacobian_matrix(system, mesh, edges, dt, system.n - 1, solver.slot, solver.fill)
                 # a freshly factored iterate is left by the line search and
                 # never factored again, so its edge terms are released
                 edges = None
-                solve = plan.factor(matrix)
+                solve = plan.factor()
                 counts[1] += 1
-            delta[:reduced] = solve(-res.ravel()[into])[out_of]
-            delta[reduced] = -delta[:reduced].sum(axis=0)
+            size = _update(solve, res, delta)
             counts[0] += 1
-            size = np.abs(delta)
             delta_norm = float(size.max())
             if first is None:
                 first = delta_norm
@@ -1373,7 +1389,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     An update, from a fresh or a kept LU, is taken in full and ends the
     iteration by the stop rule of :func:`_estimate_passes`.  Any other
     update from a fresh LU is halved until the residual norm drops.  Each
-    factor refills the plan's one matrix in place.
+    factor refills the storage of the plan's one solver in place.
 
     With ``_plan`` shared between steps at one dt, as :func:`run` shares
     it, a step whose last update came from an LU factored at the iterate
@@ -1394,8 +1410,7 @@ def newton_step(system: SpeciesSystem, u_old: StateField, dt: float, *, _plan=No
     ``ValueError`` when ``u_old`` has not one row per species of ``system``.
     """
     _check_dt(dt)
-    if len(u_old.values) != system.n:
-        raise ValueError(f"u_old has {len(u_old.values)} species, the system {system.n}")
+    _check_species(system, u_old, "u_old")
     mesh = u_old.mesh
     plan = _StepPlan(mesh, system.n) if _plan is None else _plan
     counts = [0, 0, 0]

@@ -3,26 +3,27 @@
 ``SolverProbe(monkeypatch, dt)`` wraps two seams of :mod:`smfv.scheme` and
 nothing else.  ``_edge_fluxes`` is the edge pass of a state: every
 residual, every refactor's recomputation of an iterate's edge terms and
-every flux read goes through it.  ``_StepPlan.factor`` makes every LU
-factor, band or SuperLU.  The probe records, in order, an
+every flux read goes through it.  ``_StepPlan.factor()`` makes every LU
+factor, through the plan's solver, band or red-black Schur.  The probe records, in order, an
 :class:`Evaluation` per edge pass and a :class:`Factor` per factor, whose
 solves it counts through a solve function whose lifetime a weak set
 follows.  A solve may come in a later step than its factor, when the
 plan carries the LU.
 
 Every factor is made at the state of the most recent edge evaluation: the
-probe asserts, at each factor, that the storage is filled to the bit as
-the scheme fills it from a fresh edge pass at that state, and, on any mesh
-but a chain, that the factor leaves there to the bit the Schur complement
-and red blocks that condensing that fresh fill gives.  The factored
+probe asserts, at each factor, that the solver's ``fill`` is filled to the
+bit as the scheme fills it from a fresh edge pass at that state, and, on
+any mesh but a chain, that the factor leaves there to the bit the Schur
+complement and red blocks that the solver's ``condense`` gives on a copy
+of that fresh fill.  The factored
 states, the rejected candidates, the recomputations, the flux reads and
 the LU lifetimes all follow from that one fact and the order of the
 events.
 
 Every solve is made with storage that no refill has touched since its
-factor: the probe asserts, at each solve, that the storage holds what it
-held right after the factor.  On the band path ``dgbtrf`` overwrites the
-plan's band with the LU, and on any other mesh the solve reads the red
+factor: the probe asserts, at each solve, that ``fill`` holds what it held
+right after the factor.  On a chain ``dgbtrf`` overwrites the band, which
+``fill`` views, with the LU, and on any other mesh the solve reads the red
 blocks' inverses and products there, so a solve after the next refill
 would use another matrix's entries.
 """
@@ -54,13 +55,13 @@ class Evaluation:
 
 @dataclass
 class Factor:
-    """One LU factor: the storage object, a copy of it as filled, a copy of
+    """One LU factor: the solver's ``fill``, a copy of it as filled, a copy of
     it right after the factor, the index of the evaluation it was made at,
     and the number of solves made with it."""
 
-    matrix: object
-    filled: object
-    stored: object
+    fill: np.ndarray
+    filled: np.ndarray
+    stored: np.ndarray
     evaluation: int
     solves: int = 0
 
@@ -71,21 +72,12 @@ class _Solve:
     def __init__(self, solve, factor):
         self._solve, self._factor = solve, factor
 
-    def __call__(self, rhs):
+    def __call__(self, res):
         factor = self._factor
-        assert np.array_equal(_entries(factor.matrix), _entries(factor.stored)), \
+        assert np.array_equal(factor.fill, factor.stored), \
             "a solve with an LU whose storage was refilled since its factor"
         factor.solves += 1
-        return self._solve(rhs)
-
-
-def _copy(matrix):
-    # a band stays in Fortran order, so that the scheme fills it in place
-    return matrix.copy(order="F") if isinstance(matrix, np.ndarray) else matrix.copy()
-
-
-def _entries(matrix):
-    return matrix if isinstance(matrix, np.ndarray) else matrix.data
+        return self._solve(res)
 
 
 class SolverProbe:
@@ -103,8 +95,8 @@ class SolverProbe:
         self._edge_fluxes = smfv.scheme._edge_fluxes
         factor = smfv.scheme._StepPlan.factor
 
-        def factored(plan, matrix):
-            return self._factor(factor, plan, matrix)
+        def factored(plan):
+            return self._factor(factor, plan)
 
         monkeypatch.setattr(smfv.scheme, "_edge_fluxes", self._evaluate)
         monkeypatch.setattr(smfv.scheme._StepPlan, "factor", factored)
@@ -134,23 +126,24 @@ class SolverProbe:
         self._system = system
         return edges
 
-    def _factor(self, factor, plan, matrix):
+    def _factor(self, factor, plan):
         assert self.evaluations, "an LU factor before any edge evaluation"
         index = len(self.evaluations) - 1
-        _, slot, perm = plan.pattern
+        solver = plan.solver
         state = self.evaluations[index].values
         edges = self._edge_fluxes(self._system, plan.mesh, state)
-        expected = smfv.scheme._jacobian_matrix(self._system, plan.mesh, edges, self.dt,
-                                                (_copy(matrix), slot, perm))
-        assert np.array_equal(_entries(matrix), _entries(expected)), \
+        expected = np.empty_like(solver.fill)
+        smfv.scheme._jacobian_matrix(self._system, plan.mesh, edges, self.dt, plan.n - 1,
+                                     solver.slot, expected)
+        assert np.array_equal(solver.fill, expected), \
             "an LU factor not made at the state of the most recent edge evaluation"
-        filled = _copy(matrix)
-        solve = factor(plan, matrix)
-        if not plan.chain:
-            plan.schur.condense(expected)
-            assert np.array_equal(matrix, expected), \
+        filled = solver.fill.copy()
+        solve = factor(plan)
+        if isinstance(solver, smfv.scheme._RedBlackSchur):
+            solver.condense(expected)
+            assert np.array_equal(solver.fill, expected), \
                 "a Schur complement not condensed from the most recent edge evaluation"
-        record = Factor(matrix, filled, _copy(matrix), index)
+        record = Factor(solver.fill, filled, solver.fill.copy(), index)
         solve = _Solve(solve, record)
         self._live.add(solve)
         self.factors.append(record)

@@ -113,7 +113,8 @@ TESTS = Path(__file__).resolve().parent
 # count or record a test needs comes from them, StepStats or the outputs.
 _PATCHABLE = {
     "_edge_fluxes": "probe seam: every edge pass, and a flat residual's edge terms",
-    "_StepPlan.factor": "probe seam: every LU factor; also an injected MemoryError",
+    "_StepPlan.factor": "probe seam: every LU factor, through the plan's solver; "
+                        "also an injected MemoryError",
     "_residual_values": "injected fault: a flat residual that no update lowers",
     "NEWTON_TOL": "constant: a tighter stop",
     "MAX_NEWTON_ITERS": "constant: a smaller iteration budget",
